@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 from efgc.linprog import (
     EQ,
-    GE,
     GT,
     Feasible,
     Infeasible,
@@ -232,68 +231,29 @@ def holdings_value_form(instance: Instance, valuer: str, pieces: Sequence[tuple[
     )
 
 
-def build_ordering_forms(instance: Instance, guess) -> list[LinearForm]:
+def ordering_forms(
+    instance: Instance, held: Sequence[tuple[str, int]], edges: Sequence[str]
+) -> list[LinearForm]:
     """Comparison forms whose signs order agents by relative envy.
 
-    For an edge e, a multi-edge agent a with endpoint holdings H, and an
-    agent pair {a1, a2}, the sign of
+    For an edge e in ``edges``, one holder's endpoint holdings ``held``
+    and an agent pair {a1, a2}, the sign of
 
-        u_a2(e) * value_a1(H) - u_a1(e) * value_a2(H)
+        u_a2(e) * value_a1(held) - u_a1(e) * value_a2(held)
 
-    tells which of a1, a2 is closer to envying a if placed inside e.
-    The comparison is kept division-free so zero utilities are handled.
-    Identically zero forms are dropped.
+    tells which of a1, a2 is closer to envying the holder if placed
+    inside e.  The comparison is kept division-free so zero utilities
+    are handled.  Identically zero forms are dropped.
     """
-    pieces = guessed_pieces(guess.endpoint_agent)
     agents = instance.agents
+    values = {a: holdings_value_form(instance, a, held) for a in agents}
     forms: list[LinearForm] = []
-    for edge in instance.graph.edge_ids:
-        for holder in agents:
-            if holder not in pieces:
-                continue
-            held = pieces[holder]
-            for i, a1 in enumerate(agents):
-                for a2 in agents[i + 1 :]:
-                    form = holdings_value_form(instance, a1, held).scale(
-                        instance.util(a2, edge)
-                    ) - holdings_value_form(instance, a2, held).scale(
-                        instance.util(a1, edge)
-                    )
-                    if not form.is_zero():
-                        forms.append(form)
-    return forms
-
-
-def portfolio_from_witness(
-    instance: Instance, guess, witness: CellWitness
-) -> dict[tuple[str, str], tuple[tuple[str, ...], ...]]:
-    """Weak orderings of all agents by relative envy at the witness point.
-
-    For each (edge, multi-edge agent) pair, agents are ranked by the
-    ratio value(holdings)/utility(edge) at the witness, most envious
-    first; agents with zero utility for the edge rank above all others
-    (their ratio is unbounded) and tie with each other.
-    """
-    pieces = guessed_pieces(guess.endpoint_agent)
-    out: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
-    for edge in instance.graph.edge_ids:
-        for holder in instance.agents:
-            if holder not in pieces:
-                continue
-            held = pieces[holder]
-
-            def key(agent: str):
-                value = holdings_value_form(instance, agent, held).evaluate(
-                    witness.point
+    for e in edges:
+        for i, a1 in enumerate(agents):
+            for a2 in agents[i + 1 :]:
+                form = values[a1].scale(instance.util(a2, e)) - values[a2].scale(
+                    instance.util(a1, e)
                 )
-                ue = instance.util(agent, edge)
-                if ue == 0:
-                    return (1, Fraction(0))
-                return (0, value / ue)
-
-            grouped: dict[tuple, list[str]] = {}
-            for agent in instance.agents:
-                grouped.setdefault(key(agent), []).append(agent)
-            ordered = sorted(grouped.items(), key=lambda kv: kv[0], reverse=True)
-            out[(edge, holder)] = tuple(tuple(members) for _, members in ordered)
-    return out
+                if not form.is_zero():
+                    forms.append(form)
+    return forms

@@ -19,19 +19,19 @@ interval::
     piece a2 e1 1/2 1 open closed
 
 Commands: ``solve`` (exit 0 yes / 1 no / 2 error), ``verify`` (0 valid /
-1 invalid), ``gen`` (emit a generated instance), ``oracle`` (reference
-solver), ``cells`` (debug: realizable sign vectors of a form file over a
-region file).  ``--mode auto`` picks the specialized tree or cycle
-solver when it applies and the few-edges search otherwise.
+1 invalid), ``gen`` (emit a generated instance), ``oracle`` (the same as
+``solve --mode oracle``), ``cells`` (debug: realizable sign vectors of a
+form file over a region file).  ``--mode auto`` picks the specialized
+tree or cycle solver when it applies and the few-edges search otherwise.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 from fractions import Fraction
 
-from efgc.cells import EmptyRegionError, enumerate_sign_conditions
+from efgc.cells import enumerate_sign_conditions
 from efgc.component_lp import (
     solve_cycle,
     solve_tree_gc_bounded_degree,
@@ -42,6 +42,7 @@ from efgc.generators import (
     gen_ladder_tw2,
     gen_matching_plus_two,
     gen_star_from_numpart,
+    solve_explicit_oracle,
 )
 from efgc.linprog import EQ, GE, LinearForm, LinearSystem
 from efgc.model import (
@@ -262,8 +263,6 @@ MODES = ("auto", "few-edges", "tree-vdgc", "tree-gc", "cycle", "oracle")
 
 def select_solver(instance: Instance, mode: str):
     """Dispatch per the mode flag; auto prefers the specialized solvers."""
-    from efgc.generators import solve_explicit_oracle
-
     if mode == "auto":
         graph = instance.graph
         if graph.is_tree():
@@ -288,6 +287,14 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _write(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _solve_command(args) -> int:
     instance = parse_instance(_read(args.infile))
     verdict: Verdict = select_solver(instance, args.mode)(instance)
@@ -295,12 +302,7 @@ def _solve_command(args) -> int:
         print("No")
         return 1
     print("Yes")
-    text = emit_assignment(verdict.assignment)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit_assignment(verdict.assignment))
     return 0
 
 
@@ -328,30 +330,7 @@ def _gen_command(args) -> int:
         instance = gen_matching_plus_two(values)
     else:
         instance = gen_ladder_tw2(values, args.variant or "gc")
-    text = emit_instance(instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _oracle_command(args) -> int:
-    from efgc.generators import solve_explicit_oracle
-
-    instance = parse_instance(_read(args.infile))
-    verdict = solve_explicit_oracle(instance)
-    if not verdict.yes:
-        print("No")
-        return 1
-    print("Yes")
-    text = emit_assignment(verdict.assignment)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit_instance(instance))
     return 0
 
 
@@ -369,6 +348,7 @@ def _cells_command(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="efgc",
@@ -397,7 +377,7 @@ def _parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="decide via the reference solver")
     oracle.add_argument("--in", dest="infile", required=True)
     oracle.add_argument("--out")
-    oracle.set_defaults(func=_oracle_command)
+    oracle.set_defaults(func=_solve_command, mode="oracle")
 
     cells = sub.add_parser("cells", help="enumerate sign vectors (debug)")
     cells.add_argument("--forms", required=True)
@@ -408,22 +388,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Entry point returning the process exit code (0 yes/valid, 1 no/
-    invalid, 2 usage or input error)."""
-    threads = os.environ.get("EFGC_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"EFGC_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
+    invalid, 2 usage or input error or a failed self-check)."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (EfgcError, EmptyRegionError, OSError, ValueError) as exc:
+    except (EfgcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, lp_feasible
 from efgc.model import (
@@ -28,6 +28,7 @@ from efgc.model import (
     EfgcError,
     Graph,
     Instance,
+    InternalError,
     Piece,
     Variant,
     Verdict,
@@ -59,61 +60,28 @@ class Component:
     edges: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CutBranch:
-    """One fully guessed branch of the cut-set search."""
-
-    component_assignment: tuple[str, ...]  # agent per component index
-    connector_edges: dict[str, frozenset[str]]
-    inside_edge_choice: dict[str, str]
-    f_prime: frozenset[str]
-
-
 def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     """Connected components after removing the cut edges, ordered by the
     smallest vertex index they contain; isolated vertices count."""
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for eid, u, v in graph.edges:
-        if eid not in cut:
-            parent[find(u)] = find(v)
+    kept = {eid for eid, _, _ in graph.edges if eid not in cut}
+    root = graph.roots(kept)
     groups: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), []).append(v)
+    for v in graph.vertices:  # in vertex order, so groups come out ordered
+        groups.setdefault(root[v], []).append(v)
     comps = []
     for members in groups.values():
         vs = frozenset(members)
-        es = tuple(
-            eid for eid, u, v in graph.edges if eid not in cut and u in vs
-        )
+        es = tuple(eid for eid, u, _ in graph.edges if eid in kept and u in vs)
         comps.append(Component(vs, es))
-    comps.sort(key=lambda c: min(graph.vertex_index(v) for v in c.vertices))
     return comps
 
 
-def _spans(graph: Graph, required: frozenset[str], edges: Sequence[str]) -> bool:
+def _spans(graph: Graph, required: frozenset[str], edges: Container[str]) -> bool:
     """Are all required vertices in one connected part of these edges?"""
     if len(required) <= 1:
         return True
-    parent = {v: v for v in graph.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        u, v = graph.endpoints(e)
-        parent[find(u)] = find(v)
-    roots = {find(v) for v in required}
-    return len(roots) == 1
+    root = graph.roots(edges)
+    return len({root[v] for v in required}) == 1
 
 
 def _connector_choices(
@@ -126,13 +94,14 @@ def _connector_choices(
     On a tree at most one subset survives; on a cycle the choice of
     which gap to leave open gives several, not necessarily equal-sized.
     """
+    own = frozenset(own_edges)
     minimal: list[frozenset[str]] = []
     for size in range(len(cut) + 1):
         for subset in combinations(sorted(cut), size):
             candidate = frozenset(subset)
             if any(prev <= candidate for prev in minimal):
                 continue
-            if _spans(graph, required, list(own_edges) + list(subset)):
+            if _spans(graph, required, own | candidate):
                 minimal.append(candidate)
     return minimal
 
@@ -314,7 +283,10 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                         result.witness,
                     )
                     report = verify_assignment(inst, assignment)
-                    assert report.valid, report.failures
+                    if not report.valid:
+                        raise InternalError(
+                            f"witness failed verification: {report.failures}"
+                        )
                     return Verdict(True, assignment)
     return Verdict(False, None)
 

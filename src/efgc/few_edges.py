@@ -27,11 +27,11 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from efgc.cells import (
-    CellWitness,
     endpoint_var,
     enumerate_sign_conditions,
     guessed_pieces,
     holdings_value_form,
+    ordering_forms,
 )
 from efgc.linprog import (
     EQ,
@@ -46,6 +46,7 @@ from efgc.model import (
     Assignment,
     EfgcError,
     Instance,
+    InternalError,
     Piece,
     Variant,
     Verdict,
@@ -98,21 +99,6 @@ class LengthSolution:
             {e: witness[endpoint_var(e, 1)] for e in edges},
         )
 
-    def as_witness(self) -> dict[str, Fraction]:
-        point = {}
-        for e, v in self.x0.items():
-            point[endpoint_var(e, 0)] = v
-        for e, v in self.delta.items():
-            point[delta_var(e)] = v
-        for e, v in self.x1.items():
-            point[endpoint_var(e, 1)] = v
-        return point
-
-
-def check_counts(instance: Instance, endpoint_agent, n) -> bool:
-    """Endpoint holders plus inside agents must account for everyone."""
-    return len(set(endpoint_agent.values())) + sum(n.values()) == len(instance.agents)
-
 
 def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
     """Each holder's guessed ends must be linkable through edges that the
@@ -121,24 +107,15 @@ def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
     for agent, held in guessed_pieces(endpoint_agent).items():
         if len(held) <= 1:
             continue
-        parent = {v: v for v in graph.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for e in graph.edge_ids:
-            if (
-                n.get(e, 0) == 0
-                and endpoint_agent[(e, 0)] == agent
-                and endpoint_agent[(e, 1)] == agent
-            ):
-                u, v = graph.endpoints(e)
-                parent[find(u)] = find(v)
-        anchors = {find(graph.coord_vertex(e, i)) for e, i in held}
-        if len(anchors) > 1:
+        owned = {
+            e
+            for e in graph.edge_ids
+            if n.get(e, 0) == 0
+            and endpoint_agent[(e, 0)] == agent
+            and endpoint_agent[(e, 1)] == agent
+        }
+        root = graph.roots(owned)
+        if len({root[graph.coord_vertex(e, i)] for e, i in held}) > 1:
             return False
     return True
 
@@ -171,8 +148,6 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
         ):
             continue
         target = len(agents) - len(set(ep.values()))
-        if target < 0:
-            continue
         for counts in product(range(len(agents) + 1), repeat=len(edges)):
             if sum(counts) != target:
                 continue
@@ -412,11 +387,12 @@ def extract_assignment(
             else:
                 slot_pieces.setdefault(e, []).append(ep)
         got = slot_pieces.get(e, ())
-        assert all(ep.length == lengths.delta[e] for ep in got)
-        assert len(got) == guess.n[e]
+        if len(got) != guess.n[e] or any(ep.length != lengths.delta[e] for ep in got):
+            raise InternalError(f"inside intervals on {e} do not match the lengths")
     partial = {a: Piece(bucket) for a, bucket in endpoint_bucket.items()}
     pinned = _pin_map([guess.pair_critical, guess.vertex_critical])
-    assert pinned is not None
+    if pinned is None:
+        raise InternalError("a critical agent is pinned to two edges")
     taken = {e: 0 for e in graph.edge_ids}
     for agent in instance.agents:
         edge = pinned.get(agent)
@@ -435,13 +411,11 @@ def _holder_blocks(instance: Instance, guess: BranchGuess):
     """Per-holder comparison forms and bounded region on the holder's
     own length variables (holders' variable sets are disjoint)."""
     pieces = guessed_pieces(guess.endpoint_agent)
-    holders = _holder_order(instance, guess.a_v)
     hot = _hot_edges(instance, guess.n)
     blocks = []
     if not hot:
         return blocks
-    agents = instance.agents
-    for holder in holders:
+    for holder in _holder_order(instance, guess.a_v):
         held = pieces[holder]
         region = LinearSystem()
         for e, i in held:
@@ -457,18 +431,7 @@ def _holder_blocks(instance: Instance, guess: BranchGuess):
                     ),
                     GE,
                 )
-        forms = []
-        for e in hot:
-            for i, a1 in enumerate(agents):
-                for a2 in agents[i + 1 :]:
-                    form = holdings_value_form(instance, a1, held).scale(
-                        instance.util(a2, e)
-                    ) - holdings_value_form(instance, a2, held).scale(
-                        instance.util(a1, e)
-                    )
-                    if not form.is_zero():
-                        forms.append(form)
-        blocks.append((holder, forms, region))
+        blocks.append((ordering_forms(instance, held, hot), region))
     return blocks
 
 
@@ -479,7 +442,7 @@ def _sample_points(instance: Instance, guess: BranchGuess) -> Iterator[dict]:
     if not blocks:
         yield {}
         return
-    per_block = [enumerate_sign_conditions(forms, region) for _, forms, region in blocks]
+    per_block = [enumerate_sign_conditions(forms, region) for forms, region in blocks]
     for combo in product(*per_block):
         point: dict[str, Fraction] = {}
         for cw in combo:
@@ -552,6 +515,9 @@ def solve_few_edges(instance: Instance) -> Verdict:
                     )
                     if assignment is not None:
                         report = verify_assignment(inst, assignment)
-                        assert report.valid, report.failures
+                        if not report.valid:
+                            raise InternalError(
+                                f"witness failed verification: {report.failures}"
+                            )
                         return Verdict(True, assignment)
     return Verdict(False, None)

@@ -26,17 +26,13 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
-from efgc.few_edges import (
-    check_connected_guesses,
-    check_vertex_consistency,
-    delta_var,
-)
+from efgc.few_edges import check_connected_guesses, delta_var
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, lp_feasible
 from efgc.model import (
     Assignment,
     EfgcError,
-    Graph,
     Instance,
+    InternalError,
     Piece,
     Variant,
     Verdict,
@@ -308,6 +304,9 @@ def solve_explicit_oracle(instance: Instance) -> Verdict:
                     inst, ep, inside, n, live, result.witness
                 )
                 report = verify_assignment(inst, assignment)
-                assert report.valid, report.failures
+                if not report.valid:
+                    raise InternalError(
+                        f"witness failed verification: {report.failures}"
+                    )
                 return Verdict(True, assignment)
     return Verdict(False, None)

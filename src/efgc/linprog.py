@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from efgc.model import EfgcError, as_rational
+from efgc.model import InternalError, as_rational
 
 try:  # exact C-implemented rationals for the pivot loop, if present
     from gmpy2 import mpq as _num
-except ImportError:  # pragma: no cover
+except ImportError:
     _num = Fraction
 
 ZERO = Fraction(0)
@@ -63,12 +63,6 @@ class LinearForm:
     @staticmethod
     def constant(value) -> "LinearForm":
         return LinearForm.make({}, value)
-
-    def coeff(self, var: str) -> Fraction:
-        for v, c in self.coeffs:
-            if v == var:
-                return c
-        return ZERO
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -319,7 +313,8 @@ def _farkas_from_phase1(tab: _Tableau, flips: list[Fraction], system: LinearSyst
         y.append(Fraction(acc))
     mults = tuple(-(y[i] * flips[i]) for i in range(m))
     cert = FarkasCertificate(mults)
-    assert verify_certificate(system, cert), "internal error: certificate failed"
+    if not verify_certificate(system, cert):
+        raise InternalError("Farkas certificate failed re-verification")
     return cert
 
 
@@ -340,8 +335,8 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
         costs1[n_real + i] = -ONE
     tab.set_objective(costs1)
     allowed1 = [True] * tab.n_cols
-    outcome = tab.run(allowed1)
-    assert outcome == "optimal"  # objective bounded above by zero
+    if tab.run(allowed1) != "optimal":  # objective bounded above by zero
+        raise InternalError("phase one of the simplex came out unbounded")
     if tab.value() < 0:
         return Infeasible(_farkas_from_phase1(tab, flips, system))
 
@@ -362,7 +357,8 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     def witness() -> dict[str, Fraction]:
         z = tab.basic_solution()
         point = {v: z[j] - z[n + j] for j, v in enumerate(variables)}
-        assert system.check(point), "internal error: witness failed re-evaluation"
+        if not system.check(point):
+            raise InternalError("LP witness failed re-evaluation")
         return point
 
     if objective is None:
@@ -418,10 +414,12 @@ def strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
     result = lp_max(relaxed, t)
     if isinstance(result, Infeasible):
         return Infeasible(None)
-    assert isinstance(result, Optimal)
+    if not isinstance(result, Optimal):
+        raise InternalError("the capped slack came out unbounded")
     if result.value <= 0:
         return Infeasible(None)
     point = dict(result.witness)
     point.pop(_SLACK, None)
-    assert system.check(point)
+    if not system.check(point):
+        raise InternalError("strict LP witness failed re-evaluation")
     return Feasible(point)

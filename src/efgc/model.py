@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -35,6 +35,10 @@ class AllZeroAgentError(EfgcError):
 
 class UnknownEdgeError(EfgcError):
     """A piece references an edge that does not exist in the graph."""
+
+
+class InternalError(EfgcError):
+    """A solver's self-check failed: a bug, never a property of the input."""
 
 
 class Variant(Enum):
@@ -71,8 +75,8 @@ class Graph:
             raise ValueError("duplicate vertex identifiers")
         if not self.edges:
             raise ValueError("a graph must have at least one edge")
-        ids = [e[0] for e in self.edges]
-        if len(set(ids)) != len(ids):
+        ids = {e[0] for e in self.edges}
+        if len(ids) != len(self.edges):
             raise ValueError("duplicate edge identifiers")
         index = {v: i for i, v in enumerate(self.vertices)}
         seen_pairs = set()
@@ -85,22 +89,28 @@ class Graph:
             if pair in seen_pairs:
                 raise ValueError(f"parallel edge {eid}")
             seen_pairs.add(pair)
-        if not self._connected():
+        if len(set(self.roots(ids).values())) != 1:
             raise ValueError("graph is not connected")
 
-    def _connected(self) -> bool:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for _, u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+    def roots(self, subset: Container[str]) -> dict[str, str]:
+        """Map every vertex to a representative of its connected part in
+        the subgraph made of the edges whose ids are in ``subset``."""
+        # union-find with path halving: ``parent[x] = x = parent[parent[x]]``
+        # hooks x to its grandparent, then steps there
+        parent = {v: v for v in self.vertices}
+        for eid, u, v in self.edges:
+            if eid in subset:
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                parent[u] = v
+        for w in self.vertices:
+            r = w
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            parent[w] = r
+        return parent
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -453,18 +463,6 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
                         )
                     )
     return VerificationReport(tuple(failures))
-
-
-def singleton_interval_lengths_agree(assignment: Assignment) -> bool:
-    """Check an envy-freeness consequence: agents whose whole share is a
-    single interval inside a common edge must hold intervals of equal
-    length (each would otherwise envy the longer one)."""
-    by_edge: dict[str, set[Fraction]] = {}
-    for _, piece in assignment.items():
-        if len(piece.edge_pieces) == 1:
-            ep = piece.edge_pieces[0]
-            by_edge.setdefault(ep.edge, set()).add(ep.length)
-    return all(len(lengths) == 1 for lengths in by_edge.values())
 
 
 def tile_edge(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from efgc.generators import numpart_dp
-from efgc.model import Graph, Instance, Variant, build_instance
+from efgc.model import Assignment, Graph, Instance, Variant, build_instance
 
 F = Fraction
 
@@ -23,6 +23,18 @@ def numpart_family_solvable(values) -> bool:
     a leaf-side sliver of the dominant edge worth exactly half the total.
     """
     return numpart_dp(values) or dominant(values)
+
+
+def singleton_interval_lengths_agree(assignment: Assignment) -> bool:
+    """Check an envy-freeness consequence: agents whose whole share is a
+    single interval inside a common edge must hold intervals of equal
+    length (each would otherwise envy the longer one)."""
+    by_edge: dict[str, set[Fraction]] = {}
+    for _, piece in assignment.items():
+        if len(piece.edge_pieces) == 1:
+            ep = piece.edge_pieces[0]
+            by_edge.setdefault(ep.edge, set()).add(ep.length)
+    return all(len(lengths) == 1 for lengths in by_edge.values())
 
 
 def single_edge(utilities, variant="gc") -> Instance:

@@ -35,11 +35,7 @@ from efgc.linprog import (
     lp_max,
     verify_certificate,
 )
-from efgc.model import (
-    normalize,
-    singleton_interval_lengths_agree,
-    verify_assignment,
-)
+from efgc.model import normalize, verify_assignment
 from helpers import (
     dominant,
     numpart_family_solvable,
@@ -47,6 +43,7 @@ from helpers import (
     random_graph_instance,
     random_path_instance,
     random_tree_instance,
+    singleton_interval_lengths_agree,
     star3_identical,
 )
 

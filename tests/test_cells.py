@@ -1,16 +1,14 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from efgc.cells import (
-    CellWitness,
     EmptyRegionError,
-    build_ordering_forms,
     enumerate_sign_conditions,
     evaluate_signs,
-    portfolio_from_witness,
+    guessed_pieces,
+    ordering_forms,
 )
 from efgc.linprog import EQ, GE, LinearForm, LinearSystem
 from helpers import path, single_edge
@@ -136,24 +134,26 @@ def test_adding_a_form_never_loses_sign_vectors():
         assert base <= extended
 
 
-@dataclass
-class FakeGuess:
-    endpoint_agent: dict
+def every_ordering_form(inst, endpoint_agent):
+    """The ordering forms of every endpoint holder over every edge."""
+    return [
+        form
+        for held in guessed_pieces(endpoint_agent).values()
+        for form in ordering_forms(inst, held, inst.graph.edge_ids)
+    ]
 
 
 def test_ordering_forms_vanish_for_identical_agents():
     inst = path(2, {"a1": [F(1, 2), F(1, 2)], "a2": [F(1, 2), F(1, 2)]})
-    guess = FakeGuess(
-        {("e1", 0): "a1", ("e1", 1): "a1", ("e2", 0): "a2", ("e2", 1): "a2"}
-    )
-    assert build_ordering_forms(inst, guess) == []
+    holders = {("e1", 0): "a1", ("e1", 1): "a1", ("e2", 0): "a2", ("e2", 1): "a2"}
+    assert every_ordering_form(inst, holders) == []
 
 
 def test_ordering_forms_zero_form_dropped_on_ties():
     inst = single_edge({"a": 1, "a1": 1, "a2": 1})
-    guess = FakeGuess({("e1", 0): "a", ("e1", 1): "a"})
+    holders = {("e1", 0): "a", ("e1", 1): "a"}
     # both comparison agents value the lone edge equally: every form is zero
-    assert build_ordering_forms(inst, guess) == []
+    assert every_ordering_form(inst, holders) == []
 
 
 def test_ordering_form_hand_expanded():
@@ -163,36 +163,6 @@ def test_ordering_form_hand_expanded():
         2,
         {"a": [1, 1], "b": [1, 1], "a1": [1, 0], "a2": [0, 1]},
     )
-    guess = FakeGuess(
-        {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "b"}
-    )
-    forms = build_ordering_forms(inst, guess)
+    holders = {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "b"}
+    forms = every_ordering_form(inst, holders)
     assert LinearForm.make({"x0_e1": 1}) in forms
-
-
-def test_portfolio_all_tied_without_forms():
-    inst = path(2, {"a1": [F(1, 2), F(1, 2)], "a2": [F(1, 2), F(1, 2)]})
-    guess = FakeGuess(
-        {("e1", 0): "a1", ("e1", 1): "a1", ("e2", 0): "a2", ("e2", 1): "a2"}
-    )
-    witness = CellWitness((), {"x0_e1": F(1, 2), "x1_e1": F(1, 2)})
-    portfolio = portfolio_from_witness(inst, guess, witness)
-    assert portfolio[("e1", "a1")] == (("a1", "a2"),)
-
-
-def test_portfolio_orders_by_ratio_at_witness():
-    inst = path(2, {"a": [1, 1], "b": [1, 1], "a1": [1, 0], "a2": [0, 1]})
-    guess = FakeGuess(
-        {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "b"}
-    )
-    point = {
-        "x0_e1": F(1, 2),
-        "x1_e1": F(0),
-        "x0_e2": F(0),
-        "x1_e2": F(0),
-    }
-    portfolio = portfolio_from_witness(inst, guess, CellWitness((), point))
-    # toward holder a on edge e2: a1 holds value 1/2 of a's piece but
-    # gives e2 utility 0, so a1's ratio is unbounded and ranks first
-    ranking = portfolio[("e2", "a")]
-    assert ranking[0] == ("a1",)

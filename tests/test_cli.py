@@ -193,14 +193,60 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EFGC_THREADS", "zero")
-    assert run(["solve", "--in", "x"]) == 2
-    monkeypatch.setenv("EFGC_THREADS", "2")
+SELF_CHECK_SCRIPT = """\
+import sys
+
+import efgc.component_lp
+import efgc.few_edges
+import efgc.generators
+from efgc.cli import parse_instance, run, select_solver
+from efgc.model import Failure, InternalError, VerificationReport
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+path = sys.argv[1]
+with open(path, encoding="utf-8") as handle:
+    instance = parse_instance(handle.read())
+
+
+def invalid(instance, assignment):
+    return VerificationReport((Failure("envy", "planted failure"),))
+
+
+for module, mode in (
+    (efgc.few_edges, "few-edges"),
+    (efgc.component_lp, "tree-gc"),
+    (efgc.generators, "oracle"),
+):
+    original = module.verify_assignment
+    module.verify_assignment = invalid
+    try:
+        select_solver(instance, mode)(instance)
+    except InternalError:
+        pass
+    else:
+        sys.exit(f"{module.__name__}: invalid witness returned")
+    code = run(["solve", "--in", path, "--mode", mode])
+    if code != 2:
+        sys.exit(f"{module.__name__}: exit code {code}, expected 2")
+    module.verify_assignment = original
+print("self-checks held")
+"""
+
+
+def test_self_checks_survive_optimize(tmp_path):
+    # a solver whose own witness fails verification must raise
+    # InternalError (exit code 2), also when asserts are compiled away
     inst_file = tmp_path / "p3.efgc"
     inst_file.write_text(P3_TEXT)
-    assert run(["solve", "--in", str(inst_file)]) == 0
-    capsys.readouterr()
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, str(inst_file)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "self-checks held\n"
+    assert result.stderr.count("error: witness failed verification") == 3
 
 
 def test_gen_pipes_into_solve(tmp_path):

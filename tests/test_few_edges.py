@@ -17,11 +17,7 @@ from efgc.few_edges import (
 )
 from efgc.generators import solve_explicit_oracle
 from efgc.linprog import Feasible, Infeasible, lp_feasible, verify_certificate
-from efgc.model import (
-    normalize,
-    singleton_interval_lengths_agree,
-    verify_assignment,
-)
+from efgc.model import normalize, verify_assignment
 from helpers import (
     cycle,
     path,
@@ -30,6 +26,7 @@ from helpers import (
     random_path_instance,
     random_tree_instance,
     single_edge,
+    singleton_interval_lengths_agree,
     star3_identical,
 )
 

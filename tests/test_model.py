@@ -15,11 +15,16 @@ from efgc.model import (
     is_connected_piece,
     normalize,
     piece_utility,
-    singleton_interval_lengths_agree,
     tile_edge,
     verify_assignment,
 )
-from helpers import path, single_edge, star, star3_identical
+from helpers import (
+    path,
+    single_edge,
+    singleton_interval_lengths_agree,
+    star,
+    star3_identical,
+)
 
 F = Fraction
 
@@ -53,6 +58,14 @@ def test_graph_validation():
             ("v1", "v2", "v3", "v4"),
             (("e1", "v1", "v2"), ("e2", "v3", "v4")),
         )  # disconnected
+
+
+def test_roots_group_vertices_by_edge_subset():
+    graph = path(4, {"a": [1, 1, 1, 1]}).graph  # v1-e1-v2-e2-v3-e3-v4-e4-v5
+    root = graph.roots({"e1", "e3", "e4"})
+    assert root["v1"] == root["v2"] != root["v3"]
+    assert root["v3"] == root["v4"] == root["v5"]
+    assert len(set(graph.roots(set()).values())) == 5
 
 
 def test_coordinates_follow_vertex_order():
