@@ -195,6 +195,8 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     cut = frozenset(cut)
     comps = components_without(graph, cut)
     vdgc = inst.variant is Variant.VDGC
+    # the connector choices depend only on the components held
+    connector_memo: dict[tuple[int, ...], list[frozenset[str]]] = {}
     for comp_assign in product(inst.agents, repeat=len(comps)):
         per_agent: dict[str, list[Component]] = {}
         for comp, agent in zip(comps, comp_assign):
@@ -203,10 +205,13 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
         holders = [a for a in inst.agents if a in per_agent]
         feasible_shape = True
         for agent in holders:
-            own = per_agent[agent]
-            required = frozenset().union(*(c.vertices for c in own))
-            own_edges = [e for c in own for e in c.edges]
-            choices = _connector_choices(graph, cut, own_edges, required)
+            held = tuple(k for k, a in enumerate(comp_assign) if a == agent)
+            if held not in connector_memo:
+                own = per_agent[agent]
+                required = frozenset().union(*(c.vertices for c in own))
+                own_edges = [e for c in own for e in c.edges]
+                connector_memo[held] = _connector_choices(graph, cut, own_edges, required)
+            choices = connector_memo[held]
             if not choices:
                 feasible_shape = False
                 break

@@ -1,11 +1,13 @@
 """Exact rational linear feasibility and optimization.
 
 A small dense simplex over ``fractions.Fraction``: two phases, Bland's
-anti-cycling pivot rule, free variables handled by the classic split
-x = p - q.  Everything is exact; a returned witness satisfies every
-constraint under exact re-evaluation, and every infeasibility verdict
-carries a Farkas certificate (a nonnegative combination of constraints
-whose variable coefficients cancel and whose constant is negative).
+anti-cycling pivot rule.  A variable bounded by a row ``c*x >= 0`` gets
+one sign-restricted column and the row leaves the tableau; only free
+variables are split as x = p - q.  Everything is exact; a returned
+witness satisfies every constraint under exact re-evaluation, and every
+infeasibility verdict carries a Farkas certificate (a nonnegative
+combination of constraints whose variable coefficients cancel and whose
+constant is negative), read off the final phase-one objective row.
 
 Strict inequalities are decided by slack maximization: each f > 0
 becomes f - t >= 0, the slack t is capped at 1, and t is maximized;
@@ -73,18 +75,24 @@ class LinearForm:
 
     def scale(self, factor) -> "LinearForm":
         factor = as_rational(factor)
-        return LinearForm.make({v: c * factor for v, c in self.coeffs}, self.const * factor)
+        if not factor:
+            return LinearForm((), ZERO)
+        return LinearForm(tuple((v, c * factor) for v, c in self.coeffs), self.const * factor)
+
+    def _merge(self, terms: Iterable[tuple[str, Fraction]], const: Fraction) -> "LinearForm":
+        acc = dict(self.coeffs)
+        for v, c in terms:
+            acc[v] = acc.get(v, ZERO) + c
+        return LinearForm(tuple(sorted(item for item in acc.items() if item[1])), self.const + const)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm.make(
-            list(self.coeffs) + list(other.coeffs), self.const + other.const
-        )
+        return self._merge(other.coeffs, other.const)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scale(-1)
+        return self._merge(((v, -c) for v, c in other.coeffs), -other.const)
 
     def __neg__(self) -> "LinearForm":
-        return self.scale(-1)
+        return LinearForm(tuple((v, -c) for v, c in self.coeffs), -self.const)
 
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
@@ -148,14 +156,17 @@ def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> bool:
     """Recombine the constraints exactly and confirm 0 >= positive."""
     if len(cert.multipliers) != len(system.constraints):
         return False
-    combo = LinearForm.make({}, 0)
+    combo: dict[str, Fraction] = {}
+    const = ZERO
     for mult, (form, rel) in zip(cert.multipliers, system.constraints):
-        if rel == GT:
+        if rel == GT or (rel == GE and mult < 0):
             return False
-        if rel == GE and mult < 0:
-            return False
-        combo = combo + form.scale(mult)
-    return not combo.coeffs and combo.const < 0
+        if mult:
+            mult = as_rational(mult)
+            for v, c in form.coeffs:
+                combo[v] = combo.get(v, ZERO) + mult * c
+            const += mult * form.const
+    return const < 0 and not any(combo.values())
 
 
 @dataclass(frozen=True)
@@ -182,8 +193,11 @@ class Unbounded:
 class _Tableau:
     """Dense simplex tableau on equalities M z = r, z >= 0, r >= 0.
 
-    Entries are ``gmpy2.mpq`` when available (same exact semantics as
-    Fraction, several times faster in the pivot loop).
+    Columns, in order: one per variable (its value if sign-restricted,
+    its positive part p if free), the negative part q of each free
+    variable, one slack per >= row, one artificial per row.  Entries are
+    ``gmpy2.mpq`` when available (same exact semantics as Fraction,
+    several times faster in the pivot loop).
     """
 
     def __init__(self, rows: list[list], rhs: list, n_real: int):
@@ -192,24 +206,23 @@ class _Tableau:
         self.n_cols = n_real + m
         self.rows = []
         for i, row in enumerate(rows):
-            full = [_num(c) for c in row] + [_NZERO] * m
+            full = row + [_NZERO] * m
             full[n_real + i] = _NONE
-            full.append(_num(rhs[i]))
+            full.append(rhs[i])
             self.rows.append(full)
         self.basis = [n_real + i for i in range(m)]
         self.obj: list = []
 
     def set_objective(self, costs: list):
-        """Install the reduced-cost row for ``costs`` (length n_cols)."""
-        m = len(self.rows)
-        obj = [_num(c) for c in costs] + [_NZERO]  # last cell: objective value
-        for i in range(m):
-            cb = _num(costs[self.basis[i]])
+        """Install the reduced-cost row for ``costs``: n_cols entries of the
+        tableau's number type."""
+        obj = costs + [_NZERO]  # last cell: objective value
+        for b, row in zip(self.basis, self.rows):
+            cb = costs[b]
             if cb:
-                row = self.rows[i]
-                for j in range(self.n_cols + 1):
-                    if row[j]:
-                        obj[j] -= cb * row[j]
+                for j, a in enumerate(row):
+                    if a:
+                        obj[j] -= cb * a
         self.obj = obj
 
     def pivot(self, pr: int, pc: int):
@@ -265,54 +278,65 @@ class _Tableau:
 
 
 def _prepare(system: LinearSystem):
-    """Split free variables and convert to equalities with rhs >= 0.
+    """Lay the system out as a tableau with nonnegative columns and rhs.
 
-    Returns (matrix rows, rhs, sign flips, slack column per row, n_real).
-    Column layout: p-block, q-block (x = p - q), then one slack column
-    per inequality row.
+    A row ``c*x >= 0`` (one variable, c > 0, zero constant) is a sign
+    bound: it leaves the tableau and x keeps one column.  Repeated
+    bounds on x leave as well.  Only variables without a bound are free
+    and split as x = p - q.  Each kept row is negated where its rhs
+    would be negative.  Returns the tableau, the sign flip and source
+    constraint of each tableau row, the bound row of each restricted
+    column and the q column of each free one.
     """
     variables = system.variables
-    vindex = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    ineq_rows = [i for i, (_, rel) in enumerate(system.constraints) if rel == GE]
-    slack_col = {row: 2 * n + k for k, row in enumerate(ineq_rows)}
-    n_real = 2 * n + len(ineq_rows)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    flips: list[Fraction] = []
+    col = {v: j for j, v in enumerate(variables)}
+    bound: dict[int, int] = {}
+    kept: list[int] = []
     for i, (form, rel) in enumerate(system.constraints):
-        row = [ZERO] * n_real
+        if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
+            bound.setdefault(col[form.coeffs[0][0]], i)
+        else:
+            kept.append(i)
+    free = [j for j in range(len(variables)) if j not in bound]
+    neg = {j: len(variables) + k for k, j in enumerate(free)}
+    slack = len(variables) + len(free)
+    n_real = slack + sum(system.constraints[i][1] == GE for i in kept)
+    rows, rhs, flips = [], [], []
+    for i in kept:
+        form, rel = system.constraints[i]
+        flip = -ONE if form.const > 0 else ONE
+        row = [_NZERO] * n_real
         for v, c in form.coeffs:
-            j = vindex[v]
-            row[j] += c
-            row[n + j] -= c
+            j = col[v]
+            row[j] = _num(c * flip)
+            if j in neg:
+                row[neg[j]] = -row[j]
         if rel == GE:
-            row[slack_col[i]] = -ONE
-        b = -form.const
-        flip = ONE
-        if b < 0:
-            flip = -ONE
-            b = -b
-            row = [-c for c in row]
+            row[slack] = _num(-flip)
+            slack += 1
         rows.append(row)
-        rhs.append(b)
+        rhs.append(_num(-form.const * flip))
         flips.append(flip)
-    return rows, rhs, flips, n_real
+    return _Tableau(rows, rhs, n_real), flips, kept, bound, neg
 
 
-def _farkas_from_phase1(tab: _Tableau, flips: list[Fraction], system: LinearSystem) -> FarkasCertificate:
-    m = len(tab.rows)
-    # y_i = c_B^T B^{-1} e_i, read off the artificial columns
-    y = []
-    for i in range(m):
-        col = tab.n_real + i
-        acc = _NZERO
-        for r in range(m):
-            if tab.basis[r] >= tab.n_real:  # phase-one cost -1
-                acc -= tab.rows[r][col]
-        y.append(Fraction(acc))
-    mults = tuple(-(y[i] * flips[i]) for i in range(m))
-    cert = FarkasCertificate(mults)
+def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound) -> FarkasCertificate:
+    """Read a certificate off the optimal phase-one objective row.
+
+    With phase-one duals y, the artificial of tableau row k has reduced
+    cost -1 - y_k, so its constraint gets -y_k, signed back by the row's
+    flip.  Reduced costs are <= 0 at the optimum: the slack columns make
+    the >= multipliers nonnegative, the p/q pairs cancel free variables,
+    and the bound row c*x >= 0 of a restricted x takes -obj[x] / c >= 0,
+    which cancels what is left on x.  Repeated bounds get zero.
+    """
+    obj = tab.obj
+    mults = [ZERO] * len(system.constraints)
+    for k, i in enumerate(kept):
+        mults[i] = Fraction(obj[tab.n_real + k] + 1) * flips[k]
+    for j, i in bound.items():
+        mults[i] = -Fraction(obj[j]) / system.constraints[i][0].coeffs[0][1]
+    cert = FarkasCertificate(tuple(mults))
     if not verify_certificate(system, cert):
         raise InternalError("Farkas certificate failed re-verification")
     return cert
@@ -323,22 +347,17 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     Optimal/Unbounded/Infeasible."""
     if system.has_strict():
         raise ValueError("strict constraints require strict_feasible")
-    rows, rhs, flips, n_real = _prepare(system)
-    m = len(rows)
+    tab, flips, kept, bound, neg = _prepare(system)
+    m = len(tab.rows)
+    n_real = tab.n_real
     variables = system.variables
-    n = len(variables)
-    tab = _Tableau(rows, rhs, n_real)
 
     # phase one: maximize minus the sum of artificials
-    costs1 = [ZERO] * tab.n_cols
-    for i in range(m):
-        costs1[n_real + i] = -ONE
-    tab.set_objective(costs1)
-    allowed1 = [True] * tab.n_cols
-    if tab.run(allowed1) != "optimal":  # objective bounded above by zero
+    tab.set_objective([_NZERO] * n_real + [-_NONE] * m)
+    if tab.run([True] * tab.n_cols) != "optimal":  # objective bounded above by zero
         raise InternalError("phase one of the simplex came out unbounded")
     if tab.value() < 0:
-        return Infeasible(_farkas_from_phase1(tab, flips, system))
+        return Infeasible(_farkas_from_phase1(tab, system, flips, kept, bound))
 
     # drive any leftover zero-valued artificials out of the basis
     drop: list[int] = []
@@ -356,7 +375,7 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
 
     def witness() -> dict[str, Fraction]:
         z = tab.basic_solution()
-        point = {v: z[j] - z[n + j] for j, v in enumerate(variables)}
+        point = {v: z[j] - z[neg[j]] if j in neg else z[j] for j, v in enumerate(variables)}
         if not system.check(point):
             raise InternalError("LP witness failed re-evaluation")
         return point
@@ -364,15 +383,14 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     if objective is None:
         return Feasible(witness())
 
-    costs2 = [ZERO] * tab.n_cols
+    costs2 = [_NZERO] * tab.n_cols
     for v, c in objective.coeffs:
         j = variables.index(v)
-        costs2[j] = c
-        costs2[n + j] = -c
+        costs2[j] = _num(c)
+        if j in neg:
+            costs2[neg[j]] = -costs2[j]
     tab.set_objective(costs2)
-    allowed2 = [j < n_real for j in range(tab.n_cols)]
-    outcome = tab.run(allowed2)
-    if outcome == "unbounded":
+    if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
         return Unbounded()
     point = witness()
     return Optimal(objective.evaluate(point), point)

@@ -7,6 +7,7 @@ from efgc.linprog import (
     EQ,
     GE,
     GT,
+    FarkasCertificate,
     Feasible,
     Infeasible,
     LinearForm,
@@ -151,3 +152,85 @@ def test_form_arithmetic_is_canonical():
     assert f.coeffs == (("a", F(1)),)
     assert f.evaluate({"a": F(1, 2)}) == 1
     assert f.evaluate({}) == F(1, 2)
+
+
+def _bound_twins(rng: random.Random) -> tuple[LinearSystem, LinearSystem]:
+    """A random system and its twin without sign bounds.
+
+    The system mixes sign bounds ``c*x >= 0`` (some scaled, some
+    repeated), rows that only look like bounds (``-c*x >= 0``,
+    ``c*x = 0``), free variables, equalities and general >= rows.  The
+    twin writes every bound as ``c*x + w >= 0`` with ``w = 0``, so no row
+    of the twin is a sign bound, yet both systems have the same solutions.
+    """
+    names = [f"v{i}" for i in range(4)]
+    plain, twin = LinearSystem(names), LinearSystem(names)
+    w = LinearForm.var("w")
+    twin.add(w, EQ)
+    rows = []
+    for v in names:
+        kind = rng.random()
+        if kind < 0.6:
+            bound = LinearForm.make({v: rng.choice([1, 1, 2, 3])})
+            rows += [(bound, GE, True)] * rng.choice([1, 1, 2])
+        elif kind < 0.7:
+            rows.append((LinearForm.make({v: -rng.choice([1, 2])}), GE, False))
+        elif kind < 0.75:
+            rows.append((LinearForm.make({v: rng.choice([1, 2])}), EQ, False))
+    for _ in range(rng.randint(2, 5)):
+        coeffs = {v: rng.randint(-3, 3) for v in rng.sample(names, rng.randint(1, 3))}
+        const = rng.choice([c for c in range(-5, 6) if c])
+        rows.append((LinearForm.make(coeffs, const), GE if rng.random() < 0.7 else EQ, False))
+    rng.shuffle(rows)
+    for form, rel, is_bound in rows:
+        plain.add(form, rel)
+        twin.add(form + w if is_bound else form, rel)
+    return plain, twin
+
+
+def _objective(rng: random.Random) -> LinearForm:
+    return LinearForm.make({f"v{i}": rng.randint(-2, 2) for i in range(4)}, rng.randint(-2, 2))
+
+
+def test_sign_bounds_agree_with_general_rows():
+    rng = random.Random(4242)
+    seen = {Feasible: 0, Infeasible: 0, Unbounded: 0}
+    for _ in range(80):
+        plain, twin = _bound_twins(rng)
+        objective = _objective(rng)
+        decided = [lp_feasible(plain), lp_feasible(twin)]
+        best = [lp_max(plain, objective), lp_max(twin, objective)]
+        assert type(decided[0]) is type(decided[1])
+        assert type(best[0]) is type(best[1])
+        seen[type(decided[0])] += 1
+        seen[Unbounded] += isinstance(best[0], Unbounded)
+        if isinstance(best[0], Optimal):
+            assert best[0].value == best[1].value
+        for sys_, res in zip((plain, twin, plain, twin), decided + best):
+            if isinstance(res, (Feasible, Optimal)):
+                assert sys_.check(res.witness)
+            if isinstance(res, Infeasible):
+                assert verify_certificate(sys_, res.certificate)
+                for mult, (form, rel) in zip(res.certificate.multipliers, sys_.constraints):
+                    if rel == GE and len(form.coeffs) == 1 and not form.const:
+                        assert mult >= 0
+    assert min(seen.values()) >= 5, seen
+
+
+def test_verify_certificate_rejects_bad_combinations():
+    def cert(*mults):
+        return FarkasCertificate(tuple(F(m) for m in mults))
+
+    refuted = system((x, GE), (-x - one, GE))  # x >= 0 and -x >= 1
+    assert verify_certificate(refuted, cert(1, 1))
+    assert not verify_certificate(refuted, cert(1))  # wrong length
+    assert not verify_certificate(refuted, cert(1, 1, 0))
+    assert not verify_certificate(refuted, cert(2, 1))  # x is left over
+    # the multipliers below cancel x, so only the sign rules decide
+    assert verify_certificate(system((x + one, EQ), (x, EQ)), cert(-1, 1))
+    assert not verify_certificate(system((x + one, GE), (x, EQ)), cert(-1, 1))
+    assert verify_certificate(system((-x - one, GE), (x, GE)), cert(1, 1))
+    assert not verify_certificate(system((-x - one, GT), (x, GE)), cert(1, 1))
+    # a combination that reads 0 >= 1 or 0 >= 0 proves nothing
+    assert not verify_certificate(system((x, GE), (one - x, GE)), cert(1, 1))
+    assert not verify_certificate(system((x, GE), (-x, GE)), cert(1, 1))
