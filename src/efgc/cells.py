@@ -3,25 +3,23 @@
 A set of linear forms cuts a region into cells: maximal sets of points
 sharing the same sign vector (one of -1, 0, +1 per form).  This module
 enumerates every realizable sign vector together with an exact rational
-witness point.  Two interchangeable strategies are provided:
+witness point.
 
-* an exhaustive sweep over all 3^s candidate vectors, organised as a
-  prefix tree so that an infeasible prefix prunes its whole subtree
-  (the result set is exactly the full sweep's);
-* a breadth-first walk of the cell adjacency structure, flipping one
-  coordinate at a time (towards or away from zero) with two-coordinate
-  flips as a fallback for non-generic intersections.
-
-The sweep is complete unconditionally and is used up to 12 deduplicated
-forms; beyond that the walk takes over.  Forms equal up to positive
-scaling or negation are deduplicated before enumeration and their signs
-reconstructed afterwards.
+The enumeration descends the tree of the 3^s candidate vectors one form
+at a time and prunes a prefix that no region point realizes.  The
+pruning loses nothing: every prefix of a realizable vector is realized
+by the same point, so no realizable vector lies below a pruned prefix.
+The result is therefore exactly that of testing all 3^s vectors, also
+on faces where many hyperplanes meet (the ordering forms all vanish at
+the origin).  Each realizable prefix costs at most two strict LPs,
+because its witness already fixes one sign of the next form.  Forms
+equal up to positive scaling or negation are deduplicated before
+enumeration and their signs reconstructed afterwards.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from typing import Mapping, Sequence
 
 from efgc.linprog import (
@@ -35,8 +33,6 @@ from efgc.linprog import (
     strict_feasible,
 )
 from efgc.model import EfgcError, Instance
-
-SWEEP_LIMIT = 12
 
 
 class EmptyRegionError(EfgcError):
@@ -56,10 +52,6 @@ class CellWitness:
 
 def _sign(value: Fraction) -> int:
     return (value > 0) - (value < 0)
-
-
-def evaluate_signs(forms: Sequence[LinearForm], point: Mapping[str, Fraction]) -> tuple[int, ...]:
-    return tuple(_sign(f.evaluate(point)) for f in forms)
 
 
 def _canonical(form: LinearForm) -> tuple[LinearForm, int]:
@@ -137,53 +129,17 @@ def _sweep(forms: Sequence[LinearForm], region: LinearSystem, seed: dict) -> dic
     return found
 
 
-# moves for one coordinate: either step to/from the hyperplane or jump
-# across it (the jump covers non-generic incidences)
-_MOVES = {-1: (0, 1), 0: (-1, 1), 1: (0, -1)}
-
-
-def _bfs(forms: Sequence[LinearForm], region: LinearSystem, seed: dict) -> dict:
-    start = evaluate_signs(forms, seed)
-    found: dict[tuple[int, ...], dict] = {start: seed}
-    tested: set[tuple[int, ...]] = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for vector in frontier:
-            candidates: list[tuple[int, ...]] = []
-            for i, s in enumerate(vector):
-                for repl in _MOVES[s]:
-                    candidates.append(vector[:i] + (repl,) + vector[i + 1 :])
-            for i, j in combinations(range(len(vector)), 2):
-                for ri, rj in product(_MOVES[vector[i]], _MOVES[vector[j]]):
-                    cand = list(vector)
-                    cand[i] = ri
-                    cand[j] = rj
-                    candidates.append(tuple(cand))
-            for cand in candidates:
-                if cand in tested:
-                    continue
-                tested.add(cand)
-                res = strict_feasible(
-                    _with_signs(region, list(zip(forms, cand)))
-                )
-                if isinstance(res, Feasible):
-                    found[cand] = res.witness
-                    nxt.append(cand)
-        frontier = nxt
-    return found
-
-
 def enumerate_sign_conditions(
-    forms: Sequence[LinearForm], region: LinearSystem, strategy: str = "auto"
+    forms: Sequence[LinearForm], region: LinearSystem
 ) -> list[CellWitness]:
     """Enumerate every sign vector of ``forms`` realized inside ``region``.
 
     ``region`` must be a nonempty bounded polytope given by = and >=
     constraints.  Returns one witness per realizable sign vector over
     the input forms (duplicates and constant forms included), sorted by
-    sign vector.  ``strategy`` is "sweep", "bfs" or "auto" (sweep up to
-    12 deduplicated forms).
+    sign vector.  The result is complete for any forms, generic or not;
+    the cost is at most two strict LPs per realizable prefix of the
+    deduplicated forms.
     """
     if region.has_strict():
         raise ValueError("region must not contain strict constraints")
@@ -191,14 +147,7 @@ def enumerate_sign_conditions(
     if isinstance(base, Infeasible):
         raise EmptyRegionError("region polytope is empty")
     unique, mapping = _dedupe(forms)
-    if strategy == "auto":
-        strategy = "sweep" if len(unique) <= SWEEP_LIMIT else "bfs"
-    if strategy == "sweep":
-        found = _sweep(unique, region, base.witness)
-    elif strategy == "bfs":
-        found = _bfs(unique, region, base.witness)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    found = _sweep(unique, region, base.witness)
     out = []
     for vector, point in found.items():
         full = tuple(

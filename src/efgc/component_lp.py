@@ -138,9 +138,7 @@ def _build_cut_lp(
         )
         terms = {}
         for e in f_prime:
-            if owner in allowed[e] and (
-                owner in end_owners[e] or owner in insiders.get(e, ())
-            ):
+            if owner in allowed[e]:
                 terms[_cut_var(e, owner)] = instance.util(valuer, e)
         return LinearForm.make(terms, const)
 

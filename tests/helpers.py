@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from efgc.generators import numpart_dp
+from efgc.linprog import EQ, GT, Feasible, strict_feasible
 from efgc.model import Assignment, Graph, Instance, Variant, build_instance
 
 F = Fraction
@@ -35,6 +36,40 @@ def singleton_interval_lengths_agree(assignment: Assignment) -> bool:
             ep = piece.edge_pieces[0]
             by_edge.setdefault(ep.edge, set()).add(ep.length)
     return all(len(lengths) == 1 for lengths in by_edge.values())
+
+
+def evaluate_signs(forms, point) -> tuple[int, ...]:
+    """The sign (-1, 0 or +1) of each form at ``point``."""
+    return tuple((v > 0) - (v < 0) for v in (f.evaluate(point) for f in forms))
+
+
+def sign_conditions_reference(forms, region) -> set[tuple[int, ...]]:
+    """Every sign vector of ``forms`` realized in ``region``, the slow way.
+
+    Walks the 3^s prefix tree over the raw forms, without deduplication,
+    and solves a fresh strict LP at every node, reusing no witness.
+    Pruning an infeasible prefix is exact: every prefix of a realizable
+    vector is realized by the same point.
+    """
+    found: set[tuple[int, ...]] = set()
+
+    def descend(prefix: tuple[int, ...]):
+        system = region.copy()
+        for form, sign in zip(forms, prefix):
+            if sign == 0:
+                system.add(form, EQ)
+            else:
+                system.add(form.scale(sign), GT)
+        if not isinstance(strict_feasible(system), Feasible):
+            return
+        if len(prefix) == len(forms):
+            found.add(prefix)
+            return
+        for sign in (-1, 0, 1):
+            descend(prefix + (sign,))
+
+    descend(())
+    return found
 
 
 def single_edge(utilities, variant="gc") -> Instance:

@@ -43,6 +43,7 @@ from helpers import (
     random_graph_instance,
     random_path_instance,
     random_tree_instance,
+    sign_conditions_reference,
     singleton_interval_lengths_agree,
     star3_identical,
 )
@@ -200,9 +201,6 @@ def test_criterion_5_specialized_agreement():
 
 
 def _random_polytope_and_forms(rng: random.Random):
-    # generic draws: wide rational coefficients avoid the lattice
-    # coincidences (many forms vanishing on one flat) that the walk's
-    # bounded move set cannot cross and that no generic set exhibits
     dim = rng.randint(1, 4)
     target = rng.randint(2, 10) if dim < 4 else rng.randint(2, 7)
     names = [f"x{i}" for i in range(dim)]
@@ -226,11 +224,10 @@ def test_criterion_6_arrangement_completeness():
     start = time.perf_counter()
     for i in range(25):
         forms, region = _random_polytope_and_forms(rng)
-        sweep = enumerate_sign_conditions(forms, region, strategy="sweep")
-        bfs = enumerate_sign_conditions(forms, region, strategy="bfs")
-        assert {cw.signs for cw in sweep} == {
-            cw.signs for cw in bfs
-        }, f"arrangement {i}: walk missed cells"
+        sweep = enumerate_sign_conditions(forms, region)
+        assert {cw.signs for cw in sweep} == sign_conditions_reference(
+            forms, region
+        ), f"arrangement {i}: sweep and reference disagree"
     # generic lines in the plane: 1 + s + C(s,2) full-dimensional cells
     for s, expected in ((2, 4), (3, 7), (4, 11)):
         while True:
@@ -256,7 +253,7 @@ def test_criterion_6_arrangement_completeness():
         6,
         "arrangement completeness",
         elapsed < 600,
-        f"25 walk/sweep agreements + generic counts 4/7/11, {elapsed:.1f}s",
+        f"25 reference/sweep agreements + generic counts 4/7/11, {elapsed:.1f}s",
     )
     assert elapsed < 600
 

@@ -6,12 +6,11 @@ import pytest
 from efgc.cells import (
     EmptyRegionError,
     enumerate_sign_conditions,
-    evaluate_signs,
     guessed_pieces,
     ordering_forms,
 )
 from efgc.linprog import EQ, GE, LinearForm, LinearSystem
-from helpers import path, single_edge
+from helpers import evaluate_signs, path, sign_conditions_reference, single_edge
 
 F = Fraction
 
@@ -61,6 +60,20 @@ def test_witnesses_reproduce_their_signs():
         assert evaluate_signs(forms, cw.point) == cw.signs
 
 
+def test_concurrent_fan_keeps_the_common_point():
+    # 13 lines k*x - y through the corner of the unit square: the one
+    # point where all of them vanish is a cell of its own
+    forms = [LinearForm.make({"x": k, "y": -1}) for k in range(1, 14)]
+    cells = enumerate_sign_conditions(forms, box(["x", "y"], 0, 1))
+    assert len(cells) == 28
+    zeros = [cw.signs.count(0) for cw in cells]
+    assert zeros.count(13) == 1  # the origin
+    assert zeros.count(1) == 13  # one ray per line
+    assert zeros.count(0) == 14  # the sectors between and beside them
+    for cw in cells:
+        assert evaluate_signs(forms, cw.point) == cw.signs
+
+
 def test_duplicate_scaled_and_negated_forms():
     x = LinearForm.var("x")
     forms = [x, x.scale(3), -x, LinearForm.constant(F(1, 2)), LinearForm.make({})]
@@ -88,16 +101,28 @@ def _random_forms(rng: random.Random, names, count):
     return forms
 
 
-def test_bfs_matches_sweep_on_random_arrangements():
+def _homogeneous_forms(rng: random.Random, names, count):
+    # every hyperplane passes through the origin, so many meet at once
+    return [
+        LinearForm.make({v: F(rng.randint(-2, 2)) for v in names})
+        for _ in range(count)
+    ]
+
+
+def test_sweep_matches_reference_on_random_arrangements():
     rng = random.Random(909)
+    draws = []
     for _ in range(8):
         dim = rng.randint(1, 3)
         names = [f"x{i}" for i in range(dim)]
-        forms = _random_forms(rng, names, rng.randint(1, 5))
+        draws.append((_random_forms(rng, names, rng.randint(1, 5)), names))
+    for _ in range(2):
+        names = [f"x{i}" for i in range(rng.randint(3, 4))]
+        draws.append((_homogeneous_forms(rng, names, rng.randint(5, 8)), names))
+    for forms, names in draws:
         region = box(names, -2, 2)
-        sweep = enumerate_sign_conditions(forms, region, strategy="sweep")
-        bfs = enumerate_sign_conditions(forms, region, strategy="bfs")
-        assert {cw.signs for cw in sweep} == {cw.signs for cw in bfs}
+        sweep = enumerate_sign_conditions(forms, region)
+        assert {cw.signs for cw in sweep} == sign_conditions_reference(forms, region)
 
 
 @pytest.mark.parametrize("s,expected", [(2, 4), (3, 7), (4, 11)])
