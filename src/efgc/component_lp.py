@@ -12,16 +12,20 @@ The wrappers enumerate the cut sets that make this restriction lossless
 on their graph class: for vertex-disjoint division of trees every
 solution is captured by some F of at most |A|-1 edges; for the shared
 variant on trees by cutting around at most |A| shared vertices and
-edges; on cycles by at most |A| cut edges.
+edges; on cycles by at most |A| cut edges.  Each wrapper normalizes once and
+shares one ``LPMemo`` across all its cut sets: different cut sets and
+component assignments often lead to the same set of constraints, and
+the same set has the same verdict.  A hit is re-checked: its Farkas
+certificate is mapped row by row and re-verified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, lp_feasible
+from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, LPMemo, lp_feasible
 from efgc.model import (
     Assignment,
     EdgePiece,
@@ -38,6 +42,7 @@ from efgc.model import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class NotTreeError(EfgcError):
@@ -118,35 +123,36 @@ def _build_cut_lp(
     owned_edges: dict[str, list[str]],
 ) -> LinearSystem:
     system = LinearSystem()
-    allowed: dict[str, list[str]] = {}
+    # the share variables each agent may hold, as (variable, edge)
+    shares: dict[str, list[tuple[str, str]]] = {a: [] for a in instance.agents}
     for e in f_prime:
         names = []
         for agent in end_owners[e] + tuple(insiders.get(e, ())):
             if agent not in names:
                 names.append(agent)
-        allowed[e] = names
         for agent in names:
-            system.declare(_cut_var(e, agent))
-            system.add(LinearForm.var(_cut_var(e, agent)), GE)
+            var = _cut_var(e, agent)
+            shares[agent].append((var, e))
+            system.declare(var)
+            system.add(LinearForm(((var, ONE),), ZERO), GE)
         system.add(
-            LinearForm.make({_cut_var(e, a): 1 for a in names}, -1), EQ
+            LinearForm(tuple(sorted((_cut_var(e, a), ONE) for a in names)), -ONE), EQ
         )
 
-    def value_form(valuer: str, owner: str) -> LinearForm:
-        const = sum(
-            (instance.util(valuer, g) for g in owned_edges.get(owner, ())), ZERO
-        )
-        terms = {}
-        for e in f_prime:
-            if owner in allowed[e]:
-                terms[_cut_var(e, owner)] = instance.util(valuer, e)
-        return LinearForm.make(terms, const)
-
+    # each envy row u_a(own share) - u_a(b's share) >= 0 is built in its
+    # canonical form: the two shares have disjoint variables
+    util = instance.util
     for a in instance.agents:
-        mine = value_form(a, a)
+        fixed = {
+            b: sum((util(a, g) for g in owned_edges.get(b, ())), ZERO)
+            for b in instance.agents
+        }
+        mine = [(var, util(a, e)) for var, e in shares[a] if util(a, e)]
         for b in instance.agents:
             if a != b:
-                system.add(mine - value_form(a, b), GE)
+                terms = mine + [(var, -util(a, e)) for var, e in shares[b] if util(a, e)]
+                terms.sort()
+                system.add(LinearForm(tuple(terms), fixed[a] - fixed[b]), GE)
     return system
 
 
@@ -179,14 +185,19 @@ def _extract_cut_assignment(
     return Assignment({a: Piece(b) for a, b in buckets.items()})
 
 
-def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
+def solve_with_cut_set(
+    instance: Instance, cut: Sequence[str], memo: LPMemo | None = None
+) -> Verdict:
     """Decide existence of an envy-free assignment in which every
     component of G - cut goes wholly to one agent.
 
     A yes verdict ships a verified assignment; no means no assignment
-    within this restricted scope exists.
+    within this restricted scope exists.  ``memo`` holds the LPs decided
+    so far for the same normalized instance, e.g. under other cut sets.
     """
     inst = normalize(instance)
+    if memo is None:
+        memo = LPMemo()
     graph = inst.graph
     if not (graph.is_tree() or graph.is_cycle()):
         raise NotTreeOrCycleError("cut-set solving needs a tree or a cycle")
@@ -275,7 +286,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 system = _build_cut_lp(
                     inst, f_prime, end_owners, insiders, owned_edges
                 )
-                result = lp_feasible(system)
+                result = memo.solve(system, lp_feasible)
                 if isinstance(result, Feasible):
                     assignment = _extract_cut_assignment(
                         inst,
@@ -300,6 +311,18 @@ def _cut_sets(edges: Sequence[str], max_size: int) -> Iterator[frozenset[str]]:
             yield frozenset(subset)
 
 
+def _first_yes(instance: Instance, cuts: Iterable[frozenset[str]]) -> Verdict:
+    """Try the cut sets in order on the normalized instance, sharing one
+    LP memo across them; the first yes wins."""
+    inst = normalize(instance)
+    memo = LPMemo()
+    for cut in cuts:
+        verdict = solve_with_cut_set(inst, cut, memo)
+        if verdict.yes:
+            return verdict
+    return Verdict(False, None)
+
+
 def solve_tree_vdgc(instance: Instance) -> Verdict:
     """Vertex-disjoint division of a tree: some cut set of fewer edges
     than agents captures every solution."""
@@ -307,11 +330,26 @@ def solve_tree_vdgc(instance: Instance) -> Verdict:
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.VDGC:
         raise ValueError("expects the vertex-disjoint variant")
-    for cut in _cut_sets(instance.graph.edge_ids, len(instance.agents) - 1):
-        verdict = solve_with_cut_set(instance, cut)
-        if verdict.yes:
-            return verdict
-    return Verdict(False, None)
+    return _first_yes(
+        instance, _cut_sets(instance.graph.edge_ids, len(instance.agents) - 1)
+    )
+
+
+def _closure_cut_sets(graph: Graph, max_items: int) -> Iterator[frozenset[str]]:
+    """The distinct cuts around every choice of at most ``max_items``
+    vertices and edges: a chosen vertex cuts all its edges."""
+    items = [("v", v) for v in graph.vertices] + [("e", e) for e in graph.edge_ids]
+    seen: set[frozenset[str]] = set()
+    for size in range(max_items + 1):
+        for chosen in combinations(items, size):
+            cut = {e for kind, e in chosen if kind == "e"}
+            for kind, v in chosen:
+                if kind == "v":
+                    cut.update(graph.incident_edges(v))
+            cut = frozenset(cut)
+            if cut not in seen:
+                seen.add(cut)
+                yield cut
 
 
 def solve_tree_gc_bounded_degree(instance: Instance) -> Verdict:
@@ -322,23 +360,7 @@ def solve_tree_gc_bounded_degree(instance: Instance) -> Verdict:
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.GC:
         raise ValueError("expects the shared-vertex variant")
-    graph = instance.graph
-    items = [("v", v) for v in graph.vertices] + [("e", e) for e in graph.edge_ids]
-    seen: set[frozenset[str]] = set()
-    for size in range(len(instance.agents) + 1):
-        for chosen in combinations(items, size):
-            cut = {e for kind, e in chosen if kind == "e"}
-            for kind, v in chosen:
-                if kind == "v":
-                    cut.update(graph.incident_edges(v))
-            cut = frozenset(cut)
-            if cut in seen:
-                continue
-            seen.add(cut)
-            verdict = solve_with_cut_set(instance, cut)
-            if verdict.yes:
-                return verdict
-    return Verdict(False, None)
+    return _first_yes(instance, _closure_cut_sets(instance.graph, len(instance.agents)))
 
 
 def solve_cycle(instance: Instance) -> Verdict:
@@ -346,8 +368,4 @@ def solve_cycle(instance: Instance) -> Verdict:
     between agents, so cut sets up to that size are exhaustive."""
     if not instance.graph.is_cycle():
         raise NotCycleError("expects a cycle")
-    for cut in _cut_sets(instance.graph.edge_ids, len(instance.agents)):
-        verdict = solve_with_cut_set(instance, cut)
-        if verdict.yes:
-            return verdict
-    return Verdict(False, None)
+    return _first_yes(instance, _cut_sets(instance.graph.edge_ids, len(instance.agents)))

@@ -14,7 +14,12 @@ assignment and lets an exact LP fill in the lengths:
    success, hand the guessed agents their pieces and match the rest to
    the leftover intervals via the compatibility graph.
 
-Any produced assignment is re-verified before it is returned.  Sample
+Any produced assignment is re-verified before it is returned.  One
+``LPMemo`` per call answers an LP whose set of constraints was already
+decided: branches that differ only by swapping identical agents build
+the same rows in another order.  The same set has the same verdict, so
+this is sound; a stored witness is re-checked and a stored certificate
+is mapped row by row and re-verified.  Sample
 points are enumerated independently per holder: distinct holders' length
 variables are disjoint, so the joint cell structure is the product of
 the per-holder ones and nothing is lost by combining witnesses.
@@ -39,6 +44,7 @@ from efgc.linprog import (
     Feasible,
     LinearForm,
     LinearSystem,
+    LPMemo,
     lp_feasible,
 )
 from efgc.matching import compatibility_graph, is_perfect, max_bipartite_matching
@@ -483,7 +489,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
     """
     inst = normalize(instance)
     edges = inst.graph.edge_ids
-    lp_cache: dict = {}
+    memo = LPMemo()
     for base in enumerate_initial_branches(inst):
         samples = None
         for pc in enumerate_pair_critical(inst, base):
@@ -497,15 +503,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
                         vertex_critical=vc,
                         sample_point=sample,
                     )
-                    system = build_lp(inst, guess)
-                    key = tuple(
-                        (form.coeffs, form.const, rel)
-                        for form, rel in system.constraints
-                    )
-                    result = lp_cache.get(key)
-                    if result is None:
-                        result = lp_feasible(system)
-                        lp_cache[key] = result
+                    result = memo.solve(build_lp(inst, guess), lp_feasible)
                     if not isinstance(result, Feasible):
                         continue
                     lengths = LengthSolution.from_witness(edges, result.witness)

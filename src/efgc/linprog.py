@@ -244,11 +244,16 @@ class _Tableau:
         self.basis[pr] = pc
 
     def run(self, allowed: Sequence[bool]) -> str:
-        """Bland's rule until optimal or unbounded; returns the outcome."""
+        """Bland's rule until optimal or unbounded; returns the outcome.
+
+        Signs are read off numerators (denominators are positive), which
+        spares a rational comparison per entry.
+        """
         while True:
             pc = -1
+            obj = self.obj
             for j in range(self.n_cols):
-                if allowed[j] and self.obj[j] > 0:
+                if allowed[j] and obj[j].numerator > 0:
                     pc = j
                     break
             if pc < 0:
@@ -256,7 +261,7 @@ class _Tableau:
             pr = -1
             best = None
             for i, row in enumerate(self.rows):
-                if row[pc] > 0:
+                if row[pc].numerator > 0:
                     ratio = row[self.n_cols] / row[pc]
                     if best is None or ratio < best or (
                         ratio == best and self.basis[i] < self.basis[pr]
@@ -404,6 +409,47 @@ def lp_feasible(system: LinearSystem) -> Feasible | Infeasible:
 def lp_max(system: LinearSystem, objective: LinearForm) -> Optimal | Unbounded | Infeasible:
     """Maximize an affine objective over = and >= constraints."""
     return _solve(system, objective)
+
+
+class LPMemo:
+    """The LPs already decided in one request, keyed on their set of
+    constraints, so that row order and repeated rows do not matter.
+
+    The same constraint set has the same feasible points, so a stored
+    witness satisfies any system with that set.  A Farkas certificate
+    carries over row by row: each constraint takes the summed
+    multipliers of its copies in the stored system, on its first
+    occurrence.  Every hit is re-checked against the system at hand,
+    the witness by ``check`` and the mapped certificate by
+    ``verify_certificate``.
+    """
+
+    def __init__(self):
+        self._seen: dict[frozenset, tuple[list, Feasible | Infeasible]] = {}
+
+    def solve(self, system: LinearSystem, solver) -> Feasible | Infeasible:
+        """The memoized verdict on ``system``, else ``solver(system)``;
+        ``solver`` returns a certificate with every Infeasible."""
+        rows = [(form.coeffs, form.const, rel) for form, rel in system.constraints]
+        key = frozenset(rows)
+        hit = self._seen.get(key)
+        if hit is None:
+            result = solver(system)
+            self._seen[key] = (rows, result)
+            return result
+        old_rows, result = hit
+        if isinstance(result, Feasible):
+            point = {v: result.witness.get(v, ZERO) for v in system.variables}
+            if not system.check(point):
+                raise InternalError("memoized LP witness failed re-evaluation")
+            return Feasible(point)
+        summed: dict[tuple, Fraction] = {}
+        for row, mult in zip(old_rows, result.certificate.multipliers):
+            summed[row] = summed.get(row, ZERO) + mult
+        cert = FarkasCertificate(tuple(summed.pop(row, ZERO) for row in rows))
+        if not verify_certificate(system, cert):
+            raise InternalError("memoized Farkas certificate failed re-verification")
+        return Infeasible(cert)
 
 
 _SLACK = "__slack"

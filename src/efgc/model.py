@@ -203,12 +203,17 @@ def normalize(instance: Instance) -> Instance:
 
     Scaling an agent's utility function by a positive constant never
     changes which assignments are envy-free, so the answer is preserved.
+    An instance that already sums to one is returned as it is, so a
+    repeat call costs one sum per agent.
     """
-    table: dict[tuple[str, str], Fraction] = {}
-    for a in instance.agents:
-        total = instance.total_utility(a)
+    totals = {a: instance.total_utility(a) for a in instance.agents}
+    for a, total in totals.items():
         if total == 0:
             raise AllZeroAgentError(f"agent {a} values every edge at zero")
+    if all(total == 1 for total in totals.values()):
+        return instance
+    table: dict[tuple[str, str], Fraction] = {}
+    for a, total in totals.items():
         for e in instance.graph.edge_ids:
             table[(a, e)] = instance.util(a, e) / total
     return Instance(instance.graph, instance.agents, table, instance.variant)

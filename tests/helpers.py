@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
-from efgc.generators import numpart_dp
+from efgc.generators import numpart_dp, solve_explicit_oracle
 from efgc.linprog import EQ, GT, Feasible, strict_feasible
 from efgc.model import Assignment, Graph, Instance, Variant, build_instance
 
@@ -236,3 +237,28 @@ def random_cycle_instance(rng, n_edges, n_agents, variant) -> Instance:
     edge_ids = [f"e{i}" for i in range(1, n_edges + 1)]
     table = random_utilities(rng, agents, edge_ids)
     return cycle(n_edges, {a: [table[a][e] for e in edge_ids] for a in agents}, variant)
+
+
+@lru_cache(maxsize=None)
+def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
+    """Every graph shape of at most 4 edges with 2 or 3 identical agents,
+    both variants, a uniform row and a seeded random row with zeros;
+    each with the oracle's verdict.  Identical agents make the solvers'
+    LPs repeat in another row order."""
+    rng = random.Random(7070)
+    corpus = []
+    for shapes in GRAPH_SHAPES.values():
+        for vertices, edges in shapes:
+            edge_ids = [e[0] for e in edges]
+            rows = [{e: 1 for e in edge_ids}]
+            while len(rows) < 2:
+                row = {e: rng.randint(0, 3) for e in edge_ids}
+                if any(row.values()):
+                    rows.append(row)
+            for row in rows:
+                for n_agents in (2, 3):
+                    for variant in ("gc", "vdgc"):
+                        table = {f"a{i}": dict(row) for i in range(1, n_agents + 1)}
+                        inst = build_instance(vertices, edges, table, variant)
+                        corpus.append((inst, solve_explicit_oracle(inst).yes))
+    return tuple(corpus)

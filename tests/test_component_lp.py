@@ -17,6 +17,7 @@ from efgc.generators import solve_explicit_oracle
 from efgc.model import Variant, normalize, piece_utility, verify_assignment
 from helpers import (
     cycle,
+    identical_agents_corpus,
     path,
     random_cycle_instance,
     random_tree_instance,
@@ -141,6 +142,38 @@ def test_tree_vdgc_agrees_with_oracle():
     for _ in range(15):
         inst = random_tree_instance(rng, rng.randint(1, 4), rng.randint(1, 3), "vdgc")
         assert solve_tree_vdgc(inst).yes == solve_explicit_oracle(inst).yes
+
+
+def test_tree_gc_agrees_with_oracle():
+    rng = random.Random(555)
+    for _ in range(15):
+        inst = random_tree_instance(rng, rng.randint(1, 4), rng.randint(1, 3), "gc")
+        verdict = solve_tree_gc_bounded_degree(inst)
+        assert verdict.yes == solve_explicit_oracle(inst).yes
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+
+
+def test_identical_agents_agree_with_oracle():
+    # the cut-set LPs of identical agents repeat in another row order,
+    # so the shared memo answers many of them
+    checked = 0
+    for inst, expected in identical_agents_corpus():
+        graph = inst.graph
+        if graph.is_tree():
+            solver = (
+                solve_tree_vdgc if inst.variant is Variant.VDGC else solve_tree_gc_bounded_degree
+            )
+        elif graph.is_cycle():
+            solver = solve_cycle
+        else:
+            continue
+        verdict = solver(inst)
+        assert verdict.yes == expected, (solver.__name__, graph.edges, inst.variant)
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+        checked += 1
+    assert checked == 72  # every shape but the paw
 
 
 def test_cycle_agrees_with_oracle():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from efgc.linprog import Feasible, Infeasible, lp_feasible, verify_certificate
 from efgc.model import normalize, verify_assignment
 from helpers import (
     cycle,
+    identical_agents_corpus,
     path,
     random_cycle_instance,
     random_graph_instance,
@@ -240,3 +242,35 @@ def test_agreement_with_cycle_solver():
             rng, rng.randint(3, 4), rng.randint(1, 2), rng.choice(["gc", "vdgc"])
         )
         assert solve_few_edges(inst).yes == solve_cycle(inst).yes
+
+
+def test_identical_agents_agree_with_oracle():
+    for inst, expected in identical_agents_corpus():
+        verdict = solve_few_edges(inst)
+        assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+
+
+def _constraint_set(system):
+    return frozenset((form.coeffs, form.const, rel) for form, rel in system.constraints)
+
+
+def test_tracer_sees_one_solve_per_distinct_lp():
+    from perfbench.tracer import BOUNDARIES, Tracer
+
+    # every name the benchmark's tracer wraps must still exist
+    for module, attr, _, _ in BOUNDARIES:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    built, solved = [], []
+    probes = (
+        ("efgc.few_edges", "build_lp", "probe.built",
+         lambda span, args, result: built.append(_constraint_set(result))),
+        ("efgc.few_edges", "lp_feasible", "probe.solved",
+         lambda span, args, result: solved.append(_constraint_set(args[0]))),
+    )
+    with Tracer(BOUNDARIES + probes) as tracer:
+        assert not solve_few_edges(star3_identical()).yes
+    lp_spans = [s for s in tracer.spans if s.kind == "linprog.lp_feasible@few_edges"]
+    assert len(lp_spans) == len(solved) == len(set(built)) < len(built)
+    assert set(solved) == set(built)

@@ -12,6 +12,7 @@ from efgc.linprog import (
     Infeasible,
     LinearForm,
     LinearSystem,
+    LPMemo,
     Optimal,
     Unbounded,
     lp_feasible,
@@ -19,8 +20,10 @@ from efgc.linprog import (
     strict_feasible,
     verify_certificate,
 )
+from efgc.model import InternalError
 
 F = Fraction
+ONE = F(1)
 x = LinearForm.var("x")
 one = LinearForm.constant(1)
 
@@ -234,3 +237,52 @@ def test_verify_certificate_rejects_bad_combinations():
     # a combination that reads 0 >= 1 or 0 >= 0 proves nothing
     assert not verify_certificate(system((x, GE), (one - x, GE)), cert(1, 1))
     assert not verify_certificate(system((x, GE), (-x, GE)), cert(1, 1))
+
+
+def _counting(solver):
+    calls = []
+
+    def solve(system_):
+        calls.append(system_)
+        return solver(system_)
+
+    return solve, calls
+
+
+def test_memo_hits_ignore_row_order_and_duplicates():
+    y = LinearForm.var("y")
+    xy = LinearForm.make({"x": 1, "y": 1})
+    rows = [(x, GE), (y, GE), (one - xy, GE), (xy - LinearForm.constant(2), GE)]
+    memo = LPMemo()
+    solve, calls = _counting(lp_feasible)
+    first = memo.solve(system(*rows, rows[3]), solve)
+    assert isinstance(first, Infeasible)
+    # the same set of constraints, permuted, with another row repeated
+    again_rows = [rows[3], rows[2], rows[0], rows[2], rows[1]]
+    again = system(*again_rows)
+    hit = memo.solve(again, solve)
+    assert len(calls) == 1
+    assert isinstance(hit, Infeasible)
+    assert verify_certificate(again, hit.certificate)
+    assert hit.certificate.multipliers[3] == 0  # summed onto the first copy
+
+    feasible_rows = [(x, GE), (y, GE), (one - xy, EQ)]
+    stored = memo.solve(system(*feasible_rows), solve)
+    assert isinstance(stored, Feasible) and len(calls) == 2
+    permuted = system(feasible_rows[2], feasible_rows[0], feasible_rows[2], feasible_rows[1])
+    hit = memo.solve(permuted, solve)
+    assert len(calls) == 2
+    assert isinstance(hit, Feasible) and permuted.check(hit.witness)
+    assert hit.witness == stored.witness
+
+
+def test_memo_rechecks_every_hit():
+    rows = [(x, GE), (one - x, GE), (x - LinearForm.constant(2), GE)]
+    memo = LPMemo()
+    memo.solve(system(*rows), lambda s: Infeasible(FarkasCertificate((ONE, ONE, ONE))))
+    with pytest.raises(InternalError):
+        memo.solve(system(*reversed(rows)), lp_feasible)
+    rows = [(x, GE), (one - x, GE)]
+    memo.solve(system(*rows), lambda s: Feasible({"x": F(2)}))
+    with pytest.raises(InternalError):
+        memo.solve(system(*reversed(rows)), lp_feasible)
