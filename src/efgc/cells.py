@@ -139,15 +139,19 @@ def enumerate_sign_conditions(
     the input forms (duplicates and constant forms included), sorted by
     sign vector.  The result is complete for any forms, generic or not;
     the cost is at most two strict LPs per realizable prefix of the
-    deduplicated forms.
+    deduplicated forms.  The sweep starts from the origin when the
+    region contains it, else from the witness of one LP over the region.
     """
     if region.has_strict():
         raise ValueError("region must not contain strict constraints")
-    base = lp_feasible(region)
-    if isinstance(base, Infeasible):
-        raise EmptyRegionError("region polytope is empty")
+    seed = {v: Fraction(0) for v in region.variables}
+    if not region.check(seed):
+        base = lp_feasible(region)
+        if isinstance(base, Infeasible):
+            raise EmptyRegionError("region polytope is empty")
+        seed = base.witness
     unique, mapping = _dedupe(forms)
-    found = _sweep(unique, region, base.witness)
+    found = _sweep(unique, region, seed)
     out = []
     for vector, point in found.items():
         full = tuple(

@@ -93,6 +93,21 @@ def test_empty_region_raises():
         enumerate_sign_conditions([LinearForm.var("x")], region)
 
 
+def test_region_lp_only_when_the_origin_is_outside(monkeypatch):
+    import efgc.cells
+
+    calls = []
+    solve = efgc.cells.lp_feasible
+    monkeypatch.setattr(efgc.cells, "lp_feasible", lambda s: calls.append(s) or solve(s))
+    forms = generic_lines()
+    assert len(enumerate_sign_conditions(forms, box(["x", "y"], -2, 2))) == 19
+    assert not calls  # seeded at the origin
+    shifted = box(["x", "y"], F(1, 4), 2)
+    found = enumerate_sign_conditions(forms, shifted)
+    assert len(calls) == 1
+    assert {cw.signs for cw in found} == sign_conditions_reference(forms, shifted)
+
+
 def _random_forms(rng: random.Random, names, count):
     forms = []
     for _ in range(count):
