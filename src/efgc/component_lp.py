@@ -12,11 +12,13 @@ The wrappers enumerate the cut sets that make this restriction lossless
 on their graph class: for vertex-disjoint division of trees every
 solution is captured by some F of at most |A|-1 edges; for the shared
 variant on trees by cutting around at most |A| shared vertices and
-edges; on cycles by at most |A| cut edges.  Each wrapper normalizes once and
-shares one ``LPMemo`` across all its cut sets: different cut sets and
-component assignments often lead to the same set of constraints, and
-the same set has the same verdict.  A hit is re-checked: its Farkas
-certificate is mapped row by row and re-verified.
+edges; on cycles by at most |A| cut edges.
+
+Each wrapper normalizes once and shares one ``LPMemo`` across all its
+cut sets: different cut sets and component assignments often lead to
+the same set of constraints, and the same set has the same verdict.  A
+hit is re-checked: its Farkas certificate is mapped row by row and
+re-verified.
 """
 from __future__ import annotations
 

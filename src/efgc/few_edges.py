@@ -14,15 +14,17 @@ assignment and lets an exact LP fill in the lengths:
    success, hand the guessed agents their pieces and match the rest to
    the leftover intervals via the compatibility graph.
 
-Any produced assignment is re-verified before it is returned.  One
-``LPMemo`` per call answers an LP whose set of constraints was already
-decided: branches that differ only by swapping identical agents build
-the same rows in another order.  The same set has the same verdict, so
-this is sound; a stored witness is re-checked and a stored certificate
-is mapped row by row and re-verified.  Sample
+Any produced assignment is re-verified before it is returned.  Sample
 points are enumerated independently per holder: distinct holders' length
 variables are disjoint, so the joint cell structure is the product of
 the per-holder ones and nothing is lost by combining witnesses.
+
+One ``LPMemo`` per call answers an LP whose set of constraints was
+already decided: branches that differ only by swapping identical agents
+build the same rows in another order.  The same set has the same
+feasible points and so the same verdict.  A stored witness is re-checked
+against the new rows, and a stored certificate is mapped row by row and
+re-verified.
 """
 from __future__ import annotations
 

@@ -159,14 +159,15 @@ def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> bool:
     combo: dict[str, Fraction] = {}
     const = ZERO
     for mult, (form, rel) in zip(cert.multipliers, system.constraints):
-        if rel == GT or (rel == GE and mult < 0):
+        mult = as_rational(mult)
+        if rel == GT or (rel == GE and mult.numerator < 0):
             return False
-        if mult:
-            mult = as_rational(mult)
+        if mult.numerator:
             for v, c in form.coeffs:
                 combo[v] = combo.get(v, ZERO) + mult * c
-            const += mult * form.const
-    return const < 0 and not any(combo.values())
+            if form.const:
+                const += mult * form.const
+    return const.numerator < 0 and not any(combo.values())
 
 
 @dataclass(frozen=True)
@@ -422,15 +423,23 @@ class LPMemo:
     occurrence.  Every hit is re-checked against the system at hand,
     the witness by ``check`` and the mapped certificate by
     ``verify_certificate``.
+
+    Each distinct constraint is numbered when first seen, so a lookup
+    hashes each row's rationals once and the rest works on the numbers.
     """
 
     def __init__(self):
-        self._seen: dict[frozenset, tuple[list, Feasible | Infeasible]] = {}
+        self._ids: dict[tuple, int] = {}
+        self._seen: dict[frozenset[int], tuple[list[int], Feasible | Infeasible]] = {}
 
     def solve(self, system: LinearSystem, solver) -> Feasible | Infeasible:
         """The memoized verdict on ``system``, else ``solver(system)``;
         ``solver`` returns a certificate with every Infeasible."""
-        rows = [(form.coeffs, form.const, rel) for form, rel in system.constraints]
+        number = self._ids.setdefault
+        rows = [
+            number((form.coeffs, form.const, rel), len(self._ids))
+            for form, rel in system.constraints
+        ]
         key = frozenset(rows)
         hit = self._seen.get(key)
         if hit is None:
@@ -443,9 +452,10 @@ class LPMemo:
             if not system.check(point):
                 raise InternalError("memoized LP witness failed re-evaluation")
             return Feasible(point)
-        summed: dict[tuple, Fraction] = {}
+        summed: dict[int, Fraction] = {}
         for row, mult in zip(old_rows, result.certificate.multipliers):
-            summed[row] = summed.get(row, ZERO) + mult
+            if mult:
+                summed[row] = summed[row] + mult if row in summed else mult
         cert = FarkasCertificate(tuple(summed.pop(row, ZERO) for row in rows))
         if not verify_certificate(system, cert):
             raise InternalError("memoized Farkas certificate failed re-verification")

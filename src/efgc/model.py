@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, Sequence
@@ -180,6 +181,11 @@ class Instance:
     def total_utility(self, agent: str) -> Fraction:
         return sum((self.util(agent, e) for e in self.graph.edge_ids), ZERO)
 
+    @cached_property
+    def is_normalized(self) -> bool:
+        """Every agent's utilities sum to one; worked out once per instance."""
+        return all(self.total_utility(a) == 1 for a in self.agents)
+
 
 def build_instance(
     vertices: Sequence[str],
@@ -203,17 +209,15 @@ def normalize(instance: Instance) -> Instance:
 
     Scaling an agent's utility function by a positive constant never
     changes which assignments are envy-free, so the answer is preserved.
-    An instance that already sums to one is returned as it is, so a
-    repeat call costs one sum per agent.
+    An instance that already sums to one is returned as it is.
     """
-    totals = {a: instance.total_utility(a) for a in instance.agents}
-    for a, total in totals.items():
-        if total == 0:
-            raise AllZeroAgentError(f"agent {a} values every edge at zero")
-    if all(total == 1 for total in totals.values()):
+    if instance.is_normalized:
         return instance
     table: dict[tuple[str, str], Fraction] = {}
-    for a, total in totals.items():
+    for a in instance.agents:
+        total = instance.total_utility(a)
+        if total == 0:
+            raise AllZeroAgentError(f"agent {a} values every edge at zero")
         for e in instance.graph.edge_ids:
             table[(a, e)] = instance.util(a, e) / total
     return Instance(instance.graph, instance.agents, table, instance.variant)

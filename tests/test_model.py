@@ -39,7 +39,11 @@ def test_normalize_scales_by_total():
 
 def test_normalize_identity_when_already_normalized():
     inst = path(2, {"a": [F(1, 2), F(1, 2)]})
-    assert normalize(inst).utilities == inst.utilities
+    assert normalize(inst) is inst
+    raw = path(2, {"a": [1, 1], "b": [F(1, 3), F(2, 3)]})
+    assert not raw.is_normalized
+    norm = normalize(raw)
+    assert norm is not raw and norm.is_normalized and normalize(norm) is norm
 
 
 def test_normalize_rejects_all_zero_agent():
