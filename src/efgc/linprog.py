@@ -246,10 +246,7 @@ class _Tableau:
 
     def run(self, allowed: Sequence[bool]) -> str:
         """Bland's rule until optimal or unbounded; returns the outcome.
-
-        Signs are read off numerators (denominators are positive), which
-        spares a rational comparison per entry.
-        """
+        Signs are read off numerators, sparing a rational comparison."""
         while True:
             pc = -1
             obj = self.obj
@@ -416,16 +413,12 @@ class LPMemo:
     """The LPs already decided in one request, keyed on their set of
     constraints, so that row order and repeated rows do not matter.
 
-    The same constraint set has the same feasible points, so a stored
-    witness satisfies any system with that set.  A Farkas certificate
-    carries over row by row: each constraint takes the summed
-    multipliers of its copies in the stored system, on its first
-    occurrence.  Every hit is re-checked against the system at hand,
-    the witness by ``check`` and the mapped certificate by
-    ``verify_certificate``.
-
-    Each distinct constraint is numbered when first seen, so a lookup
-    hashes each row's rationals once and the rest works on the numbers.
+    The same set has the same feasible points, so a stored witness
+    holds for any system with that set, and a Farkas certificate maps
+    over row by row (copies of a row sum onto its first occurrence).
+    Every hit is re-checked: the witness by ``check``, the mapped
+    certificate by ``verify_certificate``.  Rows are numbered when first
+    seen, so a lookup hashes each row's rationals once.
     """
 
     def __init__(self):
