@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 from efgc.linprog import (
     EQ,
     GT,
+    ZERO,
     Feasible,
     Infeasible,
     LinearForm,
@@ -177,11 +178,13 @@ def guessed_pieces(endpoint_agent: Mapping[tuple[str, int], str]) -> dict[str, l
 
 
 def holdings_value_form(instance: Instance, valuer: str, pieces: Sequence[tuple[str, int]]) -> LinearForm:
-    """How ``valuer`` values the endpoint holdings ``pieces`` as a form
-    over the endpoint length variables."""
-    return LinearForm.make(
-        [(endpoint_var(e, i), instance.util(valuer, e)) for e, i in pieces]
-    )
+    """How ``valuer`` values the endpoint holdings ``pieces``, distinct
+    (edge, end) pairs, as a form over the endpoint length variables;
+    built in canonical form in one pass."""
+    util = instance.util
+    terms = [(endpoint_var(e, i), u) for e, i in pieces if (u := util(valuer, e))]
+    terms.sort()
+    return LinearForm(tuple(terms), ZERO)
 
 
 def ordering_forms(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, LPMemo, lp_feasible
 from efgc.model import (
@@ -83,12 +83,19 @@ def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     return comps
 
 
-def _spans(graph: Graph, required: frozenset[str], edges: Container[str]) -> bool:
-    """Are all required vertices in one connected part of these edges?"""
-    if len(required) <= 1:
-        return True
-    root = graph.roots(edges)
-    return len({root[v] for v in required}) == 1
+def _links_all(parts: set[str], links: Iterable[tuple[str, str]]) -> bool:
+    """Do these links between parts put every one of ``parts`` in one group?"""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        if (ru := find(u)) != (rv := find(v)):
+            parent[ru] = rv
+    return len({find(p) for p in parts}) == 1
 
 
 def _connector_choices(
@@ -100,15 +107,22 @@ def _connector_choices(
     a set containing an earlier (smaller) spanning set is not minimal.
     On a tree at most one subset survives; on a cycle the choice of
     which gap to leave open gives several, not necessarily equal-sized.
+    The own edges are joined once; a candidate then joins only its cut
+    edges over the parts they leave.  k edges join at most k + 1 parts,
+    so smaller subsets are not tried.
     """
-    own = frozenset(own_edges)
+    root = graph.roots(frozenset(own_edges))
+    parts = {root[v] for v in required}
+    if len(parts) <= 1:
+        return [frozenset()]
+    ends = {e: tuple(root[v] for v in graph.endpoints(e)) for e in cut}
     minimal: list[frozenset[str]] = []
-    for size in range(len(cut) + 1):
+    for size in range(len(parts) - 1, len(cut) + 1):
         for subset in combinations(sorted(cut), size):
             candidate = frozenset(subset)
             if any(prev <= candidate for prev in minimal):
                 continue
-            if _spans(graph, required, own | candidate):
+            if _links_all(parts, [ends[e] for e in subset]):
                 minimal.append(candidate)
     return minimal
 

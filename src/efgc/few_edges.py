@@ -65,6 +65,7 @@ from efgc.model import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class InconsistentLengthsError(EfgcError):
@@ -226,10 +227,6 @@ def enumerate_pair_critical(instance: Instance, guess: BranchGuess) -> Iterator[
             yield pc
 
 
-def _value_at(instance, valuer, held, point) -> Fraction:
-    return holdings_value_form(instance, valuer, held).evaluate(point)
-
-
 def enumerate_vertex_critical(
     instance: Instance, guess: BranchGuess, pair_critical: Mapping, sample: Mapping
 ) -> Iterator[dict]:
@@ -244,7 +241,7 @@ def enumerate_vertex_critical(
     pieces = guessed_pieces(guess.endpoint_agent)
     outsiders = [a for a in instance.agents if a not in guess.a_v]
     values = {
-        (agent, holder): _value_at(instance, agent, pieces[holder], sample)
+        (agent, holder): holdings_value_form(instance, agent, pieces[holder]).evaluate(sample)
         for agent in outsiders
         for holder in holders
     }
@@ -289,10 +286,13 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     among endpoint holders; holders against inside pieces; the guessed
     pair-critical agents against their target edges; and, for every
     agent whose envy ratio at the sample point does not exceed the
-    vertex-critical agent's, that agent against the holder.
+    vertex-critical agent's, that agent against the holder.  Each row
+    is built in canonical form in one pass: the terms it joins have
+    disjoint variables.
     """
     graph = instance.graph
     edges = graph.edge_ids
+    util = instance.util
     system = LinearSystem()
     for e in edges:
         system.declare(endpoint_var(e, 0))
@@ -300,58 +300,46 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
         system.declare(endpoint_var(e, 1))
     pieces = guessed_pieces(guess.endpoint_agent)
     holders = _holder_order(instance, guess.a_v)
+    values: dict[tuple[str, str], LinearForm] = {}
+
+    def value(valuer: str, holder: str) -> LinearForm:
+        if (valuer, holder) not in values:
+            values[valuer, holder] = holdings_value_form(instance, valuer, pieces[holder])
+        return values[valuer, holder]
+
+    def row(*terms: tuple[str, Fraction]) -> LinearForm:
+        return LinearForm(tuple(sorted(t for t in terms if t[1])), ZERO)
+
     for e in edges:
-        for var in (endpoint_var(e, 0), delta_var(e), endpoint_var(e, 1)):
-            system.add(LinearForm.var(var), GE)
-        system.add(
-            LinearForm.make(
-                {
-                    endpoint_var(e, 0): 1,
-                    delta_var(e): guess.n[e],
-                    endpoint_var(e, 1): 1,
-                },
-                -1,
-            ),
-            EQ,
-        )
-    own = {
-        a: holdings_value_form(instance, a, pieces[a]) for a in holders
-    }
+        x0, d, x1 = endpoint_var(e, 0), delta_var(e), endpoint_var(e, 1)
+        for var in (x0, d, x1):
+            system.add(LinearForm(((var, ONE),), ZERO), GE)
+        tiling = ((x0, ONE), (x1, ONE))
+        if guess.n[e]:
+            tiling = ((d, Fraction(guess.n[e])),) + tiling
+        system.add(LinearForm(tiling, -ONE), EQ)
     for a in holders:
+        own = value(a, a).coeffs
         for b in holders:
             if a != b:
-                system.add(
-                    own[a] - holdings_value_form(instance, a, pieces[b]), GE
-                )
+                system.add(row(*own, *((v, -c) for v, c in value(a, b).coeffs)), GE)
         for e in edges:
-            system.add(
-                own[a] - LinearForm.make({delta_var(e): instance.util(a, e)}), GE
-            )
+            system.add(row(*own, (delta_var(e), -util(a, e))), GE)
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
-        system.add(
-            LinearForm.make(
-                {
-                    delta_var(e): instance.util(agent, e),
-                    delta_var(f): -instance.util(agent, f),
-                }
-            ),
-            GE,
-        )
+        system.add(row((delta_var(e), util(agent, e)), (delta_var(f), -util(agent, f))), GE)
     outsiders = [a for a in instance.agents if a not in guess.a_v]
     hot = _hot_edges(instance, guess.n)
     for e in hot:
         for holder in holders:
             alpha = guess.vertex_critical[(e, holder)]
-            held = pieces[holder]
-            s_alpha = _value_at(instance, alpha, held, guess.sample_point)
-            u_alpha = instance.util(alpha, e)
+            s_alpha = value(alpha, holder).evaluate(guess.sample_point)
+            u_alpha = util(alpha, e)
             for b in outsiders:
-                s_b = _value_at(instance, b, held, guess.sample_point)
-                if instance.util(b, e) * s_alpha >= u_alpha * s_b:
+                held = value(b, holder)
+                if util(b, e) * s_alpha >= u_alpha * held.evaluate(guess.sample_point):
                     system.add(
-                        LinearForm.make({delta_var(e): instance.util(b, e)})
-                        - holdings_value_form(instance, b, held),
+                        row((delta_var(e), util(b, e)), *((v, -c) for v, c in held.coeffs)),
                         GE,
                     )
     return system

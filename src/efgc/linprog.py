@@ -1,13 +1,18 @@
 """Exact rational linear feasibility and optimization.
 
-A small dense simplex over ``fractions.Fraction``: two phases, Bland's
-anti-cycling pivot rule.  A variable bounded by a row ``c*x >= 0`` gets
-one sign-restricted column and the row leaves the tableau; only free
-variables are split as x = p - q.  Everything is exact; a returned
-witness satisfies every constraint under exact re-evaluation, and every
-infeasibility verdict carries a Farkas certificate (a nonnegative
-combination of constraints whose variable coefficients cancel and whose
-constant is negative), read off the final phase-one objective row.
+A small dense simplex: two phases, Bland's anti-cycling pivot rule.
+Forms, witnesses and certificates are ``fractions.Fraction``; the
+tableau in between is fraction-free (Bareiss 1968, Edmonds 1967), so
+the pivot loop does int arithmetic and one gcd per changed row, not a
+gcd per operation as ``Fraction`` does, and makes the same pivots.
+
+A variable bounded by a row ``c*x >= 0`` gets one sign-restricted
+column and the row leaves the tableau; only free variables are split
+as x = p - q.  Everything is exact; a returned witness satisfies every
+constraint under exact re-evaluation, and every infeasibility verdict
+carries a Farkas certificate (a nonnegative combination of constraints
+whose variable coefficients cancel and whose constant is negative), read
+off the final phase-one objective row.
 
 Strict inequalities are decided by slack maximization: each f > 0
 becomes f - t >= 0, the slack t is capped at 1, and t is maximized;
@@ -17,19 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from efgc.model import InternalError, as_rational
 
-try:  # exact C-implemented rationals for the pivot loop, if present
-    from gmpy2 import mpq as _num
-except ImportError:
-    _num = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_NZERO = _num(0)
-_NONE = _num(1)
 
 EQ = "="
 GE = ">="
@@ -191,92 +190,96 @@ class Unbounded:
     pass
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """``ints`` divided by their gcd."""
+    g = gcd(*ints)
+    return [a // g for a in ints] if g > 1 else ints
+
+
 class _Tableau:
     """Dense simplex tableau on equalities M z = r, z >= 0, r >= 0.
 
     Columns, in order: one per variable (its value if sign-restricted,
     its positive part p if free), the negative part q of each free
-    variable, one slack per >= row, one artificial per row.  Entries are
-    ``gmpy2.mpq`` when available (same exact semantics as Fraction,
-    several times faster in the pivot loop).
+    variable, one slack per >= row, one artificial per row; the last
+    entry of a row is its rhs.
+
+    Every entry is a Python int.  A row stands for itself divided by its
+    basic entry, which is kept positive; the objective row for itself
+    divided by ``den`` > 0.  A pivot on p > 0 turns each row with entry
+    f != 0 in the pivot column into row*p - f*prow, then divides it by
+    the gcd of its entries: without that gcd the ints would gain a
+    factor p at every pivot, with it each row is the smallest int
+    multiple of its rational row.  Pricing reads int signs, and the
+    ratio rhs_i / row_i[pc] is the same whatever row i's denominator,
+    so the ratio test cross-multiplies ints.  The pivots are exactly
+    those of the rational tableau.
     """
 
-    def __init__(self, rows: list[list], rhs: list, n_real: int):
+    def __init__(self, rows: list[list[int]], n_real: int):
         self.n_real = n_real  # columns before the artificial block
-        m = len(rows)
-        self.n_cols = n_real + m
-        self.rows = []
-        for i, row in enumerate(rows):
-            full = row + [_NZERO] * m
-            full[n_real + i] = _NONE
-            full.append(rhs[i])
-            self.rows.append(full)
-        self.basis = [n_real + i for i in range(m)]
-        self.obj: list = []
+        self.n_cols = n_real + len(rows)
+        self.rows = rows
+        self.basis = [n_real + i for i in range(len(rows))]
+        self.obj: list[int] = []
+        self.den = 1
 
     def set_objective(self, costs: list):
-        """Install the reduced-cost row for ``costs``: n_cols entries of the
-        tableau's number type."""
-        obj = costs + [_NZERO]  # last cell: objective value
-        for b, row in zip(self.basis, self.rows):
-            cb = costs[b]
-            if cb:
-                for j, a in enumerate(row):
-                    if a:
-                        obj[j] -= cb * a
-        self.obj = obj
+        """Install the reduced-cost row for ``costs``: n_cols rationals."""
+        # (numerator, denominator, row) of cost_b / entry_b for basic b
+        terms = [(c.numerator, c.denominator * row[b], row)
+                 for b, row in zip(self.basis, self.rows) if (c := costs[b])]
+        den = lcm(*(c.denominator for c in costs), *(d for _, d, _ in terms))
+        obj = [c.numerator * (den // c.denominator) for c in costs]
+        obj.append(0)  # last cell: minus the objective value
+        for num, d, row in terms:
+            k = num * (den // d)
+            obj = [o - k * a for o, a in zip(obj, row)]
+        *self.obj, self.den = _primitive(obj + [den])
 
     def pivot(self, pr: int, pc: int):
+        """Pivot on a positive entry."""
         rows = self.rows
         prow = rows[pr]
-        inv = _NONE / prow[pc]
-        if inv != 1:
-            for j in range(self.n_cols + 1):
-                if prow[j]:
-                    prow[j] *= inv
-        hot = [j for j in range(self.n_cols + 1) if prow[j]]
-        for row in rows + [self.obj]:
-            if row is prow:
-                continue
-            factor = row[pc]
-            if factor:
-                for j in hot:
-                    row[j] -= factor * prow[j]
+        p = prow[pc]
+        for i, row in enumerate(rows):
+            f = row[pc]
+            if f and i != pr:
+                rows[i] = _primitive([a * p - f * b for a, b in zip(row, prow)])
+        f = self.obj[pc]
+        if f:
+            new = [a * p - f * b for a, b in zip(self.obj, prow)]
+            *self.obj, self.den = _primitive(new + [self.den * p])
         self.basis[pr] = pc
 
     def run(self, allowed: Sequence[bool]) -> str:
-        """Bland's rule until optimal or unbounded; returns the outcome.
-        Signs are read off numerators, sparing a rational comparison."""
+        """Bland's rule until optimal or unbounded; returns the outcome."""
+        n = self.n_cols
+        rows = self.rows
+        basis = self.basis
         while True:
-            pc = -1
             obj = self.obj
-            for j in range(self.n_cols):
-                if allowed[j] and obj[j].numerator > 0:
-                    pc = j
-                    break
+            pc = next((j for j in range(n) if allowed[j] and obj[j] > 0), -1)
             if pc < 0:
                 return "optimal"
-            pr = -1
-            best = None
-            for i, row in enumerate(self.rows):
-                if row[pc].numerator > 0:
-                    ratio = row[self.n_cols] / row[pc]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[pr]
-                    ):
-                        best = ratio
-                        pr = i
+            pr, best_r, best_a = -1, 1, 0  # 1/0: no row bounds the step yet
+            for i, row in enumerate(rows):
+                a = row[pc]
+                if a > 0:
+                    lhs, rhs = row[n] * best_a, best_r * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
+                        pr, best_r, best_a = i, row[n], a
             if pr < 0:
                 return "unbounded"
             self.pivot(pr, pc)
 
     def value(self) -> Fraction:
-        return -Fraction(self.obj[self.n_cols])
+        return Fraction(-self.obj[self.n_cols], self.den)
 
     def basic_solution(self) -> list[Fraction]:
         z = [ZERO] * self.n_cols
-        for i, b in enumerate(self.basis):
-            z[b] = Fraction(self.rows[i][self.n_cols])
+        for b, row in zip(self.basis, self.rows):
+            z[b] = Fraction(row[self.n_cols], row[b])
         return z
 
 
@@ -287,9 +290,11 @@ def _prepare(system: LinearSystem):
     bound: it leaves the tableau and x keeps one column.  Repeated
     bounds on x leave as well.  Only variables without a bound are free
     and split as x = p - q.  Each kept row is negated where its rhs
-    would be negative.  Returns the tableau, the sign flip and source
-    constraint of each tableau row, the bound row of each restricted
-    column and the q column of each free one.
+    would be negative, and scaled to ints by the lcm of its
+    denominators, which is then its artificial (basic) entry.  Returns
+    the tableau, the sign flip and source constraint of each tableau
+    row, the bound row of each restricted column and the q column of
+    each free one.
     """
     variables = system.variables
     col = {v: j for j, v in enumerate(variables)}
@@ -304,23 +309,27 @@ def _prepare(system: LinearSystem):
     neg = {j: len(variables) + k for k, j in enumerate(free)}
     slack = len(variables) + len(free)
     n_real = slack + sum(system.constraints[i][1] == GE for i in kept)
-    rows, rhs, flips = [], [], []
-    for i in kept:
+    n_cols = n_real + len(kept)
+    rows, flips = [], []
+    for k, i in enumerate(kept):
         form, rel = system.constraints[i]
-        flip = -ONE if form.const > 0 else ONE
-        row = [_NZERO] * n_real
+        const = form.const
+        flip = -1 if const > 0 else 1
+        scale = lcm(const.denominator, *(c.denominator for _, c in form.coeffs))
+        row = [0] * (n_cols + 1)
         for v, c in form.coeffs:
             j = col[v]
-            row[j] = _num(c * flip)
+            row[j] = a = flip * c.numerator * (scale // c.denominator)
             if j in neg:
-                row[neg[j]] = -row[j]
+                row[neg[j]] = -a
         if rel == GE:
-            row[slack] = _num(-flip)
+            row[slack] = -flip * scale
             slack += 1
+        row[n_real + k] = scale
+        row[n_cols] = -flip * const.numerator * (scale // const.denominator)
         rows.append(row)
-        rhs.append(_num(-form.const * flip))
         flips.append(flip)
-    return _Tableau(rows, rhs, n_real), flips, kept, bound, neg
+    return _Tableau(rows, n_real), flips, kept, bound, neg
 
 
 def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound) -> FarkasCertificate:
@@ -333,12 +342,12 @@ def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound)
     and the bound row c*x >= 0 of a restricted x takes -obj[x] / c >= 0,
     which cancels what is left on x.  Repeated bounds get zero.
     """
-    obj = tab.obj
+    obj, den = tab.obj, tab.den
     mults = [ZERO] * len(system.constraints)
     for k, i in enumerate(kept):
-        mults[i] = Fraction(obj[tab.n_real + k] + 1) * flips[k]
+        mults[i] = Fraction((obj[tab.n_real + k] + den) * flips[k], den)
     for j, i in bound.items():
-        mults[i] = -Fraction(obj[j]) / system.constraints[i][0].coeffs[0][1]
+        mults[i] = Fraction(-obj[j], den) / system.constraints[i][0].coeffs[0][1]
     cert = FarkasCertificate(tuple(mults))
     if not verify_certificate(system, cert):
         raise InternalError("Farkas certificate failed re-verification")
@@ -356,7 +365,7 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     variables = system.variables
 
     # phase one: maximize minus the sum of artificials
-    tab.set_objective([_NZERO] * n_real + [-_NONE] * m)
+    tab.set_objective([0] * n_real + [-1] * m)
     if tab.run([True] * tab.n_cols) != "optimal":  # objective bounded above by zero
         raise InternalError("phase one of the simplex came out unbounded")
     if tab.value() < 0:
@@ -367,11 +376,13 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     for i in range(m):
         if tab.basis[i] >= n_real:
             prow = tab.rows[i]
-            pc = next((j for j in range(n_real) if prow[j] != 0), -1)
-            if pc >= 0:
-                tab.pivot(i, pc)
-            else:
+            pc = next((j for j in range(n_real) if prow[j]), -1)
+            if pc < 0:
                 drop.append(i)  # redundant row
+                continue
+            if prow[pc] < 0:  # its rhs is 0, so the negated row is the same row
+                tab.rows[i] = [-a for a in prow]
+            tab.pivot(i, pc)
     for i in reversed(drop):
         del tab.rows[i]
         del tab.basis[i]
@@ -386,12 +397,12 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     if objective is None:
         return Feasible(witness())
 
-    costs2 = [_NZERO] * tab.n_cols
+    costs2: list = [0] * tab.n_cols
     for v, c in objective.coeffs:
         j = variables.index(v)
-        costs2[j] = _num(c)
+        costs2[j] = c
         if j in neg:
-            costs2[neg[j]] = -costs2[j]
+            costs2[neg[j]] = -c
     tab.set_objective(costs2)
     if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
         return Unbounded()

@@ -117,19 +117,24 @@ class Graph:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e[0] for e in self.edges)
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
     def endpoints(self, edge: str) -> tuple[str, str]:
         for eid, u, v in self.edges:
             if eid == edge:
                 return u, v
         raise UnknownEdgeError(edge)
 
+    @cached_property
+    def _coords(self) -> dict[str, tuple[str, str]]:
+        """Each edge's vertices at coordinates 0 and 1; worked out once per graph."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return {eid: (u, v) if index[u] < index[v] else (v, u) for eid, u, v in self.edges}
+
     def coord_vertex(self, edge: str, coord: int) -> str:
         """The vertex sitting at coordinate ``coord`` (0 or 1) of ``edge``."""
-        u, v = self.endpoints(edge)
-        lo, hi = sorted((u, v), key=self.vertex_index)
+        try:
+            lo, hi = self._coords[edge]
+        except KeyError:
+            raise UnknownEdgeError(edge) from None
         return lo if coord == 0 else hi
 
     def coord_of(self, edge: str, vertex: str) -> Fraction:

@@ -4,10 +4,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from efgc.generators import numpart_dp, solve_explicit_oracle
-from efgc.linprog import EQ, GT, Feasible, strict_feasible
-from efgc.model import Assignment, Graph, Instance, Variant, build_instance
+from efgc.linprog import (
+    EQ,
+    GE,
+    GT,
+    ONE,
+    ZERO,
+    FarkasCertificate,
+    Feasible,
+    Infeasible,
+    LinearForm,
+    LinearSystem,
+    Optimal,
+    Unbounded,
+    strict_feasible,
+    verify_certificate,
+)
+from efgc.model import Assignment, Graph, Instance, InternalError, Variant, build_instance
 
 F = Fraction
 
@@ -262,3 +278,231 @@ def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
                         inst = build_instance(vertices, edges, table, variant)
                         corpus.append((inst, solve_explicit_oracle(inst).yes))
     return tuple(corpus)
+
+# The exact simplex as it was before its tableau became fraction-free:
+# every entry a Fraction, every row scaled to a basic entry of 1.  Kept
+# only as the reference that the int tableau in ``efgc.linprog`` must
+# match pivot for pivot.
+
+class FractionTableau:
+    """Dense simplex tableau on equalities M z = r, z >= 0, r >= 0.
+
+    Columns, in order: one per variable (its value if sign-restricted,
+    its positive part p if free), the negative part q of each free
+    variable, one slack per >= row, one artificial per row.  Every entry is
+    a ``Fraction`` and every row is scaled so its basic entry is 1.
+    """
+
+    def __init__(self, rows: list[list], rhs: list, n_real: int):
+        self.n_real = n_real  # columns before the artificial block
+        m = len(rows)
+        self.n_cols = n_real + m
+        self.rows = []
+        for i, row in enumerate(rows):
+            full = row + [ZERO] * m
+            full[n_real + i] = ONE
+            full.append(rhs[i])
+            self.rows.append(full)
+        self.basis = [n_real + i for i in range(m)]
+        self.obj: list = []
+
+    def set_objective(self, costs: list):
+        """Install the reduced-cost row for ``costs``: n_cols entries of the
+        tableau's number type."""
+        obj = costs + [ZERO]  # last cell: objective value
+        for b, row in zip(self.basis, self.rows):
+            cb = costs[b]
+            if cb:
+                for j, a in enumerate(row):
+                    if a:
+                        obj[j] -= cb * a
+        self.obj = obj
+
+    def pivot(self, pr: int, pc: int):
+        rows = self.rows
+        prow = rows[pr]
+        inv = ONE / prow[pc]
+        if inv != 1:
+            for j in range(self.n_cols + 1):
+                if prow[j]:
+                    prow[j] *= inv
+        hot = [j for j in range(self.n_cols + 1) if prow[j]]
+        for row in rows + [self.obj]:
+            if row is prow:
+                continue
+            factor = row[pc]
+            if factor:
+                for j in hot:
+                    row[j] -= factor * prow[j]
+        self.basis[pr] = pc
+
+    def run(self, allowed: Sequence[bool]) -> str:
+        """Bland's rule until optimal or unbounded; returns the outcome.
+        Signs are read off numerators, sparing a rational comparison."""
+        while True:
+            pc = -1
+            obj = self.obj
+            for j in range(self.n_cols):
+                if allowed[j] and obj[j].numerator > 0:
+                    pc = j
+                    break
+            if pc < 0:
+                return "optimal"
+            pr = -1
+            best = None
+            for i, row in enumerate(self.rows):
+                if row[pc].numerator > 0:
+                    ratio = row[self.n_cols] / row[pc]
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[pr]
+                    ):
+                        best = ratio
+                        pr = i
+            if pr < 0:
+                return "unbounded"
+            self.pivot(pr, pc)
+
+    def value(self) -> Fraction:
+        return -Fraction(self.obj[self.n_cols])
+
+    def basic_solution(self) -> list[Fraction]:
+        z = [ZERO] * self.n_cols
+        for i, b in enumerate(self.basis):
+            z[b] = Fraction(self.rows[i][self.n_cols])
+        return z
+
+
+def _fraction_prepare(system: LinearSystem):
+    """Lay the system out as a tableau with nonnegative columns and rhs.
+
+    A row ``c*x >= 0`` (one variable, c > 0, zero constant) is a sign
+    bound: it leaves the tableau and x keeps one column.  Repeated
+    bounds on x leave as well.  Only variables without a bound are free
+    and split as x = p - q.  Each kept row is negated where its rhs
+    would be negative.  Returns the tableau, the sign flip and source
+    constraint of each tableau row, the bound row of each restricted
+    column and the q column of each free one.
+    """
+    variables = system.variables
+    col = {v: j for j, v in enumerate(variables)}
+    bound: dict[int, int] = {}
+    kept: list[int] = []
+    for i, (form, rel) in enumerate(system.constraints):
+        if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
+            bound.setdefault(col[form.coeffs[0][0]], i)
+        else:
+            kept.append(i)
+    free = [j for j in range(len(variables)) if j not in bound]
+    neg = {j: len(variables) + k for k, j in enumerate(free)}
+    slack = len(variables) + len(free)
+    n_real = slack + sum(system.constraints[i][1] == GE for i in kept)
+    rows, rhs, flips = [], [], []
+    for i in kept:
+        form, rel = system.constraints[i]
+        flip = -ONE if form.const > 0 else ONE
+        row = [ZERO] * n_real
+        for v, c in form.coeffs:
+            j = col[v]
+            row[j] = Fraction(c * flip)
+            if j in neg:
+                row[neg[j]] = -row[j]
+        if rel == GE:
+            row[slack] = Fraction(-flip)
+            slack += 1
+        rows.append(row)
+        rhs.append(Fraction(-form.const * flip))
+        flips.append(flip)
+    return FractionTableau(rows, rhs, n_real), flips, kept, bound, neg
+
+
+def _fraction_farkas(tab: FractionTableau, system: LinearSystem, flips, kept, bound) -> FarkasCertificate:
+    """Read a certificate off the optimal phase-one objective row.
+
+    With phase-one duals y, the artificial of tableau row k has reduced
+    cost -1 - y_k, so its constraint gets -y_k, signed back by the row's
+    flip.  Reduced costs are <= 0 at the optimum: the slack columns make
+    the >= multipliers nonnegative, the p/q pairs cancel free variables,
+    and the bound row c*x >= 0 of a restricted x takes -obj[x] / c >= 0,
+    which cancels what is left on x.  Repeated bounds get zero.
+    """
+    obj = tab.obj
+    mults = [ZERO] * len(system.constraints)
+    for k, i in enumerate(kept):
+        mults[i] = Fraction(obj[tab.n_real + k] + 1) * flips[k]
+    for j, i in bound.items():
+        mults[i] = -Fraction(obj[j]) / system.constraints[i][0].coeffs[0][1]
+    cert = FarkasCertificate(tuple(mults))
+    if not verify_certificate(system, cert):
+        raise InternalError("Farkas certificate failed re-verification")
+    return cert
+
+
+def fraction_solve(system: LinearSystem, objective: LinearForm | None):
+    """``lp_feasible`` (objective None) or ``lp_max`` on the Fraction tableau."""
+    if system.has_strict():
+        raise ValueError("strict constraints require strict_feasible")
+    tab, flips, kept, bound, neg = _fraction_prepare(system)
+    m = len(tab.rows)
+    n_real = tab.n_real
+    variables = system.variables
+
+    # phase one: maximize minus the sum of artificials
+    tab.set_objective([ZERO] * n_real + [-ONE] * m)
+    if tab.run([True] * tab.n_cols) != "optimal":  # objective bounded above by zero
+        raise InternalError("phase one of the simplex came out unbounded")
+    if tab.value() < 0:
+        return Infeasible(_fraction_farkas(tab, system, flips, kept, bound))
+
+    # drive any leftover zero-valued artificials out of the basis
+    drop: list[int] = []
+    for i in range(m):
+        if tab.basis[i] >= n_real:
+            prow = tab.rows[i]
+            pc = next((j for j in range(n_real) if prow[j] != 0), -1)
+            if pc >= 0:
+                tab.pivot(i, pc)
+            else:
+                drop.append(i)  # redundant row
+    for i in reversed(drop):
+        del tab.rows[i]
+        del tab.basis[i]
+
+    def witness() -> dict[str, Fraction]:
+        z = tab.basic_solution()
+        point = {v: z[j] - z[neg[j]] if j in neg else z[j] for j, v in enumerate(variables)}
+        if not system.check(point):
+            raise InternalError("LP witness failed re-evaluation")
+        return point
+
+    if objective is None:
+        return Feasible(witness())
+
+    costs2 = [ZERO] * tab.n_cols
+    for v, c in objective.coeffs:
+        j = variables.index(v)
+        costs2[j] = Fraction(c)
+        if j in neg:
+            costs2[neg[j]] = -costs2[j]
+    tab.set_objective(costs2)
+    if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
+        return Unbounded()
+    point = witness()
+    return Optimal(objective.evaluate(point), point)
+
+
+def fraction_strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
+    """``strict_feasible`` on the Fraction tableau: the same capped-slack
+    relaxation, maximized by ``fraction_solve``."""
+    if not system.has_strict():
+        return fraction_solve(system, None)
+    relaxed = LinearSystem(system.variables)
+    t = LinearForm.var("__slack")
+    for form, rel in system.constraints:
+        relaxed.add(form - t if rel == GT else form, GE if rel == GT else rel)
+    relaxed.add(LinearForm.constant(1) - t, GE)
+    result = fraction_solve(relaxed, t)
+    if not isinstance(result, Optimal) or result.value <= 0:
+        return Infeasible(None)
+    point = dict(result.witness)
+    point.pop("__slack")
+    return Feasible(point)

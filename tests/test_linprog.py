@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from efgc.model import InternalError
+from helpers import fraction_solve, fraction_strict_feasible
 
 F = Fraction
 ONE = F(1)
@@ -286,3 +288,79 @@ def test_memo_rechecks_every_hit():
     memo.solve(system(*rows), lambda s: Feasible({"x": F(2)}))
     with pytest.raises(InternalError):
         memo.solve(system(*reversed(rows)), lp_feasible)
+
+
+def _differential_system(rng: random.Random, kind: str) -> LinearSystem:
+    """A random system of one of the kinds the int tableau must get right.
+
+    ``big``: coefficients with denominators up to 10^6.  ``ties``:
+    homogeneous rows and positive multiples of one another, so many
+    ratio tests tie at zero.  ``redundant``: a homogeneous equality
+    whose first coefficient is negative, next to a negative multiple of
+    itself, so phase one can end with its artificial basic at zero and a
+    negative entry in its row.  ``strict``: some rows are > 0.  Every
+    kind mixes sign bounds (scaled, some repeated) with free variables,
+    and about half get a box that keeps the maximum finite.
+    """
+    names = [f"v{i}" for i in range(rng.randint(2, 5))]
+    sys_ = LinearSystem(names)
+
+    def coeff():
+        if kind == "big":
+            return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        return F(rng.choice([-3, -2, -1, 0, 0, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    def form(const):
+        return LinearForm.make({v: coeff() for v in names if rng.random() < 0.7}, const)
+
+    rows = []
+    for v in names:
+        if rng.random() < 0.6:
+            bound = LinearForm.make({v: F(rng.randint(1, 9), rng.randint(1, 4))})
+            rows += [(bound, GE)] * rng.choice([1, 1, 2])
+    for _ in range(rng.randint(1, 5)):
+        if kind == "ties":
+            base = form(0)
+            rows += [(base.scale(rng.randint(1, 3)), rng.choice([GE, GE, EQ]))]
+            rows += [(base, GE)] * rng.choice([0, 1])
+        else:
+            rel = rng.choice([GE, GE, EQ] + [GT, GT] * (kind == "strict"))
+            rows.append((form(coeff() if rng.random() < 0.8 else 0), rel))
+    if kind == "redundant":
+        lead = LinearForm.make({names[0]: -rng.randint(1, 3)})
+        base = lead + form(0)
+        if base.coeffs and base.coeffs[0][1] < 0:
+            rows += [(base, EQ), (base.scale(-F(rng.randint(1, 5), rng.randint(1, 5))), EQ)]
+    if rng.random() < 0.5:
+        cap = F(rng.randint(1, 5))
+        rows += [(LinearForm.constant(cap) - LinearForm.var(v), GE) for v in names]
+        rows += [(LinearForm.constant(cap) + LinearForm.var(v), GE) for v in names]
+    rng.shuffle(rows)
+    for row in rows:
+        sys_.add(*row)
+    return sys_
+
+
+def test_integer_tableau_matches_fraction_reference():
+    """The int tableau makes the Fraction tableau's pivots: the same
+    verdicts, witnesses, optima and certificate multipliers."""
+    rng = random.Random(19680)
+    kinds = ("big", "ties", "redundant", "strict")
+    seen: Counter[str] = Counter()
+    for k in range(240):
+        kind = kinds[k % len(kinds)]
+        sys_ = _differential_system(rng, kind)
+        objective = LinearForm.make({v: rng.randint(-3, 3) for v in sys_.variables}, rng.randint(-2, 2))
+        if kind == "strict":
+            pairs = [(strict_feasible(sys_), fraction_strict_feasible(sys_))]
+        else:
+            pairs = [
+                (lp_feasible(sys_), fraction_solve(sys_, None)),
+                (lp_max(sys_, objective), fraction_solve(sys_, objective)),
+            ]
+        for new, ref in pairs:
+            assert new == ref, (kind, k)
+            seen[f"{kind}/{type(new).__name__}"] += 1
+    for outcome in ("big/Infeasible", "big/Optimal", "ties/Optimal", "ties/Unbounded",
+                    "redundant/Optimal", "strict/Feasible", "strict/Infeasible"):
+        assert seen[outcome] >= 5, seen
