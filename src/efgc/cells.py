@@ -101,33 +101,31 @@ def _with_signs(region: LinearSystem, pairs) -> LinearSystem:
     return sys_
 
 
-def _sweep(forms: Sequence[LinearForm], region: LinearSystem, seed: dict) -> dict:
-    """Exhaustive 3^s enumeration with prefix pruning.
+def _sweep(
+    forms: Sequence[LinearForm], region: LinearSystem, prefix: tuple, witness: dict, found: dict
+) -> None:
+    """Exhaustive 3^s enumeration with prefix pruning: record in ``found``
+    every realizable full vector below ``prefix`` (which ``witness``
+    realizes) with a witness.
 
     A candidate prefix that no region point realizes rules out every
     extension, so its subtree is skipped; every realizable full vector
     is still visited exactly once.
     """
-    found: dict[tuple[int, ...], dict] = {}
-
-    def descend(prefix: tuple[int, ...], witness: dict):
-        depth = len(prefix)
-        if depth == len(forms):
-            found[prefix] = witness
-            return
-        free_sign = _sign(forms[depth].evaluate(witness))
-        for sign in (-1, 0, 1):
-            if sign == free_sign:
-                descend(prefix + (sign,), witness)
-                continue
-            pairs = [(forms[i], prefix[i]) for i in range(depth)]
-            pairs.append((forms[depth], sign))
-            res = strict_feasible(_with_signs(region, pairs))
-            if isinstance(res, Feasible):
-                descend(prefix + (sign,), res.witness)
-
-    descend((), seed)
-    return found
+    depth = len(prefix)
+    if depth == len(forms):
+        found[prefix] = witness
+        return
+    free_sign = _sign(forms[depth].evaluate(witness))
+    for sign in (-1, 0, 1):
+        if sign == free_sign:
+            _sweep(forms, region, prefix + (sign,), witness, found)
+            continue
+        pairs = [(forms[i], prefix[i]) for i in range(depth)]
+        pairs.append((forms[depth], sign))
+        res = strict_feasible(_with_signs(region, pairs))
+        if isinstance(res, Feasible):
+            _sweep(forms, region, prefix + (sign,), res.witness, found)
 
 
 def enumerate_sign_conditions(
@@ -152,7 +150,8 @@ def enumerate_sign_conditions(
             raise EmptyRegionError("region polytope is empty")
         seed = base.witness
     unique, mapping = _dedupe(forms)
-    found = _sweep(unique, region, seed)
+    found: dict[tuple[int, ...], dict] = {}
+    _sweep(unique, region, (), seed, found)
     out = []
     for vector, point in found.items():
         full = tuple(

@@ -1,18 +1,23 @@
 """Cut-set solvers for trees and cycles.
 
-Fix a set F of cut edges.  Restricting attention to assignments where
-every connected component of G - F goes wholly to one agent, the rest
-is searchable: branch over the component assignment, connect each
+Fix a set F of cut edges.  Its scope is the assignments in which every
+connected component of G - F goes wholly to one agent, and within it
+the rest is searchable: branch over the component assignment, connect each
 agent's components with a minimal set of edges from F (unique on trees,
 a leave-one-gap choice on cycles), branch over which cut edge hosts
 each agent that owns no component, and solve an exact LP for the share
 lengths on the remaining cut edges.
 
-The wrappers enumerate the cut sets that make this restriction lossless
-on their graph class: for vertex-disjoint division of trees every
-solution is captured by some F of at most |A|-1 edges; for the shared
-variant on trees by cutting around at most |A| shared vertices and
-edges; on cycles by at most |A| cut edges.
+The wrappers try only the inclusion-maximal cut sets of one family,
+the unions of exactly min(k, n) of n item closures: for vertex-disjoint
+division of trees every solution is captured by cutting at most |A|-1
+edges; for the shared variant on trees by cutting around at most |A|
+shared vertices (all their edges) and edges; on cycles by cutting at
+most |A| edges.  Trying the maximal unions alone loses nothing:
+
+- F <= F' implies scope(F) <= scope(F'), since every component of
+  G - F' lies inside a component of G - F;
+- every cut of at most k items lies inside a cut of exactly min(k, n).
 
 Each wrapper normalizes once and shares one ``LPMemo`` across all its
 cut sets: different cut sets and component assignments often lead to
@@ -25,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, LPMemo, lp_feasible
 from efgc.model import (
@@ -36,6 +41,7 @@ from efgc.model import (
     Instance,
     InternalError,
     Piece,
+    UnknownEdgeError,
     Variant,
     Verdict,
     normalize,
@@ -218,79 +224,68 @@ def solve_with_cut_set(
     if not (graph.is_tree() or graph.is_cycle()):
         raise NotTreeOrCycleError("cut-set solving needs a tree or a cycle")
     cut = frozenset(cut)
+    position = {e: i for i, e in enumerate(graph.edge_ids)}
+    unknown = sorted(e for e in cut if e not in position)
+    if unknown:
+        raise UnknownEdgeError(unknown[0])
     comps = components_without(graph, cut)
     vdgc = inst.variant is Variant.VDGC
     # the connector choices depend only on the components held
     connector_memo: dict[tuple[int, ...], list[frozenset[str]]] = {}
     for comp_assign in product(inst.agents, repeat=len(comps)):
-        per_agent: dict[str, list[Component]] = {}
-        for comp, agent in zip(comps, comp_assign):
-            per_agent.setdefault(agent, []).append(comp)
+        held: dict[str, list[int]] = {}
+        for k, agent in enumerate(comp_assign):
+            held.setdefault(agent, []).append(k)
+        holders = [a for a in inst.agents if a in held]
+        own_edges = {a: [e for k in held[a] for e in comps[k].edges] for a in holders}
+        own_vertices = {
+            a: frozenset().union(*(comps[k].vertices for k in held[a])) for a in holders
+        }
         choice_lists = []
-        holders = [a for a in inst.agents if a in per_agent]
-        feasible_shape = True
         for agent in holders:
-            held = tuple(k for k, a in enumerate(comp_assign) if a == agent)
-            if held not in connector_memo:
-                own = per_agent[agent]
-                required = frozenset().union(*(c.vertices for c in own))
-                own_edges = [e for c in own for e in c.edges]
-                connector_memo[held] = _connector_choices(graph, cut, own_edges, required)
-            choices = connector_memo[held]
-            if not choices:
-                feasible_shape = False
+            key = tuple(held[agent])
+            if key not in connector_memo:
+                connector_memo[key] = _connector_choices(
+                    graph, cut, own_edges[agent], own_vertices[agent]
+                )
+            if not connector_memo[key]:
                 break
-            choice_lists.append(choices)
-        if not feasible_shape:
+            choice_lists.append(connector_memo[key])
+        if len(choice_lists) < len(holders):
             continue
+        comp_of_vertex = {
+            v: agent for comp, agent in zip(comps, comp_assign) for v in comp.vertices
+        }
+        floaters = [a for a in inst.agents if a not in held]
         for connector_combo in product(*choice_lists):
-            used: set[str] = set()
-            clash = False
-            for chosen in connector_combo:
-                if chosen & used:
-                    clash = True
-                    break
-                used |= chosen
-            if clash:
-                continue
+            used = frozenset().union(*connector_combo)
+            if len(used) < sum(map(len, connector_combo)):
+                continue  # two holders want the same connector edge
             connectors = dict(zip(holders, connector_combo))
             owned_edges = {
-                agent: sorted(
-                    [e for c in per_agent[agent] for e in c.edges]
-                    + list(connectors[agent]),
-                    key=graph.edge_ids.index,
-                )
+                agent: sorted(own_edges[agent] + list(connectors[agent]), key=position.get)
                 for agent in holders
             }
             if vdgc:
-                spans: dict[str, set[str]] = {}
-                for agent in holders:
-                    verts = set()
-                    for c in per_agent[agent]:
-                        verts |= c.vertices
-                    for e in connectors[agent]:
-                        verts.update(graph.endpoints(e))
-                    spans[agent] = verts
+                spans = {
+                    agent: own_vertices[agent].union(
+                        *(graph.endpoints(e) for e in connectors[agent])
+                    )
+                    for agent in holders
+                }
                 if any(
                     spans[a] & spans[b]
                     for i, a in enumerate(holders)
                     for b in holders[i + 1 :]
                 ):
                     continue
-            f_prime = sorted(cut - used, key=graph.edge_ids.index)
-            comp_of_vertex = {}
-            for comp, agent in zip(comps, comp_assign):
-                for v in comp.vertices:
-                    comp_of_vertex[v] = agent
-            end_owners = {}
-            for e in f_prime:
-                end_owners[e] = (
-                    comp_of_vertex[graph.coord_vertex(e, 0)],
-                    comp_of_vertex[graph.coord_vertex(e, 1)],
-                )
-            floaters = [a for a in inst.agents if a not in per_agent]
+            f_prime = sorted(cut - used, key=position.get)
             if floaters and not f_prime:
                 continue
+            end_owners = {
+                e: tuple(comp_of_vertex[graph.coord_vertex(e, end)] for end in (0, 1))
+                for e in f_prime
+            }
             # an agent placed inside an edge it values at zero must envy
             options = [
                 [e for e in f_prime if inst.util(a, e) > 0] for a in floaters
@@ -321,10 +316,14 @@ def solve_with_cut_set(
     return Verdict(False, None)
 
 
-def _cut_sets(edges: Sequence[str], max_size: int) -> Iterator[frozenset[str]]:
-    for size in range(max_size + 1):
-        for subset in combinations(edges, size):
-            yield frozenset(subset)
+def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[str]]:
+    """The unions of every choice of exactly min(k, n) of the n
+    ``closures`` that no other such union strictly contains, in
+    first-seen order."""
+    unions = dict.fromkeys(
+        frozenset().union(*chosen) for chosen in combinations(closures, min(k, len(closures)))
+    )
+    return [cut for cut in unions if not any(cut < other for other in unions)]
 
 
 def _first_yes(instance: Instance, cuts: Iterable[frozenset[str]]) -> Verdict:
@@ -339,6 +338,10 @@ def _first_yes(instance: Instance, cuts: Iterable[frozenset[str]]) -> Verdict:
     return Verdict(False, None)
 
 
+def _edge_closures(graph: Graph) -> list[frozenset[str]]:
+    return [frozenset([e]) for e in graph.edge_ids]
+
+
 def solve_tree_vdgc(instance: Instance) -> Verdict:
     """Vertex-disjoint division of a tree: some cut set of fewer edges
     than agents captures every solution."""
@@ -346,42 +349,30 @@ def solve_tree_vdgc(instance: Instance) -> Verdict:
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.VDGC:
         raise ValueError("expects the vertex-disjoint variant")
-    return _first_yes(
-        instance, _cut_sets(instance.graph.edge_ids, len(instance.agents) - 1)
-    )
-
-
-def _closure_cut_sets(graph: Graph, max_items: int) -> Iterator[frozenset[str]]:
-    """The distinct cuts around every choice of at most ``max_items``
-    vertices and edges: a chosen vertex cuts all its edges."""
-    items = [("v", v) for v in graph.vertices] + [("e", e) for e in graph.edge_ids]
-    seen: set[frozenset[str]] = set()
-    for size in range(max_items + 1):
-        for chosen in combinations(items, size):
-            cut = {e for kind, e in chosen if kind == "e"}
-            for kind, v in chosen:
-                if kind == "v":
-                    cut.update(graph.incident_edges(v))
-            cut = frozenset(cut)
-            if cut not in seen:
-                seen.add(cut)
-                yield cut
+    k = len(instance.agents) - 1
+    return _first_yes(instance, _maximal_cuts(_edge_closures(instance.graph), k))
 
 
 def solve_tree_gc_bounded_degree(instance: Instance) -> Verdict:
     """Shared-vertex division of a tree: at most |A| vertices and edges
     are shared between agents, so cutting around every choice of those
-    is exhaustive (polynomial only for bounded degree)."""
+    is exhaustive (a chosen vertex cuts all its edges; polynomial only
+    for bounded degree)."""
     if not instance.graph.is_tree():
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.GC:
         raise ValueError("expects the shared-vertex variant")
-    return _first_yes(instance, _closure_cut_sets(instance.graph, len(instance.agents)))
+    graph = instance.graph
+    closures = [frozenset(graph.incident_edges(v)) for v in graph.vertices]
+    return _first_yes(
+        instance, _maximal_cuts(closures + _edge_closures(graph), len(instance.agents))
+    )
 
 
 def solve_cycle(instance: Instance) -> Verdict:
     """Division of a cycle, either variant: at most |A| edges are shared
-    between agents, so cut sets up to that size are exhaustive."""
+    between agents, so cutting that many edges is exhaustive."""
     if not instance.graph.is_cycle():
         raise NotCycleError("expects a cycle")
-    return _first_yes(instance, _cut_sets(instance.graph.edge_ids, len(instance.agents)))
+    k = len(instance.agents)
+    return _first_yes(instance, _maximal_cuts(_edge_closures(instance.graph), k))

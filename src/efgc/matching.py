@@ -44,6 +44,18 @@ def compatibility_graph(
     )
 
 
+def _augment(adj: list[list[int]], right_match: list, li: int, seen: set[int]) -> bool:
+    """Look for an augmenting path from left vertex ``li``, in index order."""
+    for ri in adj[li]:
+        if ri in seen:
+            continue
+        seen.add(ri)
+        if right_match[ri] is None or _augment(adj, right_match, right_match[ri], seen):
+            right_match[ri] = li
+            return True
+    return False
+
+
 def max_bipartite_matching(g: Bigraph) -> dict[int, int]:
     """Maximum-cardinality matching as a left-index -> right-index map.
 
@@ -55,19 +67,8 @@ def max_bipartite_matching(g: Bigraph) -> dict[int, int]:
         for li in range(len(g.left))
     ]
     right_match: list[int | None] = [None] * len(g.right)
-
-    def augment(li: int, seen: set[int]) -> bool:
-        for ri in adj[li]:
-            if ri in seen:
-                continue
-            seen.add(ri)
-            if right_match[ri] is None or augment(right_match[ri], seen):
-                right_match[ri] = li
-                return True
-        return False
-
     for li in range(len(g.left)):
-        augment(li, set())
+        _augment(adj, right_match, li, set())
     return {li: ri for ri, li in enumerate(right_match) if li is not None}
 
 

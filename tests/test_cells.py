@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -206,3 +207,16 @@ def test_ordering_form_hand_expanded():
     holders = {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "b"}
     forms = every_ordering_form(inst, holders)
     assert LinearForm.make({"x0_e1": 1}) in forms
+
+
+def test_sweep_leaves_no_reference_cycles():
+    # nothing is left for the cyclic collector, so a sweep's forms and
+    # witnesses are freed as soon as the caller drops them
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            enumerate_sign_conditions(generic_lines(), box(["x", "y"], -2, 2))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,33 @@ edge e2 c l2
 edge e3 c l3
 agent a1 e1=1 e2=1 e3=1
 agent a2 e1=1 e2=1 e3=1
+"""
+
+
+SPIDER_TEXT = """\
+efgc-instance v1
+variant gc
+vertices v1 v2 v3 v4 v5
+edge e1 v1 v2
+edge e2 v2 v3
+edge e3 v3 v4
+edge e4 v3 v5
+agent a1 e1=1 e2=2 e3=1 e4=1
+agent a2 e1=1 e2=2 e3=1 e4=1
+agent a3 e1=2 e2=0 e3=1 e4=2
+"""
+
+CYCLE4_TEXT = """\
+efgc-instance v1
+variant vdgc
+vertices v1 v2 v3 v4
+edge e1 v1 v2
+edge e2 v2 v3
+edge e3 v3 v4
+edge e4 v4 v1
+agent a1 e1=1 e2=1 e3=1 e4=1
+agent a2 e1=2 e2=1 e3=0 e4=1
+agent a3 e1=2 e2=1 e3=0 e4=1
 """
 
 
@@ -293,3 +322,24 @@ def test_fresh_process_roundtrip(tmp_path):
     )
     assert verify.returncode == 0
     assert verify.stdout == "valid\n"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the cut sets are tried in first-seen order, never in set order
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for name, text in (("spider", SPIDER_TEXT), ("cycle4", CYCLE4_TEXT)):
+        inst_file = tmp_path / f"{name}.efgc"
+        inst_file.write_text(text)
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            solve = subprocess.run(
+                [sys.executable, "-m", "efgc", "solve", "--in", str(inst_file)],
+                env=env,
+                capture_output=True,
+            )
+            assert solve.returncode == 0, solve.stderr
+            outputs.append(solve.stdout)
+        assert outputs[0] == outputs[1], name
+        assert outputs[0].startswith(b"Yes\nefgc-assignment v1\n")

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import efgc.component_lp
 from efgc.component_lp import (
     NotCycleError,
     NotTreeError,
     NotTreeOrCycleError,
+    _maximal_cuts,
     components_without,
     solve_cycle,
     solve_tree_gc_bounded_degree,
@@ -14,8 +17,18 @@ from efgc.component_lp import (
     solve_with_cut_set,
 )
 from efgc.generators import solve_explicit_oracle
-from efgc.model import Variant, normalize, piece_utility, verify_assignment
+from efgc.model import (
+    Graph,
+    UnknownEdgeError,
+    Variant,
+    Verdict,
+    build_instance,
+    normalize,
+    piece_utility,
+    verify_assignment,
+)
 from helpers import (
+    GRAPH_SHAPES,
     cycle,
     identical_agents_corpus,
     path,
@@ -215,3 +228,120 @@ def test_shared_no_implies_disjoint_no():
         paired = Instance(base.graph, base.agents, base.utilities, Variant.VDGC)
         if not solve_explicit_oracle(base).yes:
             assert not solve_explicit_oracle(paired).yes
+
+
+def test_unknown_cut_edges_are_named():
+    inst = path(2, {"a1": [1, 0], "a2": [0, 1]})
+    for cut in (["nope"], ["e1", "nope"]):
+        with pytest.raises(UnknownEdgeError, match="nope"):
+            solve_with_cut_set(inst, cut)
+
+
+def _tree_or_cycle_shapes():
+    for shapes in GRAPH_SHAPES.values():
+        for vertices, edges in shapes:
+            graph = Graph(tuple(vertices), tuple(edges))
+            if graph.is_tree() or graph.is_cycle():
+                yield graph
+
+
+def _solver_for(inst):
+    if inst.graph.is_cycle():
+        return solve_cycle
+    if inst.variant is Variant.VDGC:
+        return solve_tree_vdgc
+    return solve_tree_gc_bounded_degree
+
+
+def test_maximal_cut_sets_agree_with_oracle():
+    # every tree and cycle shape of at most 4 edges, 2-3 agents, both
+    # variants; rows in {0, 1, 2}, identical agents in every other draw
+    rng = random.Random(8080)
+    counts = {True: 0, False: 0}
+    for graph in _tree_or_cycle_shapes():
+        for n_agents in (2, 3):
+            for variant in (Variant.GC, Variant.VDGC):
+                for draw in range(10):
+                    rows = []
+                    while len(rows) < (1 if draw % 2 else n_agents):
+                        row = {e: rng.randint(0, 2) for e in graph.edge_ids}
+                        if any(row.values()):
+                            rows.append(row)
+                    table = {f"a{i}": dict(rows[i % len(rows)]) for i in range(n_agents)}
+                    inst = build_instance(graph.vertices, graph.edges, table, variant)
+                    verdict = _solver_for(inst)(inst)
+                    expected = solve_explicit_oracle(inst).yes
+                    assert verdict.yes == expected, (graph.edges, table, variant)
+                    if verdict.yes:
+                        assert verify_assignment(normalize(inst), verdict.assignment).valid
+                    counts[expected] += 1
+    assert counts[False] >= 10, counts  # seed 8080: 344 Yes, 16 No
+
+
+def _enumerator_graphs():
+    yield from _tree_or_cycle_shapes()
+    for n in (5, 6):
+        for make in (path, star, cycle):
+            yield make(n, {"a": [1] * n}).graph
+
+
+def _edge_and_vertex_closures(graph):
+    edges = [frozenset([e]) for e in graph.edge_ids]
+    return edges, [frozenset(graph.incident_edges(v)) for v in graph.vertices]
+
+
+def _small_cuts(closures, k):
+    """The old family: the unions of at most k closures."""
+    return {
+        frozenset().union(*chosen)
+        for size in range(k + 1)
+        for chosen in combinations(closures, size)
+    }
+
+
+def _maximal_members(family):
+    return {cut for cut in family if not any(cut < other for other in family)}
+
+
+def test_maximal_cuts_cover_every_smaller_cut():
+    for graph in _enumerator_graphs():
+        edges, vertices = _edge_and_vertex_closures(graph)
+        for closures in (edges, vertices + edges):
+            for k in range(5):
+                family = _small_cuts(closures, k)
+                cuts = _maximal_cuts(closures, k)
+                assert len(set(cuts)) == len(cuts)
+                assert all(any(cut <= big for big in cuts) for cut in family)
+                assert set(cuts) == _maximal_members(family)  # none holds another
+
+
+def test_wrappers_try_the_maximal_cuts_of_their_family(monkeypatch):
+    # edges on cycles (k = |A|) and on vdgc trees (k = |A| - 1); vertices,
+    # which cut all their edges, and edges on gc trees (k = |A|)
+    tried = []
+
+    def record(instance, cut, memo=None):
+        tried.append(frozenset(cut))
+        return Verdict(False, None)
+
+    monkeypatch.setattr(efgc.component_lp, "solve_with_cut_set", record)
+    for graph in _enumerator_graphs():
+        edges, vertices = _edge_and_vertex_closures(graph)
+        for n_agents in (1, 2, 3):
+            table = {f"a{i}": {graph.edge_ids[0]: 1} for i in range(n_agents)}
+            for variant in (Variant.GC, Variant.VDGC):
+                inst = build_instance(graph.vertices, graph.edges, table, variant)
+                if graph.is_cycle():
+                    closures, k = edges, n_agents
+                elif variant is Variant.VDGC:
+                    closures, k = edges, n_agents - 1
+                else:
+                    closures, k = vertices + edges, n_agents
+                tried.clear()
+                assert not _solver_for(inst)(inst).yes
+                assert len(tried) == len(set(tried))
+                assert set(tried) == _maximal_members(_small_cuts(closures, k)), (
+                    graph.edges,
+                    n_agents,
+                    variant,
+                )

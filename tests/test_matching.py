@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -92,3 +93,15 @@ def test_compatibility_uniform_leftovers_all_or_nothing():
     for li in range(2):
         degree = sum(1 for l, _ in g.edges if l == li)
         assert degree in (0, 3)
+
+
+def test_matching_leaves_no_reference_cycles():
+    g = graph_of(3, 3, [(0, 0), (0, 1), (1, 0), (2, 1), (2, 2)])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert is_perfect(g, max_bipartite_matching(g))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
