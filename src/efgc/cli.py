@@ -11,8 +11,8 @@ Instance files (UTF-8, line oriented, ``#`` starts a comment)::
     agent a2 e1=0 e2=1
 
 Utilities are integers or ``p/q`` and are normalized on load; omitted
-edges count as zero.  Assignment files hold one ``piece`` line per edge
-interval::
+edges count as zero, and an edge may appear once per agent.  Assignment
+files hold one ``piece`` line per edge interval::
 
     efgc-assignment v1
     piece a1 e1 0 1/2 closed closed
@@ -133,6 +133,8 @@ def parse_instance(text: str) -> Instance:
                 edge, _, value = term.partition("=")
                 if edge not in edge_ids:
                     raise ParseError(line_no, f"unknown edge {edge!r}")
+                if edge in row:
+                    raise ParseError(line_no, f"duplicate utility for {edge}")
                 row[edge] = _rational(value, line_no)
                 if row[edge] < 0:
                     raise ParseError(line_no, f"negative utility for {edge}")

@@ -3,10 +3,16 @@
 Fix a set F of cut edges.  Its scope is the assignments in which every
 connected component of G - F goes wholly to one agent, and within it
 the rest is searchable: branch over the component assignment, connect each
-agent's components with a minimal set of edges from F (unique on trees,
-a leave-one-gap choice on cycles), branch over which cut edge hosts
-each agent that owns no component, and solve an exact LP for the share
-lengths on the remaining cut edges.
+agent's components with a minimal set of edges from F, branch over which
+cut edge hosts each agent that owns no component, and solve an exact LP
+for the share lengths on the remaining cut edges.
+
+The connectors are read off H, the agent's own edges plus F.  Unless H
+is the whole cycle it is a forest, which holds exactly one minimal
+connector: the cut edges whose removal from H splits the agent's
+vertices.  On the whole cycle a minimal connector leaves out some cut
+edge, so it is the connector of H opened there: F minus one gap between
+the agent's components, one choice per gap.
 
 The wrappers try only the inclusion-maximal cut sets of one family,
 the unions of exactly min(k, n) of n item closures: for vertex-disjoint
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, LPMemo, lp_feasible
 from efgc.model import (
@@ -89,48 +95,37 @@ def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     return comps
 
 
-def _links_all(parts: set[str], links: Iterable[tuple[str, str]]) -> bool:
-    """Do these links between parts put every one of ``parts`` in one group?"""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for u, v in links:
-        if (ru := find(u)) != (rv := find(v)):
-            parent[ru] = rv
-    return len({find(p) for p in parts}) == 1
+def _splits(graph: Graph, edges: Container[str], required: frozenset[str]) -> bool:
+    """Do these edges leave the required vertices in more than one part?"""
+    root = graph.roots(edges)
+    return len({root[v] for v in required}) > 1
 
 
 def _connector_choices(
     graph: Graph, cut: frozenset[str], own_edges: Sequence[str], required: frozenset[str]
 ) -> list[frozenset[str]]:
-    """Minimal subsets of the cut that link the agent's components.
+    """The minimal subsets of the cut that, with the own edges, link the
+    required vertices, sorted by size and then by edge names.
 
-    Small cuts allow direct subset enumeration; spanning is monotone, so
-    a set containing an earlier (smaller) spanning set is not minimal.
-    On a tree at most one subset survives; on a cycle the choice of
-    which gap to leave open gives several, not necessarily equal-sized.
-    The own edges are joined once; a candidate then joins only its cut
-    edges over the parts they leave.  k edges join at most k + 1 parts,
-    so smaller subsets are not tried.
+    Let H be the own edges plus the cut.  Unless H is the whole cycle it
+    is a forest, and in a forest the minimal connector is unique: the cut
+    edges whose removal from H splits the required vertices (none exists
+    if H splits them).  On the whole cycle a minimal connector leaves out
+    some cut edge (with all of them, one could be dropped), so it is the
+    connector of H opened at that edge; opening in each gap between the
+    agent's parts gives the cut minus that gap.
     """
-    root = graph.roots(frozenset(own_edges))
-    parts = {root[v] for v in required}
-    if len(parts) <= 1:
+    if not _splits(graph, frozenset(own_edges), required):
         return [frozenset()]
-    ends = {e: tuple(root[v] for v in graph.endpoints(e)) for e in cut}
-    minimal: list[frozenset[str]] = []
-    for size in range(len(parts) - 1, len(cut) + 1):
-        for subset in combinations(sorted(cut), size):
-            candidate = frozenset(subset)
-            if any(prev <= candidate for prev in minimal):
-                continue
-            if _links_all(parts, [ends[e] for e in subset]):
-                minimal.append(candidate)
-    return minimal
+    h = cut.union(own_edges)
+    # H is the whole cycle iff it has as many edges as vertices
+    forests = [h - {e} for e in cut] if len(h) == len(graph.vertices) else [h]
+    choices = {
+        frozenset(e for e in cut & forest if _splits(graph, forest - {e}, required))
+        for forest in forests
+        if not _splits(graph, forest, required)
+    }
+    return sorted(choices, key=lambda choice: (len(choice), sorted(choice)))
 
 
 def _cut_var(edge: str, agent: str) -> str:
@@ -142,16 +137,15 @@ def _build_cut_lp(
     f_prime: Sequence[str],
     end_owners: dict[str, tuple[str, str]],
     insiders: dict[str, list[str]],
-    owned_edges: dict[str, list[str]],
+    whole_value: dict[str, dict[str, Fraction]],
 ) -> LinearSystem:
+    """The share LP of one placement; ``whole_value[b][a]`` is a's value
+    of the edges b owns whole."""
     system = LinearSystem()
     # the share variables each agent may hold, as (variable, edge)
     shares: dict[str, list[tuple[str, str]]] = {a: [] for a in instance.agents}
     for e in f_prime:
-        names = []
-        for agent in end_owners[e] + tuple(insiders.get(e, ())):
-            if agent not in names:
-                names.append(agent)
+        names = list(dict.fromkeys(end_owners[e] + tuple(insiders.get(e, ()))))
         for agent in names:
             var = _cut_var(e, agent)
             shares[agent].append((var, e))
@@ -165,16 +159,12 @@ def _build_cut_lp(
     # canonical form: the two shares have disjoint variables
     util = instance.util
     for a in instance.agents:
-        fixed = {
-            b: sum((util(a, g) for g in owned_edges.get(b, ())), ZERO)
-            for b in instance.agents
-        }
         mine = [(var, util(a, e)) for var, e in shares[a] if util(a, e)]
         for b in instance.agents:
             if a != b:
                 terms = mine + [(var, -util(a, e)) for var, e in shares[b] if util(a, e)]
                 terms.sort()
-                system.add(LinearForm(tuple(terms), fixed[a] - fixed[b]), GE)
+                system.add(LinearForm(tuple(terms), whole_value[a][a] - whole_value[b][a]), GE)
     return system
 
 
@@ -194,14 +184,8 @@ def _extract_cut_assignment(
     for e in f_prime:
         o0, o1 = end_owners[e]
         mid = [(b, witness[_cut_var(e, b)]) for b in insiders.get(e, ())]
-        if o0 == o1:
-            segments = [(o0, witness[_cut_var(e, o0)])] + mid + [(o1, ZERO)]
-        else:
-            segments = (
-                [(o0, witness[_cut_var(e, o0)])]
-                + mid
-                + [(o1, witness[_cut_var(e, o1)])]
-            )
+        last = ZERO if o0 == o1 else witness[_cut_var(e, o1)]
+        segments = [(o0, witness[_cut_var(e, o0)])] + mid + [(o1, last)]
         for owner, ep in tile_edge(e, segments):
             buckets[owner].append(ep)
     return Assignment({a: Piece(b) for a, b in buckets.items()})
@@ -232,6 +216,10 @@ def solve_with_cut_set(
     vdgc = inst.variant is Variant.VDGC
     # the connector choices depend only on the components held
     connector_memo: dict[tuple[int, ...], list[frozenset[str]]] = {}
+    # every agent's value of a holder's whole edges depends only on the
+    # components held and the connector; a floater owns no edge whole
+    value_memo: dict[tuple[tuple[int, ...], frozenset[str]], dict[str, Fraction]] = {}
+    zeros = dict.fromkeys(inst.agents, ZERO)
     for comp_assign in product(inst.agents, repeat=len(comps)):
         held: dict[str, list[int]] = {}
         for k, agent in enumerate(comp_assign):
@@ -286,6 +274,15 @@ def solve_with_cut_set(
                 e: tuple(comp_of_vertex[graph.coord_vertex(e, end)] for end in (0, 1))
                 for e in f_prime
             }
+            whole_value = dict.fromkeys(floaters, zeros)
+            for b in holders:
+                key = (tuple(held[b]), connectors[b])
+                if key not in value_memo:
+                    value_memo[key] = {
+                        a: sum((inst.util(a, g) for g in owned_edges[b]), ZERO)
+                        for a in inst.agents
+                    }
+                whole_value[b] = value_memo[key]
             # an agent placed inside an edge it values at zero must envy
             options = [
                 [e for e in f_prime if inst.util(a, e) > 0] for a in floaters
@@ -295,7 +292,7 @@ def solve_with_cut_set(
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
                 system = _build_cut_lp(
-                    inst, f_prime, end_owners, insiders, owned_edges
+                    inst, f_prime, end_owners, insiders, whole_value
                 )
                 result = memo.solve(system, lp_feasible)
                 if isinstance(result, Feasible):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from efgc.generators import numpart_dp, solve_explicit_oracle
@@ -278,6 +279,46 @@ def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
                         inst = build_instance(vertices, edges, table, variant)
                         corpus.append((inst, solve_explicit_oracle(inst).yes))
     return tuple(corpus)
+
+
+def _links_all(parts: set[str], links) -> bool:
+    """Do these links between parts put every one of ``parts`` in one group?"""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        if (ru := find(u)) != (rv := find(v)):
+            parent[ru] = rv
+    return len({find(p) for p in parts}) == 1
+
+
+def connector_choices_reference(
+    graph: Graph, cut: frozenset[str], own_edges: Sequence[str], required: frozenset[str]
+) -> list[frozenset[str]]:
+    """The minimal subsets of the cut that link the agent's components,
+    the slow way: every subset of the cut in size order, then in order of
+    the sorted edge names, skipping supersets of the ones found.  Kept as
+    the reference that ``efgc.component_lp._connector_choices`` must
+    match, list and order."""
+    root = graph.roots(frozenset(own_edges))
+    parts = {root[v] for v in required}
+    if len(parts) <= 1:
+        return [frozenset()]
+    ends = {e: tuple(root[v] for v in graph.endpoints(e)) for e in cut}
+    minimal: list[frozenset[str]] = []
+    for size in range(len(parts) - 1, len(cut) + 1):
+        for subset in combinations(sorted(cut), size):
+            candidate = frozenset(subset)
+            if any(prev <= candidate for prev in minimal):
+                continue
+            if _links_all(parts, [ends[e] for e in subset]):
+                minimal.append(candidate)
+    return minimal
+
 
 # The exact simplex as it was before its tableau became fraction-free:
 # every entry a Fraction, every row scaled to a basic entry of 1.  Kept

@@ -103,6 +103,14 @@ agent a1 e1=1 e2=1
         parse_instance(P3_TEXT.replace("agent a2 e1=0 e2=1", "agent a2 e1=0 e2=0"))
 
 
+def test_repeated_utility_term_is_rejected_in_either_order():
+    # keeping the last term would make the verdict depend on their order
+    for terms in ("e1=1 e1=0", "e1=0 e1=1"):
+        text = f"efgc-instance v1\nvariant gc\nvertices v1 v2\nedge e1 v1 v2\nagent a1 {terms}\n"
+        with pytest.raises(ParseError, match="line 5: duplicate utility for e1"):
+            parse_instance(text)
+
+
 def test_assignment_roundtrip():
     asg = Assignment(
         {
@@ -263,6 +271,15 @@ print("self-checks held")
 """
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports efgc from this
+    working tree, ahead of anything already on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_self_checks_survive_optimize(tmp_path):
     # a solver whose own witness fails verification must raise
     # InternalError (exit code 2), also when asserts are compiled away
@@ -272,6 +289,7 @@ def test_self_checks_survive_optimize(tmp_path):
         [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT, str(inst_file)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "self-checks held\n"
@@ -283,6 +301,7 @@ def test_gen_pipes_into_solve(tmp_path):
         [sys.executable, "-m", "efgc", "gen", "star", "--values", "1,2,3"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert gen.returncode == 0
     solve = subprocess.run(
@@ -290,6 +309,7 @@ def test_gen_pipes_into_solve(tmp_path):
         input=gen.stdout,
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert solve.returncode == 0
     assert solve.stdout.startswith("Yes\n")
@@ -303,6 +323,7 @@ def test_fresh_process_roundtrip(tmp_path):
         [sys.executable, "-m", "efgc", "solve", "--in", str(inst_file), "--out", str(out_file)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert solve.returncode == 0
     assert solve.stdout == "Yes\n"
@@ -319,6 +340,7 @@ def test_fresh_process_roundtrip(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert verify.returncode == 0
     assert verify.stdout == "valid\n"
@@ -326,17 +348,14 @@ def test_fresh_process_roundtrip(tmp_path):
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     # the cut sets are tried in first-seen order, never in set order
-    src = str(Path(__file__).resolve().parent.parent / "src")
     for name, text in (("spider", SPIDER_TEXT), ("cycle4", CYCLE4_TEXT)):
         inst_file = tmp_path / f"{name}.efgc"
         inst_file.write_text(text)
         outputs = []
         for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             solve = subprocess.run(
                 [sys.executable, "-m", "efgc", "solve", "--in", str(inst_file)],
-                env=env,
+                env=_child_env(PYTHONHASHSEED=hash_seed),
                 capture_output=True,
             )
             assert solve.returncode == 0, solve.stderr

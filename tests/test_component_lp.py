@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -9,6 +9,7 @@ from efgc.component_lp import (
     NotCycleError,
     NotTreeError,
     NotTreeOrCycleError,
+    _connector_choices,
     _maximal_cuts,
     components_without,
     solve_cycle,
@@ -29,6 +30,7 @@ from efgc.model import (
 )
 from helpers import (
     GRAPH_SHAPES,
+    connector_choices_reference,
     cycle,
     identical_agents_corpus,
     path,
@@ -345,3 +347,38 @@ def test_wrappers_try_the_maximal_cuts_of_their_family(monkeypatch):
                     n_agents,
                     variant,
                 )
+
+
+def _connector_graphs():
+    for n in range(1, 7):
+        yield path(n, {"a": [1] * n}).graph
+    for n in range(3, 8):
+        yield cycle(n, {"a": [1] * n}).graph
+    for n in range(2, 7):
+        yield star(n, {"a": [1] * n}).graph
+    spider4 = GRAPH_SHAPES[4][2]
+    spider5 = (spider4[0] + ["v6"], spider4[1] + [("e5", "v5", "v6")])
+    for vertices, edges in (spider4, spider5):
+        yield Graph(tuple(vertices), tuple(edges))
+
+
+def test_connector_choices_match_the_subset_search():
+    # every cut (the empty cut on a cycle needs the early return) and
+    # every nonempty set of held components, their edges joined in
+    # solve_with_cut_set's order
+    triples = 0
+    for graph in _connector_graphs():
+        ids = graph.edge_ids
+        for cut in chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)):
+            cut = frozenset(cut)
+            comps = components_without(graph, cut)
+            for r in range(1, len(comps) + 1):
+                for held in combinations(comps, r):
+                    own_edges = [e for comp in held for e in comp.edges]
+                    required = frozenset().union(*(comp.vertices for comp in held))
+                    expected = connector_choices_reference(graph, cut, own_edges, required)
+                    got = _connector_choices(graph, cut, own_edges, required)
+                    assert got == expected, (graph.edges, sorted(cut), sorted(required))
+                    triples += 1
+    assert triples == 7736
+
