@@ -14,6 +14,10 @@ assignment and lets an exact LP fill in the lengths:
    success, hand the guessed agents their pieces and match the rest to
    the leftover intervals via the compatibility graph.
 
+Only consistent guesses are generated (under VDGC, one owner per
+vertex), and each LP states each constraint once: rows implied by the
+others are left out, as ``build_lp`` and ``_holder_blocks`` explain.
+
 Any produced assignment is re-verified before it is returned.  Sample
 points are enumerated independently per holder: distinct holders' length
 variables are disjoint, so the joint cell structure is the product of
@@ -102,9 +106,11 @@ class LengthSolution:
 
     @staticmethod
     def from_witness(edges: Sequence[str], witness: Mapping[str, Fraction]) -> "LengthSolution":
+        """Read the lengths off an LP witness; an edge whose LP has no
+        inside length (nobody inside) gets 0."""
         return LengthSolution(
             {e: witness[endpoint_var(e, 0)] for e in edges},
-            {e: witness[delta_var(e)] for e in edges},
+            {e: witness.get(delta_var(e), ZERO) for e in edges},
             {e: witness[endpoint_var(e, 1)] for e in edges},
         )
 
@@ -129,41 +135,39 @@ def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
     return True
 
 
-def check_vertex_consistency(instance: Instance, endpoint_agent) -> bool:
-    """Vertex-disjoint variant: at every vertex, all incident ends must
-    be guessed for one and the same agent."""
-    graph = instance.graph
-    for v in graph.vertices:
-        owners = set()
-        for e in graph.incident_edges(v):
-            end = 0 if graph.coord_vertex(e, 0) == v else 1
-            owners.add(endpoint_agent[(e, end)])
-        if len(owners) > 1:
-            return False
-    return True
-
-
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
-    """All endpoint-holder functions crossed with all inside-count maps
-    that survive the sanity checks, in lexicographic order."""
+    """Every endpoint-holder map crossed with every inside-count map
+    whose counts place exactly the agents that hold no end, minus the
+    guesses whose holders' ends cannot be linked; in lexicographic order
+    of the edge ends (edge by edge, end 0 first), then of the counts.
+
+    Under VDGC all ends at one vertex belong to one agent, so one owner
+    is guessed per vertex, the vertices taken in the order they first
+    appear among the edge ends.  Two consistent maps first differ at the
+    first appearance of some vertex, so this yields the same maps in the
+    same order as filtering all maps of the ends; the order is kept
+    because the first feasible branch gives the witness.
+    """
     graph = instance.graph
     agents = instance.agents
     edges = graph.edge_ids
     slots = [(e, i) for e in edges for i in (0, 1)]
-    for combo in product(agents, repeat=len(slots)):
-        ep = dict(zip(slots, combo))
-        if instance.variant is Variant.VDGC and not check_vertex_consistency(
-            instance, ep
-        ):
-            continue
-        target = len(agents) - len(set(ep.values()))
-        for counts in product(range(len(agents) + 1), repeat=len(edges)):
-            if sum(counts) != target:
-                continue
-            n = dict(zip(edges, counts))
-            if not check_connected_guesses(instance, ep, n):
-                continue
-            yield BranchGuess(ep, frozenset(ep.values()), n)
+    # each slot's owner is that of its unit: its vertex under VDGC, else itself
+    if instance.variant is Variant.VDGC:
+        keys = [graph.coord_vertex(e, i) for e, i in slots]
+    else:
+        keys = slots
+    units = list(dict.fromkeys(keys))
+    counts_by_sum: dict[int, list[dict[str, int]]] = {}
+    for counts in product(range(len(agents) + 1), repeat=len(edges)):
+        counts_by_sum.setdefault(sum(counts), []).append(dict(zip(edges, counts)))
+    for combo in product(agents, repeat=len(units)):
+        owner = dict(zip(units, combo))
+        ep = {slot: owner[key] for slot, key in zip(slots, keys)}
+        a_v = frozenset(combo)
+        for n in counts_by_sum.get(len(agents) - len(a_v), ()):
+            if check_connected_guesses(instance, ep, n):
+                yield BranchGuess(ep, a_v, n)
 
 
 def _ratio_ge(instance: Instance, a1: str, a2: str, e: str, f: str) -> bool:
@@ -192,11 +196,25 @@ def _pin_map(guess_maps: Sequence[Mapping]) -> dict[str, str] | None:
     return pinned
 
 
-def _pin_counts_ok(pinned: Mapping[str, str], n) -> bool:
-    counts: dict[str, int] = {}
-    for edge in pinned.values():
-        counts[edge] = counts.get(edge, 0) + 1
-    return all(counts[e] <= n[e] for e in counts)
+def _placed_inside(
+    instance: Instance, n, pair_critical: Mapping, *more: Mapping
+) -> dict[str, list[str]] | None:
+    """The agents that the critical guesses place inside each edge, or
+    None when the guesses contradict: an agent on two edges, more agents
+    on an edge than it has inside, or an agent inside e below the
+    pair-critical agent of (e, f) in the (e, f) ratio order."""
+    pinned = _pin_map([pair_critical, *more])
+    if pinned is None:
+        return None
+    inside: dict[str, list[str]] = {}
+    for agent, edge in pinned.items():
+        inside.setdefault(edge, []).append(agent)
+    if any(len(placed) > n[e] for e, placed in inside.items()):
+        return None
+    for (e, f), low in pair_critical.items():
+        if not all(_ratio_ge(instance, other, low, e, f) for other in inside[e]):
+            return None
+    return inside
 
 
 def enumerate_pair_critical(instance: Instance, guess: BranchGuess) -> Iterator[dict]:
@@ -210,20 +228,7 @@ def enumerate_pair_critical(instance: Instance, guess: BranchGuess) -> Iterator[
     outsiders = [a for a in instance.agents if a not in guess.a_v]
     for combo in product(outsiders, repeat=len(pairs)):
         pc = dict(zip(pairs, combo))
-        pinned = _pin_map([pc])
-        if pinned is None or not _pin_counts_ok(pinned, guess.n):
-            continue
-        # every guessed inside agent of e must sit at or above the
-        # designated minimizer in the (e, f) ratio order
-        ok = True
-        for (e, f), low in pc.items():
-            for (e2, _), other in pc.items():
-                if e2 == e and not _ratio_ge(instance, other, low, e, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _placed_inside(instance, guess.n, pc) is not None:
             yield pc
 
 
@@ -247,56 +252,43 @@ def enumerate_vertex_critical(
     }
     for combo in product(outsiders, repeat=len(slots)):
         vc = dict(zip(slots, combo))
-        pinned = _pin_map([pair_critical, vc])
-        if pinned is None or not _pin_counts_ok(pinned, guess.n):
-            continue
-        by_edge: dict[str, set[str]] = {}
-        for agent, edge in pinned.items():
-            by_edge.setdefault(edge, set()).add(agent)
-        ok = True
-        for (e, f), low in pair_critical.items():
-            for other in by_edge.get(e, ()):
-                if not _ratio_ge(instance, other, low, e, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for (e, holder), alpha in vc.items():
-                for other in by_edge.get(e, ()):
-                    # alpha must envy the holder at least as much as any
-                    # other agent guessed inside e, at the sample point
-                    if (
-                        instance.util(other, e) * values[(alpha, holder)]
-                        < instance.util(alpha, e) * values[(other, holder)]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        inside = _placed_inside(instance, guess.n, pair_critical, vc)
+        # alpha must envy the holder at least as much as any other agent
+        # guessed inside e, at the sample point
+        if inside is not None and all(
+            instance.util(other, e) * values[(alpha, holder)]
+            >= instance.util(alpha, e) * values[(other, holder)]
+            for (e, holder), alpha in vc.items()
+            for other in inside[e]
+        ):
             yield vc
 
 
 def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     """The length program of one fully guessed branch.
 
-    Variables per edge: the two endpoint lengths and the shared inside
-    length.  Constraints: non-negativity; per-edge tiling; mutual envy
-    among endpoint holders; holders against inside pieces; the guessed
-    pair-critical agents against their target edges; and, for every
-    agent whose envy ratio at the sample point does not exceed the
-    vertex-critical agent's, that agent against the holder.  Each row
-    is built in canonical form in one pass: the terms it joins have
+    Variables per edge: the two endpoint lengths and, on an edge with
+    agents inside (a hot edge), the shared inside length d_e.
+    Constraints: non-negativity; per-edge tiling; mutual envy among
+    endpoint holders; holders against the inside pieces of hot edges;
+    the guessed pair-critical agents against their target edges; and,
+    for every agent whose envy ratio at the sample point does not exceed
+    the vertex-critical agent's, that agent against the holder.  On an
+    edge with nobody inside, d_e would appear only in d_e >= 0 and in
+    "holder >= u * d_e", all satisfied by d_e = 0 because holder values
+    are non-negative, so the variable and its rows are left out.  Each
+    row is built in canonical form in one pass: the terms it joins have
     disjoint variables.
     """
     graph = instance.graph
     edges = graph.edge_ids
     util = instance.util
+    hot = _hot_edges(instance, guess.n)
     system = LinearSystem()
     for e in edges:
         system.declare(endpoint_var(e, 0))
-        system.declare(delta_var(e))
+        if guess.n[e]:
+            system.declare(delta_var(e))
         system.declare(endpoint_var(e, 1))
     pieces = guessed_pieces(guess.endpoint_agent)
     holders = _holder_order(instance, guess.a_v)
@@ -312,7 +304,7 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
 
     for e in edges:
         x0, d, x1 = endpoint_var(e, 0), delta_var(e), endpoint_var(e, 1)
-        for var in (x0, d, x1):
+        for var in (x0, d, x1) if guess.n[e] else (x0, x1):
             system.add(LinearForm(((var, ONE),), ZERO), GE)
         tiling = ((x0, ONE), (x1, ONE))
         if guess.n[e]:
@@ -323,13 +315,12 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
         for b in holders:
             if a != b:
                 system.add(row(*own, *((v, -c) for v, c in value(a, b).coeffs)), GE)
-        for e in edges:
+        for e in hot:
             system.add(row(*own, (delta_var(e), -util(a, e))), GE)
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
         system.add(row((delta_var(e), util(agent, e)), (delta_var(f), -util(agent, f))), GE)
     outsiders = [a for a in instance.agents if a not in guess.a_v]
-    hot = _hot_edges(instance, guess.n)
     for e in hot:
         for holder in holders:
             alpha = guess.vertex_critical[(e, holder)]
@@ -405,28 +396,25 @@ def extract_assignment(
 
 def _holder_blocks(instance: Instance, guess: BranchGuess):
     """Per-holder comparison forms and bounded region on the holder's
-    own length variables (holders' variable sets are disjoint)."""
+    own length variables (holders' variable sets are disjoint).
+
+    The region is x >= 0 on each held end plus, per held edge, one row
+    saying that its held ends sum to at most 1; with x >= 0 that row
+    also bounds each end by 1, so no separate x <= 1 row is needed.
+    """
     pieces = guessed_pieces(guess.endpoint_agent)
     hot = _hot_edges(instance, guess.n)
     blocks = []
     if not hot:
         return blocks
     for holder in _holder_order(instance, guess.a_v):
-        held = pieces[holder]
+        held = pieces[holder]  # sorted by edge, then end
         region = LinearSystem()
         for e, i in held:
-            var = endpoint_var(e, i)
-            region.add(LinearForm.var(var), GE)
-            region.add(LinearForm.make({var: -1}, 1), GE)
-        held_edges = {e for e, _ in held}
-        for e in sorted(held_edges):
-            if (e, 0) in held and (e, 1) in held:
-                region.add(
-                    LinearForm.make(
-                        {endpoint_var(e, 0): -1, endpoint_var(e, 1): -1}, 1
-                    ),
-                    GE,
-                )
+            region.add(LinearForm(((endpoint_var(e, i), ONE),), ZERO), GE)
+        for e in dict.fromkeys(e for e, _ in held):
+            ends = tuple((endpoint_var(f, i), -ONE) for f, i in held if f == e)
+            region.add(LinearForm(ends, ONE), GE)
         blocks.append((ordering_forms(instance, held, hot), region))
     return blocks
 

@@ -451,10 +451,21 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
     Checks: every edge is tiled exactly (lengths sum to one, interval
     interiors disjoint, every point covered), every agent's piece is
     connected, vertices belong to at most one agent (VDGC only), and no
-    agent values another piece above its own.
+    agent values another piece above its own.  A piece on an edge that
+    the graph does not have is a tiling failure; the checks after tiling
+    are then skipped, since they need the edge.
     """
     failures: list[Failure] = []
     _check_tiling(instance, assignment, failures)
+    known = set(instance.graph.edge_ids)
+    unknown = [
+        Failure("tiling", f"piece of {agent} lies on unknown edge {ep.edge}")
+        for agent, piece in assignment.items()
+        for ep in piece.edge_pieces
+        if ep.edge not in known
+    ]
+    if unknown:
+        return VerificationReport(tuple(failures + unknown))
     for agent, piece in assignment.items():
         if not is_connected_piece(piece, instance.graph):
             failures.append(Failure("connectivity", f"piece of {agent} is disconnected"))

@@ -4,9 +4,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
+from efgc.cells import endpoint_var
+from efgc.few_edges import BranchGuess, check_connected_guesses
 from efgc.generators import numpart_dp, solve_explicit_oracle
 from efgc.linprog import (
     EQ,
@@ -318,6 +320,51 @@ def connector_choices_reference(
             if _links_all(parts, [ends[e] for e in subset]):
                 minimal.append(candidate)
     return minimal
+
+
+def initial_branches_reference(instance: Instance) -> list[BranchGuess]:
+    """The initial branches the slow way: every map of the edge ends to
+    agents in lexicographic order, dropping under VDGC the maps that give
+    two ends at one vertex to different agents, crossed with every
+    inside-count vector in lexicographic order, dropping those whose sum
+    is not the number of agents without an end.  Kept as the reference
+    that ``efgc.few_edges.enumerate_initial_branches`` must match, list
+    and order."""
+    graph = instance.graph
+    agents = instance.agents
+    edges = graph.edge_ids
+    slots = [(e, i) for e in edges for i in (0, 1)]
+    out = []
+    for combo in product(agents, repeat=len(slots)):
+        ep = dict(zip(slots, combo))
+        if instance.variant is Variant.VDGC and any(
+            len({ep[s] for s in slots if graph.coord_vertex(*s) == v}) > 1
+            for v in graph.vertices
+        ):
+            continue
+        target = len(agents) - len(set(ep.values()))
+        for counts in product(range(len(agents) + 1), repeat=len(edges)):
+            if sum(counts) != target:
+                continue
+            n = dict(zip(edges, counts))
+            if check_connected_guesses(instance, ep, n):
+                out.append(BranchGuess(ep, frozenset(ep.values()), n))
+    return out
+
+
+def holder_region_reference(held: Sequence[tuple[str, int]]) -> LinearSystem:
+    """A holder's sample region with every bound written out: 0 <= x <= 1
+    on each held end, and x0 + x1 <= 1 on an edge whose two ends are
+    both held."""
+    region = LinearSystem()
+    for e, i in held:
+        var = endpoint_var(e, i)
+        region.add(LinearForm.var(var), GE)
+        region.add(LinearForm.make({var: -1}, 1), GE)
+    for e in sorted({e for e, _ in held}):
+        if (e, 0) in held and (e, 1) in held:
+            region.add(LinearForm.make({endpoint_var(e, 0): -1, endpoint_var(e, 1): -1}, 1), GE)
+    return region
 
 
 # The exact simplex as it was before its tableau became fraction-free:

@@ -200,6 +200,21 @@ def test_verify_rejects_bad_assignment(tmp_path, capsys):
     assert "invalid [tiling]" in capsys.readouterr().out
 
 
+def test_verify_reports_piece_on_unknown_edge(tmp_path, capsys):
+    inst_file = tmp_path / "p3.efgc"
+    inst_file.write_text(P3_TEXT)
+    bad = tmp_path / "bad.efgc"
+    bad.write_text(
+        "efgc-assignment v1\n"
+        "piece a1 e1 0 1 closed closed\n"
+        "piece a2 e2 0 1 closed closed\n"
+        "piece a2 e9 0 1 closed closed\n"
+    )
+    code = run(["verify", "--in", str(inst_file), "--assignment", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().out == "invalid [tiling]: piece of a2 lies on unknown edge e9\n"
+
+
 def test_oracle_command(tmp_path, capsys):
     inst_file = tmp_path / "p3.efgc"
     inst_file.write_text(P3_TEXT)

@@ -4,12 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from efgc.cells import endpoint_var
+import efgc.few_edges as few_edges
+from efgc.cells import (
+    endpoint_var,
+    enumerate_sign_conditions,
+    guessed_pieces,
+    holdings_value_form,
+)
 from efgc.component_lp import solve_cycle, solve_tree_vdgc
 from efgc.few_edges import (
     BranchGuess,
     InconsistentLengthsError,
     LengthSolution,
+    _holder_blocks,
+    _holder_order,
     build_lp,
     delta_var,
     enumerate_initial_branches,
@@ -17,11 +25,23 @@ from efgc.few_edges import (
     solve_few_edges,
 )
 from efgc.generators import solve_explicit_oracle
-from efgc.linprog import Feasible, Infeasible, lp_feasible, verify_certificate
-from efgc.model import normalize, verify_assignment
+from efgc.linprog import (
+    GE,
+    Feasible,
+    Infeasible,
+    LinearForm,
+    Optimal,
+    lp_feasible,
+    lp_max,
+    verify_certificate,
+)
+from efgc.model import build_instance, normalize, verify_assignment
 from helpers import (
+    GRAPH_SHAPES,
     cycle,
+    holder_region_reference,
     identical_agents_corpus,
+    initial_branches_reference,
     path,
     random_cycle_instance,
     random_graph_instance,
@@ -65,6 +85,22 @@ def test_vdgc_branch_rejects_vertex_conflicts():
         assert g.endpoint_agent[("e1", 1)] == g.endpoint_agent[("e2", 0)]
 
 
+# a path listed out of vertex order: the ends first meet v2, then v3, then v1
+OUT_OF_ORDER_PATH = (["v1", "v2", "v3"], [("e1", "v2", "v3"), ("e2", "v1", "v2")])
+
+
+def test_initial_branches_match_reference():
+    shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]]
+    for vertices, edges in shapes + [OUT_OF_ORDER_PATH]:
+        for n_agents in (1, 2, 3):
+            for variant in ("gc", "vdgc"):
+                table = {f"a{i}": {e[0]: 1 for e in edges} for i in range(1, n_agents + 1)}
+                inst = normalize(build_instance(vertices, edges, table, variant))
+                assert branches(inst) == initial_branches_reference(inst), (
+                    edges, n_agents, variant,
+                )
+
+
 def test_build_lp_single_edge_forces_halves():
     inst = normalize(single_edge({"a": 1, "b": 1}))
     guess = BranchGuess(
@@ -104,14 +140,107 @@ def test_build_lp_no_inside_agents_has_no_delta_constraints():
         {"e1": 0, "e2": 0},
     )
     system = build_lp(inst, guess)
-    for form, rel in system.constraints:
-        delta_terms = [v for v, c in form.coeffs if v.startswith("d_")]
-        if delta_terms:
-            # deltas appear only in their nonnegativity rows and in the
-            # holder-versus-inside family, never in pair constraints
-            assert len(form.coeffs) == 1 or not all(
-                v.startswith("d_") for v, _ in form.coeffs
+    # every variable of every row is declared, so this covers the rows too
+    assert not [v for v in system.variables if v.startswith("d_")]
+
+
+def _built_guesses(monkeypatch, instances):
+    """Every (instance, guess) pair that the search builds an LP for."""
+    seen = []
+    original = few_edges.build_lp
+
+    def recording(inst, guess):
+        seen.append((inst, guess))
+        return original(inst, guess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(few_edges, "build_lp", recording)
+        for inst in instances:
+            solve_few_edges(inst)
+    return seen
+
+
+def _small_instances():
+    rng = random.Random(8080)
+    # three identical agents on one edge: a holder must not envy the agent
+    # inside, so the holder-versus-inside rows of a hot edge bind
+    instances = [
+        single_edge({"a": 1, "b": 1, "c": 1}),
+        star3_identical(),
+        star3_identical("vdgc"),
+    ]
+    for _ in range(16):
+        instances.append(
+            random_graph_instance(
+                rng, rng.randint(1, 3), rng.randint(2, 3), rng.choice(["gc", "vdgc"])
             )
+        )
+    return instances
+
+
+def _implies(system, form) -> bool:
+    """Does every point of ``system`` satisfy ``form >= 0``?"""
+    if not form.coeffs:
+        return form.const >= 0
+    low = lp_max(system, -form)
+    return isinstance(low, Optimal) and low.value <= 0
+
+
+def test_inside_length_rows_left_out_are_implied(monkeypatch):
+    """Adding back d_e >= 0 and "holder >= u * d_e" on every edge, as
+    the LP had them before idle edges lost d_e, changes no verdict; on a
+    feasible LP each row added back holds at every point once the
+    lengths the LP lacks are set to 0."""
+    added_somewhere = False
+    for inst, guess in _built_guesses(monkeypatch, _small_instances()):
+        system = build_lp(inst, guess)
+        full = system.copy()
+        present = set(full.constraints)
+        pieces = guessed_pieces(guess.endpoint_agent)
+        added = []
+        for e in inst.graph.edge_ids:
+            d = delta_var(e)
+            rows = [LinearForm.var(d)]
+            for a in _holder_order(inst, guess.a_v):
+                own = holdings_value_form(inst, a, pieces[a]).coeffs
+                rows.append(LinearForm.make(own + ((d, -inst.util(a, e)),)))
+            for form in rows:
+                if (form, GE) not in present:
+                    full.add(form, GE)
+                    added.append(form)
+        added_somewhere |= bool(added)
+        result = lp_feasible(system)
+        assert type(result) is type(lp_feasible(full))
+        if isinstance(result, Feasible):
+            known = set(system.variables)
+            for form in added:
+                kept = LinearForm(tuple(t for t in form.coeffs if t[0] in known), form.const)
+                assert _implies(system, kept)
+    assert added_somewhere
+
+
+def test_sample_region_matches_written_out_bounds(monkeypatch):
+    """Each holder's sample region is the polytope of the written-out
+    bounds, and both give the same sign vectors."""
+    seen, checked = set(), 0
+    for inst, guess in _built_guesses(monkeypatch, _small_instances()):
+        key = (id(inst), tuple(sorted(guess.endpoint_agent.items())), tuple(guess.n.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        pieces = guessed_pieces(guess.endpoint_agent)
+        holders = _holder_order(inst, guess.a_v)
+        for (forms, region), holder in zip(_holder_blocks(inst, guess), holders):
+            reference = holder_region_reference(pieces[holder])
+            for form, _ in reference.constraints:
+                assert _implies(region, form)
+            for form, _ in region.constraints:
+                assert _implies(reference, form)
+            got = [cw.signs for cw in enumerate_sign_conditions(forms, region)]
+            want = [cw.signs for cw in enumerate_sign_conditions(forms, reference)]
+            assert got == want
+            checked += 1
+    assert checked
 
 
 def extract(inst, guess, x0, delta, x1):

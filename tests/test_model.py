@@ -281,6 +281,19 @@ def test_verify_reports_disconnected_piece():
     assert any(f.kind == "connectivity" for f in report.failures)
 
 
+def test_verify_reports_piece_on_unknown_edge():
+    inst = normalize(single_edge({"a": 1, "b": 1}))
+    for stray in (
+        [EdgePiece("e9", 0, 1)],
+        [EdgePiece("e1", F(1, 2), 1, False, True), EdgePiece("e9", 0, 1)],
+    ):
+        asg = Assignment({"a": Piece([EdgePiece("e1", 0, F(1, 2))]), "b": Piece(stray)})
+        report = verify_assignment(inst, asg)
+        assert not report.valid
+        assert {f.kind for f in report.failures} == {"tiling"}
+        assert any("b" in f.message and "e9" in f.message for f in report.failures)
+
+
 def test_singleton_interval_lengths():
     equal = Assignment(
         {
