@@ -1,41 +1,48 @@
 """Decision procedure for arbitrary connected graphs with few edges.
 
-The search guesses the combinatorial shape of a hypothetical envy-free
-assignment and lets an exact LP fill in the lengths:
+The search first guesses, for both ends of every edge, the agent whose
+piece contains that end, plus the number n[e] of agents placed fully
+inside each edge (an initial branch).  It finishes each initial branch
+along one of two routes and lets an exact LP fill in the lengths:
 
-1. guess, for both ends of every edge, the agent whose piece contains
-   that end, plus the number of agents placed fully inside each edge;
-2. guess envy-critical agents: for each ordered edge pair, the inside
-   agent closest to envying the other edge, and for each (edge, holder)
-   pair, the inside agent closest to envying that holder -- the latter
-   relative to a sample point taken from one cell of the arrangement of
-   envy-comparison forms;
-3. solve the LP over endpoint lengths and per-edge inside lengths; on
-   success, hand the guessed agents their pieces and match the rest to
-   the leftover intervals via the compatibility graph.
+* explicit placements: put every outsider (an agent holding no end) on
+  an edge it values, n[e] on edge e, solve one LP with an envy row per
+  ordered agent pair, and tile the first feasible placement;
+* the paper's route: guess envy-critical agents -- per ordered edge
+  pair, the inside agent closest to envying the other edge, and per
+  (edge, holder) pair, the one closest to envying the holder at a sample
+  point taken from one cell of the arrangement of envy-comparison
+  forms -- solve the LP, pin the guessed agents and match the rest to
+  the leftover intervals via the compatibility graph.
+
+With m outsiders, h hot edges (n[e] > 0) and H holders, a branch has
+m!/prod n[e]! placements and at most max(1, m)^(h(h-1) + hH) critical
+guesses per cell; it takes the explicit route when that is no more
+(``_explicit_is_no_larger``).  The paper's route stays for the paper's
+bound: placements alone grow exponentially in m, the smaller count is
+polynomial for a fixed number of edges.  The rule guards that bound; it
+is no speed threshold, as the paper's route is far slower on every
+branch small enough to time.  Both routes are exact for their branch.
 
 Only consistent guesses are generated (under VDGC, one owner per
-vertex), and each LP states each constraint once: rows implied by the
-others are left out, as ``build_lp`` and ``_holder_blocks`` explain.
-
-Any produced assignment is re-verified before it is returned.  Sample
-points are enumerated independently per holder: distinct holders' length
-variables are disjoint, so the joint cell structure is the product of
-the per-holder ones and nothing is lost by combining witnesses.
+vertex), and each LP states each constraint once, as ``build_lp`` and
+``_holder_blocks`` explain.  Any produced assignment is re-verified.
+Sample points are enumerated per holder: holders' length variables are
+disjoint, so the joint cells are the product of the per-holder ones.
 
 One ``LPMemo`` per call answers an LP whose set of constraints was
 already decided: branches that differ only by swapping identical agents
-build the same rows in another order.  The same set has the same
-feasible points and so the same verdict.  A stored witness is re-checked
-against the new rows, and a stored certificate is mapped row by row and
-re-verified.
+build the same rows in another order, and the same set has the same
+verdict.  A stored witness is re-checked against the new rows, and a
+stored certificate is mapped row by row and re-verified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from math import factorial, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from efgc.cells import (
     endpoint_var,
@@ -85,9 +92,10 @@ class BranchGuess:
     """One node of the search tree.
 
     ``endpoint_agent`` maps (edge, end) to the agent holding that end,
-    ``n`` counts the agents placed fully inside each edge, and the
-    critical-agent maps plus the sample point pin down the constraints
-    of step 2.  ``a_v`` caches the set of endpoint holders.
+    ``n`` counts the agents placed fully inside each edge, and ``a_v``
+    caches the set of endpoint holders.  On the paper's route the
+    critical-agent maps plus the sample point pin down the envy rows; on
+    the explicit route ``placement`` maps every outsider to its edge.
     """
 
     endpoint_agent: Mapping[tuple[str, int], str]
@@ -96,6 +104,7 @@ class BranchGuess:
     pair_critical: Mapping[tuple[str, str], str] = field(default_factory=dict)
     vertex_critical: Mapping[tuple[str, str], str] = field(default_factory=dict)
     sample_point: Mapping[str, Fraction] = field(default_factory=dict)
+    placement: Mapping[str, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -115,24 +124,33 @@ class LengthSolution:
         )
 
 
+def _holder_links(instance: Instance, endpoint_agent) -> list[tuple[set[str], list[str]]]:
+    """Per holder whose ends sit at two or more vertices: those vertices,
+    and the edges whose two ends are both guessed for the holder."""
+    graph = instance.graph
+    ends: dict[str, set[str]] = {}
+    for (e, i), agent in endpoint_agent.items():
+        ends.setdefault(agent, set()).add(graph.coord_vertex(e, i))
+    return [
+        (vertices, [e for e in graph.edge_ids if endpoint_agent[e, 0] == a == endpoint_agent[e, 1]])
+        for a, vertices in ends.items() if len(vertices) > 1
+    ]
+
+
+def _linked(instance: Instance, links, n) -> bool:
+    """Can each holder of ``links`` link its vertices through the edges
+    it owns outright: its two-end edges with nobody inside?"""
+    for vertices, both in links:
+        root = instance.graph.roots([e for e in both if not n.get(e, 0)])
+        if len({root[v] for v in vertices}) > 1:
+            return False
+    return True
+
+
 def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
     """Each holder's guessed ends must be linkable through edges that the
     holder owns outright (both ends guessed for it, nobody inside)."""
-    graph = instance.graph
-    for agent, held in guessed_pieces(endpoint_agent).items():
-        if len(held) <= 1:
-            continue
-        owned = {
-            e
-            for e in graph.edge_ids
-            if n.get(e, 0) == 0
-            and endpoint_agent[(e, 0)] == agent
-            and endpoint_agent[(e, 1)] == agent
-        }
-        root = graph.roots(owned)
-        if len({root[graph.coord_vertex(e, i)] for e, i in held}) > 1:
-            return False
-    return True
+    return _linked(instance, _holder_links(instance, endpoint_agent), n)
 
 
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
@@ -165,8 +183,9 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
         owner = dict(zip(units, combo))
         ep = {slot: owner[key] for slot, key in zip(slots, keys)}
         a_v = frozenset(combo)
+        links = _holder_links(instance, ep)
         for n in counts_by_sum.get(len(agents) - len(a_v), ()):
-            if check_connected_guesses(instance, ep, n):
+            if _linked(instance, links, n):
                 yield BranchGuess(ep, a_v, n)
 
 
@@ -183,6 +202,31 @@ def _holder_order(instance: Instance, a_v: frozenset[str]) -> list[str]:
 
 def _hot_edges(instance: Instance, n) -> list[str]:
     return [e for e in instance.graph.edge_ids if n[e] > 0]
+
+
+def _explicit_is_no_larger(counts: Iterable[int], holders: int) -> bool:
+    """The route rule: are the branch's explicit placements, m!/prod n[e]!,
+    no more than the paper route's unpruned guess product,
+    max(1, m)^(h(h-1) + hH), for m outsiders and h hot edges?"""
+    hot = [k for k in counts if k]
+    m, h = sum(hot), len(hot)
+    return factorial(m) // prod(map(factorial, hot)) <= max(1, m) ** (h * (h - 1) + h * holders)
+
+
+def _placements(instance: Instance, outsiders: Sequence[str], left: dict) -> Iterator[dict]:
+    """Every map of ``outsiders`` to edges they value above 0 that puts
+    left[e] of them on edge e, in lexicographic order (agents in turn,
+    edges in the order of ``left``, which serves as scratch space)."""
+    if not outsiders:
+        yield {}
+        return
+    agent = outsiders[0]
+    for e, k in left.items():
+        if k and instance.util(agent, e) > 0:
+            left[e] = k - 1
+            for rest in _placements(instance, outsiders[1:], left):
+                yield {agent: e, **rest}
+            left[e] = k
 
 
 def _pin_map(guess_maps: Sequence[Mapping]) -> dict[str, str] | None:
@@ -265,20 +309,23 @@ def enumerate_vertex_critical(
 
 
 def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
-    """The length program of one fully guessed branch.
+    """The length program of one fully guessed branch, on either route
+    (``_explicit_is_no_larger`` picks one per initial branch).
 
     Variables per edge: the two endpoint lengths and, on an edge with
     agents inside (a hot edge), the shared inside length d_e.
     Constraints: non-negativity; per-edge tiling; mutual envy among
-    endpoint holders; holders against the inside pieces of hot edges;
-    the guessed pair-critical agents against their target edges; and,
-    for every agent whose envy ratio at the sample point does not exceed
-    the vertex-critical agent's, that agent against the holder.  On an
-    edge with nobody inside, d_e would appear only in d_e >= 0 and in
-    "holder >= u * d_e", all satisfied by d_e = 0 because holder values
-    are non-negative, so the variable and its rows are left out.  Each
-    row is built in canonical form in one pass: the terms it joins have
-    disjoint variables.
+    endpoint holders; holders against the inside pieces of hot edges.
+    Explicit route: each placed outsider against the other hot edges and
+    every holder, so every ordered agent pair has its envy row.  Paper's
+    route: the guessed pair-critical agents against their target edges
+    and, for every agent whose envy ratio at the sample point does not
+    exceed the vertex-critical agent's, that agent against the holder.
+    On an edge with nobody inside, d_e would appear only in d_e >= 0 and
+    in "holder >= u * d_e", all satisfied by d_e = 0 because holder
+    values are non-negative, so the variable and its rows are left out.
+    Each row is built in canonical form in one pass: the terms it joins
+    have disjoint variables.
     """
     graph = instance.graph
     edges = graph.edge_ids
@@ -317,6 +364,15 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
                 system.add(row(*own, *((v, -c) for v, c in value(a, b).coeffs)), GE)
         for e in hot:
             system.add(row(*own, (delta_var(e), -util(a, e))), GE)
+    if guess.placement is not None:
+        forms = []
+        for b, e in guess.placement.items():
+            mine = (delta_var(e), util(b, e))
+            forms += [row(mine, (delta_var(f), -util(b, f))) for f in hot if f != e]
+            forms += [row(mine, *((v, -c) for v, c in value(b, h).coeffs)) for h in holders]
+        for form in dict.fromkeys(forms):  # identical agents on one edge give equal rows
+            system.add(form, GE)
+        return system
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
         system.add(row((delta_var(e), util(agent, e)), (delta_var(f), -util(agent, f))), GE)
@@ -342,10 +398,9 @@ def extract_assignment(
     """Turn an LP solution into pieces.
 
     Holders receive their endpoint intervals; each edge's interior is
-    split into equal inside intervals; guessed critical agents are
-    pinned to the leftmost free interval of their edge.  Returns the
-    pinned part of the assignment and the remaining inside pieces in
-    edge order.
+    split into equal inside intervals; placed and guessed critical
+    agents are pinned to the leftmost free interval of their edge.
+    Returns the pinned part and the remaining inside pieces in edge order.
     """
     for table in (lengths.x0, lengths.delta, lengths.x1):
         for e, value in table.items():
@@ -377,7 +432,7 @@ def extract_assignment(
         if len(got) != guess.n[e] or any(ep.length != lengths.delta[e] for ep in got):
             raise InternalError(f"inside intervals on {e} do not match the lengths")
     partial = {a: Piece(bucket) for a, bucket in endpoint_bucket.items()}
-    pinned = _pin_map([guess.pair_critical, guess.vertex_critical])
+    pinned = guess.placement or _pin_map([guess.pair_critical, guess.vertex_critical])
     if pinned is None:
         raise InternalError("a critical agent is pinned to two edges")
     taken = {e: 0 for e in graph.edge_ids}
@@ -457,43 +512,48 @@ def _complete_with_matching(
     return Assignment(assignment)
 
 
+def _paper_guesses(instance: Instance, base: BranchGuess) -> Iterator[BranchGuess]:
+    """The paper's route: pair-critical guesses, sample points, vertex-critical guesses."""
+    samples = None
+    for pc in enumerate_pair_critical(instance, base):
+        if samples is None:
+            samples = list(_sample_points(instance, base))
+        for sample in samples:
+            for vc in enumerate_vertex_critical(instance, base, pc, sample):
+                yield replace(base, pair_critical=pc, vertex_critical=vc, sample_point=sample)
+
+
 def solve_few_edges(instance: Instance) -> Verdict:
     """Decide envy-free divisibility of an arbitrary connected graph.
 
-    Explores initial branches, pair-critical guesses, sample points and
-    vertex-critical guesses in a fixed order; the first branch whose LP
-    is feasible and whose leftover pieces admit a perfect compatibility
-    matching yields the witness.  The verdict is deterministic.
+    Explores the initial branches in a fixed order, each along the route
+    with fewer guesses; the first feasible placement, or paper's guess
+    whose leftover pieces admit a perfect compatibility matching, yields
+    the witness.  The verdict is deterministic.
     """
     inst = normalize(instance)
     edges = inst.graph.edge_ids
     memo = LPMemo()
     for base in enumerate_initial_branches(inst):
-        samples = None
-        for pc in enumerate_pair_critical(inst, base):
-            if samples is None:
-                samples = list(_sample_points(inst, base))
-            for sample in samples:
-                for vc in enumerate_vertex_critical(inst, base, pc, sample):
-                    guess = replace(
-                        base,
-                        pair_critical=pc,
-                        vertex_critical=vc,
-                        sample_point=sample,
-                    )
-                    result = memo.solve(build_lp(inst, guess), lp_feasible)
-                    if not isinstance(result, Feasible):
-                        continue
-                    lengths = LengthSolution.from_witness(edges, result.witness)
-                    partial, leftovers = extract_assignment(inst, guess, lengths)
-                    assignment = _complete_with_matching(
-                        inst, guess, partial, leftovers
-                    )
-                    if assignment is not None:
-                        report = verify_assignment(inst, assignment)
-                        if not report.valid:
-                            raise InternalError(
-                                f"witness failed verification: {report.failures}"
-                            )
-                        return Verdict(True, assignment)
+        if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
+            outsiders = [a for a in inst.agents if a not in base.a_v]
+            placements = _placements(inst, outsiders, dict(base.n))
+            guesses = (replace(base, placement=p) for p in placements)
+        else:
+            guesses = _paper_guesses(inst, base)
+        for guess in guesses:
+            result = memo.solve(build_lp(inst, guess), lp_feasible)
+            if not isinstance(result, Feasible):
+                continue
+            lengths = LengthSolution.from_witness(edges, result.witness)
+            partial, leftovers = extract_assignment(inst, guess, lengths)
+            if guess.placement is None:
+                assignment = _complete_with_matching(inst, guess, partial, leftovers)
+            else:  # everyone is placed, and the LP has every envy row
+                assignment = Assignment(partial)
+            if assignment is not None:
+                report = verify_assignment(inst, assignment)
+                if not report.valid:
+                    raise InternalError(f"witness failed verification: {report.failures}")
+                return Verdict(True, assignment)
     return Verdict(False, None)

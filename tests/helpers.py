@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
+import efgc.few_edges as few_edges
 from efgc.cells import endpoint_var
 from efgc.few_edges import BranchGuess, check_connected_guesses
 from efgc.generators import numpart_dp, solve_explicit_oracle
@@ -281,6 +282,34 @@ def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
                         inst = build_instance(vertices, edges, table, variant)
                         corpus.append((inst, solve_explicit_oracle(inst).yes))
     return tuple(corpus)
+
+
+def criterion_4_instances() -> list[Instance]:
+    """The random corpus of acceptance criterion 4: 100 graphs of 1 to 3
+    edges with 1 to 3 agents, either variant."""
+    rng = random.Random(604)
+    return [
+        random_graph_instance(rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(["gc", "vdgc"]))
+        for _ in range(100)
+    ]
+
+
+def force_paper_route(monkeypatch) -> list[BranchGuess]:
+    """Make ``solve_few_edges`` finish every initial branch along the
+    paper's route, by patching its private route rule, for the rest of
+    the test.  Returns a list that records each branch on which the
+    paper's route guesses pair-critical agents, so a test can assert
+    that the route really ran."""
+    opened: list[BranchGuess] = []
+    guess_pairs = few_edges.enumerate_pair_critical
+
+    def recording(instance, guess):
+        opened.append(guess)
+        return guess_pairs(instance, guess)
+
+    monkeypatch.setattr(few_edges, "_explicit_is_no_larger", lambda counts, holders: False)
+    monkeypatch.setattr(few_edges, "enumerate_pair_critical", recording)
+    return opened
 
 
 def _links_all(parts: set[str], links) -> bool:

@@ -37,10 +37,10 @@ from efgc.linprog import (
 )
 from efgc.model import normalize, verify_assignment
 from helpers import (
+    criterion_4_instances,
     dominant,
     numpart_family_solvable,
     random_cycle_instance,
-    random_graph_instance,
     random_path_instance,
     random_tree_instance,
     sign_conditions_reference,
@@ -157,13 +157,9 @@ def test_criterion_3_reduction_equivalence():
 
 
 def test_criterion_4_oracle_equivalence():
-    rng = random.Random(604)
     start = time.perf_counter()
     yes_count = 0
-    for i in range(100):
-        inst = random_graph_instance(
-            rng, rng.randint(1, 3), rng.randint(1, 3), rng.choice(["gc", "vdgc"])
-        )
+    for i, inst in enumerate(criterion_4_instances()):
         fe = _record(inst, solve_few_edges(inst))
         oracle = solve_explicit_oracle(inst)
         assert fe.yes == oracle.yes, f"instance {i}: few-edges {fe.yes}, oracle {oracle.yes}: {inst}"

@@ -1,6 +1,8 @@
 import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,7 +26,7 @@ from efgc.few_edges import (
     extract_assignment,
     solve_few_edges,
 )
-from efgc.generators import solve_explicit_oracle
+from efgc.generators import _explicit_lp, solve_explicit_oracle
 from efgc.linprog import (
     GE,
     Feasible,
@@ -38,7 +40,9 @@ from efgc.linprog import (
 from efgc.model import build_instance, normalize, verify_assignment
 from helpers import (
     GRAPH_SHAPES,
+    criterion_4_instances,
     cycle,
+    force_paper_route,
     holder_region_reference,
     identical_agents_corpus,
     initial_branches_reference,
@@ -47,6 +51,7 @@ from helpers import (
     random_graph_instance,
     random_path_instance,
     random_tree_instance,
+    random_utilities,
     single_edge,
     singleton_interval_lengths_agree,
     star3_identical,
@@ -145,7 +150,8 @@ def test_build_lp_no_inside_agents_has_no_delta_constraints():
 
 
 def _built_guesses(monkeypatch, instances):
-    """Every (instance, guess) pair that the search builds an LP for."""
+    """Every (instance, guess) pair that the search builds an LP for
+    along the paper's route, which is forced on every branch."""
     seen = []
     original = few_edges.build_lp
 
@@ -154,9 +160,11 @@ def _built_guesses(monkeypatch, instances):
         return original(inst, guess)
 
     with monkeypatch.context() as patch:
+        opened = force_paper_route(patch)
         patch.setattr(few_edges, "build_lp", recording)
         for inst in instances:
             solve_few_edges(inst)
+    assert opened and all(guess.placement is None for _, guess in seen)
     return seen
 
 
@@ -385,16 +393,23 @@ def _constraint_set(system):
     return frozenset((form.coeffs, form.const, rel) for form, rel in system.constraints)
 
 
-def test_tracer_sees_one_solve_per_distinct_lp():
+def _trace_star3_identical() -> list:
+    """Trace the search on star3_identical and check that the tracer sees
+    one LP solve per distinct constraint set built; return the guesses
+    the LPs were built for."""
     from perfbench.tracer import BOUNDARIES, Tracer
 
     # every name the benchmark's tracer wraps must still exist
     for module, attr, _, _ in BOUNDARIES:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
-    built, solved = [], []
+    guesses, built, solved = [], [], []
+
+    def record_build(span, args, result):
+        guesses.append(args[1])
+        built.append(_constraint_set(result))
+
     probes = (
-        ("efgc.few_edges", "build_lp", "probe.built",
-         lambda span, args, result: built.append(_constraint_set(result))),
+        ("efgc.few_edges", "build_lp", "probe.built", record_build),
         ("efgc.few_edges", "lp_feasible", "probe.solved",
          lambda span, args, result: solved.append(_constraint_set(args[0]))),
     )
@@ -403,3 +418,97 @@ def test_tracer_sees_one_solve_per_distinct_lp():
     lp_spans = [s for s in tracer.spans if s.kind == "linprog.lp_feasible@few_edges"]
     assert len(lp_spans) == len(solved) == len(set(built)) < len(built)
     assert set(solved) == set(built)
+    return guesses
+
+
+def test_tracer_sees_one_solve_per_distinct_lp(monkeypatch):
+    opened = force_paper_route(monkeypatch)
+    guesses = _trace_star3_identical()
+    assert opened and all(g.placement is None for g in guesses)  # the paper route's LPs
+
+
+def test_tracer_sees_one_solve_per_distinct_explicit_lp():
+    # identical agents placed the other way round build the same rows
+    guesses = _trace_star3_identical()
+    assert all(g.placement is not None for g in guesses)
+
+
+def test_paper_route_agrees_with_oracle_on_identical_agents(monkeypatch):
+    opened = force_paper_route(monkeypatch)
+    for inst, expected in identical_agents_corpus():
+        verdict = solve_few_edges(inst)
+        assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert opened
+
+
+def test_paper_route_agrees_with_oracle_on_random_graphs(monkeypatch):
+    opened = force_paper_route(monkeypatch)
+    for inst in criterion_4_instances():
+        verdict = solve_few_edges(inst)
+        assert verdict.yes == solve_explicit_oracle(inst).yes, inst
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert opened
+
+
+def test_route_rule_takes_the_smaller_count():
+    # 19!/(9! 10!) = 92,378 placements against 19^(2 + 2) = 130,321 guesses
+    assert few_edges._explicit_is_no_larger([9, 0, 10], 1)
+    # 20!/(10! 10!) = 184,756 placements against 20^4 = 160,000 guesses
+    assert not few_edges._explicit_is_no_larger([10, 0, 10], 1)
+    for holders in range(4):
+        assert few_edges._explicit_is_no_larger([0, 0], holders)  # no outsider
+        for m in range(1, 25):  # one hot edge: one placement
+            assert few_edges._explicit_is_no_larger([0, m], holders)
+
+
+def test_explicit_lp_matches_the_oracle_lp():
+    """On every branch that takes the explicit route, the placements are
+    the oracle's (each outsider on an edge it values, n[e] on edge e, in
+    the same order), and each placement's LP has the oracle LP's verdict.
+    Two edges with agents inside need four agents, so on the four-agent
+    triangles only those branches are checked."""
+    rng = random.Random(9090)
+    corpus = [
+        (random_graph_instance(rng, rng.randint(2, 3), rng.randint(2, 3), variant), 1)
+        for variant in ("gc", "vdgc") * 7
+    ]
+    triangle = GRAPH_SHAPES[3][2]
+    agents = [f"a{i}" for i in range(1, 5)]
+    for variant in ("gc", "vdgc") * 2:
+        table = random_utilities(rng, agents, ["e1", "e2", "e3"])
+        corpus.append((build_instance(*triangle, table, variant), 2))
+    verdicts = {Feasible: 0, Infeasible: 0}
+    for raw, min_hot in corpus:
+        inst = normalize(raw)
+        edges = inst.graph.edge_ids
+        live = [e for e in edges if any(inst.util(a, e) > 0 for a in inst.agents)]
+        for base in enumerate_initial_branches(inst):
+            if sum(1 for e in edges if base.n[e]) < min_hot:
+                continue
+            assert few_edges._explicit_is_no_larger(list(base.n.values()), len(base.a_v))
+            outsiders = [a for a in inst.agents if a not in base.a_v]
+            options = [[e for e in edges if inst.util(a, e) > 0] for a in outsiders]
+            want = [
+                dict(zip(outsiders, edge_of))
+                for edge_of in product(*options)
+                if all(edge_of.count(e) == base.n[e] for e in edges)
+            ]
+            got = list(few_edges._placements(inst, outsiders, dict(base.n)))
+            assert got == want
+            for placement in got:
+                ours = lp_feasible(build_lp(inst, replace(base, placement=placement)))
+                ep, n = dict(base.endpoint_agent), dict(base.n)
+                ref = lp_feasible(_explicit_lp(inst, ep, placement, n, live))
+                assert type(ours) is type(ref), (inst, base, placement)
+                verdicts[type(ours)] += 1
+    assert all(verdicts.values()), verdicts
+
+
+def test_path2_eight_identical_agents_is_yes():
+    inst = path(2, {f"a{i}": [1, 1] for i in range(1, 9)})
+    verdict = solve_few_edges(inst)
+    assert verdict.yes
+    assert verify_assignment(normalize(inst), verdict.assignment).valid
