@@ -7,12 +7,24 @@ agent's components with a minimal set of edges from F, branch over which
 cut edge hosts each agent that owns no component, and solve an exact LP
 for the share lengths on the remaining cut edges.
 
-The connectors are read off H, the agent's own edges plus F.  Unless H
-is the whole cycle it is a forest, which holds exactly one minimal
-connector: the cut edges whose removal from H splits the agent's
-vertices.  On the whole cycle a minimal connector leaves out some cut
-edge, so it is the connector of H opened there: F minus one gap between
-the agent's components, one choice per gap.
+A held set, the components one agent holds, decides that agent's
+options alone, so they are worked out once per cut set: its minimal
+connectors, the edges it then owns whole, and every agent's value of
+those edges.  The connectors are read off H, the agent's own edges plus
+F.  Unless H is the whole cycle it is a forest, which holds exactly one
+minimal connector: the cut edges whose removal from H splits the
+agent's vertices.  On the whole cycle a minimal connector leaves out
+some cut edge, so it is the connector of H opened there: F minus one
+gap between the agent's components, one choice per gap.
+
+Under vdgc no connector may pass through another agent's vertex, and a
+connector is kept exactly when both ends of each of its edges lie in
+its held components:
+
+- every vertex lies in exactly one component, and every component goes
+  to some agent;
+- so an end outside the held components is another holder's vertex,
+  and an end inside them is no other holder's.
 
 The wrappers try only the inclusion-maximal cut sets of one family,
 the unions of exactly min(k, n) of n item closures: for vertex-disjoint
@@ -28,12 +40,14 @@ most |A| edges.  Trying the maximal unions alone loses nothing:
 Each wrapper normalizes once and shares one ``LPMemo`` across all its
 cut sets: different cut sets and component assignments often lead to
 the same set of constraints, and the same set has the same verdict.  A
-hit is re-checked: its Farkas certificate is mapped row by row and
-re-verified.
+hit is re-checked: a feasible one checks its stored witness, an
+infeasible one maps its Farkas certificate row by row and re-verifies
+it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Container, Iterable, Sequence
@@ -200,6 +214,13 @@ def solve_with_cut_set(
     A yes verdict ships a verified assignment; no means no assignment
     within this restricted scope exists.  ``memo`` holds the LPs decided
     so far for the same normalized instance, e.g. under other cut sets.
+
+    Each held set's options are worked out once per cut set, on first
+    use: each minimal connector, the edges then owned whole and every
+    agent's value of them.  Under vdgc a connector is kept only if both
+    ends of each of its edges lie in the held components, since every
+    vertex lies in one component and every component has a holder: an
+    end outside is another holder's vertex, an end inside is no other's.
     """
     inst = normalize(instance)
     if memo is None:
@@ -213,96 +234,52 @@ def solve_with_cut_set(
     if unknown:
         raise UnknownEdgeError(unknown[0])
     comps = components_without(graph, cut)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp.vertices}
+    # the components at the two ends of each cut edge
+    end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
     vdgc = inst.variant is Variant.VDGC
-    # the connector choices depend only on the components held
-    connector_memo: dict[tuple[int, ...], list[frozenset[str]]] = {}
-    # every agent's value of a holder's whole edges depends only on the
-    # components held and the connector; a floater owns no edge whole
-    value_memo: dict[tuple[tuple[int, ...], frozenset[str]], dict[str, Fraction]] = {}
+
+    @cache
+    def options_of(held: tuple[int, ...]) -> list[tuple]:
+        """(connector, edges owned whole, each agent's value of them)."""
+        own_edges = [e for k in held for e in comps[k].edges]
+        own_vertices = frozenset().union(*(comps[k].vertices for k in held))
+        found = []
+        for connector in _connector_choices(graph, cut, own_edges, own_vertices):
+            if vdgc and not all(k in held for e in connector for k in end_comps[e]):
+                continue
+            owned = tuple(sorted(own_edges + list(connector), key=position.get))
+            values = {a: sum((inst.util(a, g) for g in owned), ZERO) for a in inst.agents}
+            found.append((connector, owned, values))
+        return found
+
     zeros = dict.fromkeys(inst.agents, ZERO)
     for comp_assign in product(inst.agents, repeat=len(comps)):
         held: dict[str, list[int]] = {}
         for k, agent in enumerate(comp_assign):
             held.setdefault(agent, []).append(k)
         holders = [a for a in inst.agents if a in held]
-        own_edges = {a: [e for k in held[a] for e in comps[k].edges] for a in holders}
-        own_vertices = {
-            a: frozenset().union(*(comps[k].vertices for k in held[a])) for a in holders
-        }
-        choice_lists = []
-        for agent in holders:
-            key = tuple(held[agent])
-            if key not in connector_memo:
-                connector_memo[key] = _connector_choices(
-                    graph, cut, own_edges[agent], own_vertices[agent]
-                )
-            if not connector_memo[key]:
-                break
-            choice_lists.append(connector_memo[key])
-        if len(choice_lists) < len(holders):
-            continue
-        comp_of_vertex = {
-            v: agent for comp, agent in zip(comps, comp_assign) for v in comp.vertices
-        }
         floaters = [a for a in inst.agents if a not in held]
-        for connector_combo in product(*choice_lists):
-            used = frozenset().union(*connector_combo)
-            if len(used) < sum(map(len, connector_combo)):
+        for combo in product(*(options_of(tuple(held[a])) for a in holders)):
+            connectors, owned, values = zip(*combo)
+            used = frozenset().union(*connectors)
+            if len(used) < sum(map(len, connectors)):
                 continue  # two holders want the same connector edge
-            connectors = dict(zip(holders, connector_combo))
-            owned_edges = {
-                agent: sorted(own_edges[agent] + list(connectors[agent]), key=position.get)
-                for agent in holders
-            }
-            if vdgc:
-                spans = {
-                    agent: own_vertices[agent].union(
-                        *(graph.endpoints(e) for e in connectors[agent])
-                    )
-                    for agent in holders
-                }
-                if any(
-                    spans[a] & spans[b]
-                    for i, a in enumerate(holders)
-                    for b in holders[i + 1 :]
-                ):
-                    continue
             f_prime = sorted(cut - used, key=position.get)
-            if floaters and not f_prime:
-                continue
-            end_owners = {
-                e: tuple(comp_of_vertex[graph.coord_vertex(e, end)] for end in (0, 1))
-                for e in f_prime
-            }
-            whole_value = dict.fromkeys(floaters, zeros)
-            for b in holders:
-                key = (tuple(held[b]), connectors[b])
-                if key not in value_memo:
-                    value_memo[key] = {
-                        a: sum((inst.util(a, g) for g in owned_edges[b]), ZERO)
-                        for a in inst.agents
-                    }
-                whole_value[b] = value_memo[key]
+            end_owners = {e: tuple(comp_assign[k] for k in end_comps[e]) for e in f_prime}
+            whole_value = dict.fromkeys(floaters, zeros) | dict(zip(holders, values))
             # an agent placed inside an edge it values at zero must envy
-            options = [
-                [e for e in f_prime if inst.util(a, e) > 0] for a in floaters
-            ]
+            options = [[e for e in f_prime if inst.util(a, e) > 0] for a in floaters]
             for placement in product(*options):
                 insiders: dict[str, list[str]] = {}
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
-                system = _build_cut_lp(
-                    inst, f_prime, end_owners, insiders, whole_value
-                )
+                system = _build_cut_lp(inst, f_prime, end_owners, insiders, whole_value)
                 result = memo.solve(system, lp_feasible)
                 if isinstance(result, Feasible):
+                    owned_edges = dict(zip(holders, owned))
                     assignment = _extract_cut_assignment(
-                        inst,
-                        f_prime,
-                        end_owners,
-                        insiders,
-                        owned_edges,
-                        result.witness,
+                        inst, f_prime, end_owners, insiders, owned_edges, result.witness
                     )
                     report = verify_assignment(inst, assignment)
                     if not report.valid:

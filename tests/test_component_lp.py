@@ -157,6 +157,23 @@ def test_tree_vdgc_agrees_with_oracle():
     for _ in range(15):
         inst = random_tree_instance(rng, rng.randint(1, 4), rng.randint(1, 3), "vdgc")
         assert solve_tree_vdgc(inst).yes == solve_explicit_oracle(inst).yes
+    # four agents: some cut sets give a holder a connector through the
+    # centre, another agent's vertex, which vdgc must not take
+    F = Fraction
+    inst = star(
+        4,
+        {
+            "a1": [F(5, 3), 0, F(3, 2), 2],
+            "a2": [F(1, 2), 2, 5, 1],
+            "a3": [F(3, 2), F(3, 2), 3, F(4, 3)],
+            "a4": [0, F(1, 3), 2, F(3, 4)],
+        },
+        "vdgc",
+    )
+    verdict = solve_tree_vdgc(inst)
+    assert verdict.yes
+    assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert solve_explicit_oracle(inst).yes
 
 
 def test_tree_gc_agrees_with_oracle():
