@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Container, Iterable, Sequence
 
-from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, LPMemo, lp_feasible
+from efgc.linprog import EQ, GE, Feasible, LinearSystem, LPMemo, lp_feasible
 from efgc.model import (
     Assignment,
     EdgePiece,
@@ -70,7 +70,6 @@ from efgc.model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NotTreeError(EfgcError):
@@ -151,10 +150,10 @@ def _build_cut_lp(
     f_prime: Sequence[str],
     end_owners: dict[str, tuple[str, str]],
     insiders: dict[str, list[str]],
-    whole_value: dict[str, dict[str, Fraction]],
+    whole_value: dict[str, dict[str, int]],
 ) -> LinearSystem:
-    """The share LP of one placement; ``whole_value[b][a]`` is a's value
-    of the edges b owns whole."""
+    """The share LP of one placement; ``whole_value[b][a]`` is a's int
+    value (``Instance.int_utilities``) of the edges b owns whole."""
     system = LinearSystem()
     # the share variables each agent may hold, as (variable, edge)
     shares: dict[str, list[tuple[str, str]]] = {a: [] for a in instance.agents}
@@ -163,22 +162,19 @@ def _build_cut_lp(
         for agent in names:
             var = _cut_var(e, agent)
             shares[agent].append((var, e))
-            system.declare(var)
-            system.add(LinearForm(((var, ONE),), ZERO), GE)
-        system.add(
-            LinearForm(tuple(sorted((_cut_var(e, a), ONE) for a in names)), -ONE), EQ
-        )
+            system.add_row(((var, 1),), 0, 1, GE)
+        system.add_row(tuple(sorted((_cut_var(e, a), 1) for a in names)), -1, 1, EQ)
 
-    # each envy row u_a(own share) - u_a(b's share) >= 0 is built in its
-    # canonical form: the two shares have disjoint variables
-    util = instance.util
+    # each envy row u_a(own share) - u_a(b's share) >= 0 is built from a's int
+    # utilities in canonical form: the two shares have disjoint variables
+    ints, dens = instance.int_utilities
     for a in instance.agents:
-        mine = [(var, util(a, e)) for var, e in shares[a] if util(a, e)]
+        mine = [(var, ints[a, e]) for var, e in shares[a] if ints[a, e]]
         for b in instance.agents:
             if a != b:
-                terms = mine + [(var, -util(a, e)) for var, e in shares[b] if util(a, e)]
+                terms = mine + [(var, -ints[a, e]) for var, e in shares[b] if ints[a, e]]
                 terms.sort()
-                system.add(LinearForm(tuple(terms), whole_value[a][a] - whole_value[b][a]), GE)
+                system.add_row(tuple(terms), whole_value[a][a] - whole_value[b][a], dens[a], GE)
     return system
 
 
@@ -217,7 +213,7 @@ def solve_with_cut_set(
 
     Each held set's options are worked out once per cut set, on first
     use: each minimal connector, the edges then owned whole and every
-    agent's value of them.  Under vdgc a connector is kept only if both
+    agent's int value of them.  Under vdgc a connector is kept only if both
     ends of each of its edges lie in the held components, since every
     vertex lies in one component and every component has a holder: an
     end outside is another holder's vertex, an end inside is no other's.
@@ -238,22 +234,26 @@ def solve_with_cut_set(
     # the components at the two ends of each cut edge
     end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
     vdgc = inst.variant is Variant.VDGC
+    ints = inst.int_utilities[0]
+    # each agent's int value of each component's edges
+    comp_value = [{a: sum(ints[a, g] for g in comp.edges) for a in inst.agents} for comp in comps]
 
     @cache
     def options_of(held: tuple[int, ...]) -> list[tuple]:
-        """(connector, edges owned whole, each agent's value of them)."""
+        """(connector, edges owned whole, each agent's int value of them)."""
         own_edges = [e for k in held for e in comps[k].edges]
         own_vertices = frozenset().union(*(comps[k].vertices for k in held))
+        held_value = {a: sum(comp_value[k][a] for k in held) for a in inst.agents}
         found = []
         for connector in _connector_choices(graph, cut, own_edges, own_vertices):
             if vdgc and not all(k in held for e in connector for k in end_comps[e]):
                 continue
             owned = tuple(sorted(own_edges + list(connector), key=position.get))
-            values = {a: sum((inst.util(a, g) for g in owned), ZERO) for a in inst.agents}
+            values = {a: v + sum(ints[a, e] for e in connector) for a, v in held_value.items()}
             found.append((connector, owned, values))
         return found
 
-    zeros = dict.fromkeys(inst.agents, ZERO)
+    zeros = dict.fromkeys(inst.agents, 0)
     for comp_assign in product(inst.agents, repeat=len(comps)):
         held: dict[str, list[int]] = {}
         for k, agent in enumerate(comp_assign):
@@ -269,7 +269,7 @@ def solve_with_cut_set(
             end_owners = {e: tuple(comp_assign[k] for k in end_comps[e]) for e in f_prime}
             whole_value = dict.fromkeys(floaters, zeros) | dict(zip(holders, values))
             # an agent placed inside an edge it values at zero must envy
-            options = [[e for e in f_prime if inst.util(a, e) > 0] for a in floaters]
+            options = [[e for e in f_prime if ints[a, e] > 0] for a in floaters]
             for placement in product(*options):
                 insiders: dict[str, list[str]] = {}
                 for agent, e in zip(floaters, placement):

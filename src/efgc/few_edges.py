@@ -55,7 +55,6 @@ from efgc.linprog import (
     EQ,
     GE,
     Feasible,
-    LinearForm,
     LinearSystem,
     LPMemo,
     lp_feasible,
@@ -76,7 +75,6 @@ from efgc.model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InconsistentLengthsError(EfgcError):
@@ -324,71 +322,68 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     On an edge with nobody inside, d_e would appear only in d_e >= 0 and
     in "holder >= u * d_e", all satisfied by d_e = 0 because holder
     values are non-negative, so the variable and its rows are left out.
-    Each row is built in canonical form in one pass: the terms it joins
-    have disjoint variables.
+    Each row is built from the valuer's ``Instance.int_utilities``, in
+    canonical form in one pass: the terms it joins have disjoint variables.
     """
     graph = instance.graph
     edges = graph.edge_ids
-    util = instance.util
+    ints, dens = instance.int_utilities
     hot = _hot_edges(instance, guess.n)
-    system = LinearSystem()
-    for e in edges:
-        system.declare(endpoint_var(e, 0))
-        if guess.n[e]:
-            system.declare(delta_var(e))
-        system.declare(endpoint_var(e, 1))
+    system = LinearSystem()  # the bound rows declare the variables, edge by edge
     pieces = guessed_pieces(guess.endpoint_agent)
     holders = _holder_order(instance, guess.a_v)
-    values: dict[tuple[str, str], LinearForm] = {}
+    values: dict[tuple[str, str], list[tuple[str, int]]] = {}
 
-    def value(valuer: str, holder: str) -> LinearForm:
+    def value(valuer: str, holder: str) -> list[tuple[str, int]]:
         if (valuer, holder) not in values:
-            values[valuer, holder] = holdings_value_form(instance, valuer, pieces[holder])
+            values[valuer, holder] = sorted(
+                (endpoint_var(e, i), c) for e, i in pieces[holder] if (c := ints[valuer, e])
+            )
         return values[valuer, holder]
 
-    def row(*terms: tuple[str, Fraction]) -> LinearForm:
-        return LinearForm(tuple(sorted(t for t in terms if t[1])), ZERO)
+    def at_sample(valuer: str, holder: str) -> Fraction:  # valuer's value times dens[valuer]
+        return sum((c * guess.sample_point.get(v, ZERO) for v, c in value(valuer, holder)), ZERO)
+
+    def envy(valuer: str, *terms: tuple[str, int]):
+        system.add_row(tuple(sorted(t for t in terms if t[1])), 0, dens[valuer], GE)
 
     for e in edges:
         x0, d, x1 = endpoint_var(e, 0), delta_var(e), endpoint_var(e, 1)
         for var in (x0, d, x1) if guess.n[e] else (x0, x1):
-            system.add(LinearForm(((var, ONE),), ZERO), GE)
-        tiling = ((x0, ONE), (x1, ONE))
+            system.add_row(((var, 1),), 0, 1, GE)
+        tiling = ((x0, 1), (x1, 1))
         if guess.n[e]:
-            tiling = ((d, Fraction(guess.n[e])),) + tiling
-        system.add(LinearForm(tiling, -ONE), EQ)
+            tiling = ((d, guess.n[e]),) + tiling
+        system.add_row(tiling, -1, 1, EQ)
     for a in holders:
-        own = value(a, a).coeffs
+        own = value(a, a)
         for b in holders:
             if a != b:
-                system.add(row(*own, *((v, -c) for v, c in value(a, b).coeffs)), GE)
+                envy(a, *own, *((v, -c) for v, c in value(a, b)))
         for e in hot:
-            system.add(row(*own, (delta_var(e), -util(a, e))), GE)
+            envy(a, *own, (delta_var(e), -ints[a, e]))
     if guess.placement is not None:
-        forms = []
+        start = len(system.rows)
         for b, e in guess.placement.items():
-            mine = (delta_var(e), util(b, e))
-            forms += [row(mine, (delta_var(f), -util(b, f))) for f in hot if f != e]
-            forms += [row(mine, *((v, -c) for v, c in value(b, h).coeffs)) for h in holders]
-        for form in dict.fromkeys(forms):  # identical agents on one edge give equal rows
-            system.add(form, GE)
+            mine = (delta_var(e), ints[b, e])
+            others = [[(delta_var(f), -ints[b, f])] for f in hot if f != e]
+            for terms in others + [[(v, -c) for v, c in value(b, h)] for h in holders]:
+                envy(b, mine, *terms)
+        # identical agents on one edge give equal rows: keep the first of each
+        system.rows[start:] = list(dict.fromkeys(system.rows[start:]))
         return system
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
-        system.add(row((delta_var(e), util(agent, e)), (delta_var(f), -util(agent, f))), GE)
+        envy(agent, (delta_var(e), ints[agent, e]), (delta_var(f), -ints[agent, f]))
     outsiders = [a for a in instance.agents if a not in guess.a_v]
     for e in hot:
         for holder in holders:
             alpha = guess.vertex_critical[(e, holder)]
-            s_alpha = value(alpha, holder).evaluate(guess.sample_point)
-            u_alpha = util(alpha, e)
+            s_alpha = at_sample(alpha, holder)
             for b in outsiders:
-                held = value(b, holder)
-                if util(b, e) * s_alpha >= u_alpha * held.evaluate(guess.sample_point):
-                    system.add(
-                        row((delta_var(e), util(b, e)), *((v, -c) for v, c in held.coeffs)),
-                        GE,
-                    )
+                # u_b(e) * s_alpha >= u_alpha(e) * s_b, both sides times dens[b] * dens[alpha]
+                if ints[b, e] * s_alpha >= ints[alpha, e] * at_sample(b, holder):
+                    envy(b, (delta_var(e), ints[b, e]), *((v, -c) for v, c in value(b, holder)))
     return system
 
 
@@ -466,10 +461,10 @@ def _holder_blocks(instance: Instance, guess: BranchGuess):
         held = pieces[holder]  # sorted by edge, then end
         region = LinearSystem()
         for e, i in held:
-            region.add(LinearForm(((endpoint_var(e, i), ONE),), ZERO), GE)
+            region.add_row(((endpoint_var(e, i), 1),), 0, 1, GE)
         for e in dict.fromkeys(e for e, _ in held):
-            ends = tuple((endpoint_var(f, i), -ONE) for f, i in held if f == e)
-            region.add(LinearForm(ends, ONE), GE)
+            ends = tuple((endpoint_var(f, i), -1) for f, i in held if f == e)
+            region.add_row(ends, 1, 1, GE)
         blocks.append((ordering_forms(instance, held, hot), region))
     return blocks
 

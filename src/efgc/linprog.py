@@ -1,10 +1,11 @@
 """Exact rational linear feasibility and optimization.
 
 A small dense simplex: two phases, Bland's anti-cycling pivot rule.
-Forms, witnesses and certificates are ``fractions.Fraction``; the
-tableau in between is fraction-free (Bareiss 1968, Edmonds 1967), so
-the pivot loop does int arithmetic and one gcd per changed row, not a
-gcd per operation as ``Fraction`` does, and makes the same pivots.
+A constraint is stored as ints over one positive denominator, in lowest
+terms: the tableau row as it stands.  Witnesses and certificates are
+``fractions.Fraction``; the tableau in between is fraction-free
+(Bareiss 1968, Edmonds 1967), so the pivot loop does int arithmetic and
+one gcd per changed row, and makes the same pivots as a ``Fraction`` one.
 
 A variable bounded by a row ``c*x >= 0`` gets one sign-restricted
 column and the row leaves the tableau; only free variables are split
@@ -65,10 +66,6 @@ class LinearForm:
     def constant(value) -> "LinearForm":
         return LinearForm.make({}, value)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coeffs)
-
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         return sum((c * point.get(v, ZERO) for v, c in self.coeffs), self.const)
 
@@ -97,8 +94,24 @@ class LinearForm:
         return not self.coeffs and self.const == 0
 
 
+class _Forms(Sequence):
+    """A system's rows as (LinearForm, relation) pairs, each built on access."""
+
+    def __init__(self, rows: list[tuple]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> tuple[LinearForm, str]:
+        terms, const, den, rel = self._rows[i]
+        return LinearForm(tuple((v, Fraction(c, den)) for v, c in terms), Fraction(const, den)), rel
+
+
 class LinearSystem:
-    """Constraints ``form = 0``, ``form >= 0`` or ``form > 0``.
+    """Constraints ``row = 0``, ``row >= 0`` or ``row > 0``, kept in ``rows``
+    as (terms, const, den, relation) for (sum c*v + const) / den, in lowest
+    terms with den > 0; ``constraints`` shows them as ``LinearForm``s.
 
     Variables referenced by any constraint are declared automatically in
     first-appearance order; the declaration order fixes the simplex
@@ -108,9 +121,13 @@ class LinearSystem:
     def __init__(self, variables: Iterable[str] = ()):
         self.variables: list[str] = []
         self._known: set[str] = set()
-        self.constraints: list[tuple[LinearForm, str]] = []
+        self.rows: list[tuple] = []
         for v in variables:
             self.declare(v)
+
+    @property
+    def constraints(self) -> _Forms:
+        return _Forms(self.rows)
 
     def declare(self, var: str):
         if var not in self._known:
@@ -120,26 +137,37 @@ class LinearSystem:
     def add(self, form: LinearForm, rel: str):
         if rel not in _RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        for v in form.variables:
+        den = lcm(form.const.denominator, *(c.denominator for _, c in form.coeffs))
+        terms = tuple((v, c.numerator * (den // c.denominator)) for v, c in form.coeffs)
+        self.add_row(terms, form.const.numerator * (den // form.const.denominator), den, rel)
+
+    def add_row(self, terms: tuple[tuple[str, int], ...], const: int, den: int, rel: str):
+        """Add (sum c*v + const) / den for ``terms`` sorted by variable with
+        no zero coefficient and den > 0, reduced to lowest terms."""
+        g = gcd(den, const, *(c for _, c in terms)) if den > 1 else 1
+        if g > 1:
+            terms, const, den = tuple((v, c // g) for v, c in terms), const // g, den // g
+        for v, _ in terms:
             self.declare(v)
-        self.constraints.append((form, rel))
+        self.rows.append((terms, const, den, rel))
 
     def copy(self) -> "LinearSystem":
         dup = LinearSystem(self.variables)
-        dup.constraints = list(self.constraints)
+        dup.rows = list(self.rows)
         return dup
 
     def has_strict(self) -> bool:
-        return any(rel == GT for _, rel in self.constraints)
+        return any(row[3] == GT for row in self.rows)
 
     def check(self, witness: Mapping[str, Fraction]) -> bool:
-        for form, rel in self.constraints:
-            value = form.evaluate(witness)
-            if rel == EQ and value != 0:
-                return False
-            if rel == GE and value < 0:
-                return False
-            if rel == GT and value <= 0:
+        """Evaluate every row in ints over the witness's common denominator."""
+        scale = lcm(*(x.denominator for x in witness.values()))
+        point = {v: x.numerator * (scale // x.denominator) for v, x in witness.items()}
+        for terms, const, _, rel in self.rows:
+            value = const * scale
+            for v, c in terms:
+                value += c * point.get(v, 0)
+            if value < 0 or (rel == EQ and value) or (rel == GT and not value):
                 return False
         return True
 
@@ -152,21 +180,23 @@ class FarkasCertificate:
 
 
 def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> bool:
-    """Recombine the constraints exactly and confirm 0 >= positive."""
-    if len(cert.multipliers) != len(system.constraints):
+    """Recombine the constraints exactly and confirm 0 >= positive: the
+    int data of row i weighs mult_i / den_i, over one common denominator."""
+    if len(cert.multipliers) != len(system.rows) or system.has_strict():
         return False
-    combo: dict[str, Fraction] = {}
-    const = ZERO
-    for mult, (form, rel) in zip(cert.multipliers, system.constraints):
-        mult = as_rational(mult)
-        if rel == GT or (rel == GE and mult.numerator < 0):
-            return False
-        if mult.numerator:
-            for v, c in form.coeffs:
-                combo[v] = combo.get(v, ZERO) + mult * c
-            if form.const:
-                const += mult * form.const
-    return const.numerator < 0 and not any(combo.values())
+    pairs = [(as_rational(m), row) for m, row in zip(cert.multipliers, system.rows)]
+    if any(m.numerator < 0 for m, row in pairs if row[3] == GE):
+        return False
+    used = [(m, row) for m, row in pairs if m]
+    scale = lcm(*(m.denominator * row[2] for m, row in used))
+    combo: dict[str, int] = {}
+    total = 0
+    for m, (terms, const, den, _) in used:
+        k = m.numerator * (scale // (m.denominator * den))
+        for v, c in terms:
+            combo[v] = combo.get(v, 0) + k * c
+        total += k * const
+    return total < 0 and not any(combo.values())
 
 
 @dataclass(frozen=True)
@@ -290,8 +320,8 @@ def _prepare(system: LinearSystem):
     bound: it leaves the tableau and x keeps one column.  Repeated
     bounds on x leave as well.  Only variables without a bound are free
     and split as x = p - q.  Each kept row is negated where its rhs
-    would be negative, and scaled to ints by the lcm of its
-    denominators, which is then its artificial (basic) entry.  Returns
+    would be negative; its int data is the tableau row, and its
+    denominator is its artificial (basic) entry.  Returns
     the tableau, the sign flip and source constraint of each tableau
     row, the bound row of each restricted column and the q column of
     each free one.
@@ -300,33 +330,31 @@ def _prepare(system: LinearSystem):
     col = {v: j for j, v in enumerate(variables)}
     bound: dict[int, int] = {}
     kept: list[int] = []
-    for i, (form, rel) in enumerate(system.constraints):
-        if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
-            bound.setdefault(col[form.coeffs[0][0]], i)
+    for i, (terms, const, _, rel) in enumerate(system.rows):
+        if rel == GE and not const and len(terms) == 1 and terms[0][1] > 0:
+            bound.setdefault(col[terms[0][0]], i)
         else:
             kept.append(i)
     free = [j for j in range(len(variables)) if j not in bound]
     neg = {j: len(variables) + k for k, j in enumerate(free)}
     slack = len(variables) + len(free)
-    n_real = slack + sum(system.constraints[i][1] == GE for i in kept)
+    n_real = slack + sum(system.rows[i][3] == GE for i in kept)
     n_cols = n_real + len(kept)
     rows, flips = [], []
     for k, i in enumerate(kept):
-        form, rel = system.constraints[i]
-        const = form.const
+        terms, const, den, rel = system.rows[i]
         flip = -1 if const > 0 else 1
-        scale = lcm(const.denominator, *(c.denominator for _, c in form.coeffs))
         row = [0] * (n_cols + 1)
-        for v, c in form.coeffs:
+        for v, c in terms:
             j = col[v]
-            row[j] = a = flip * c.numerator * (scale // c.denominator)
+            row[j] = a = flip * c
             if j in neg:
                 row[neg[j]] = -a
         if rel == GE:
-            row[slack] = -flip * scale
+            row[slack] = -flip * den
             slack += 1
-        row[n_real + k] = scale
-        row[n_cols] = -flip * const.numerator * (scale // const.denominator)
+        row[n_real + k] = den
+        row[n_cols] = -flip * const
         rows.append(row)
         flips.append(flip)
     return _Tableau(rows, n_real), flips, kept, bound, neg
@@ -343,11 +371,12 @@ def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound)
     which cancels what is left on x.  Repeated bounds get zero.
     """
     obj, den = tab.obj, tab.den
-    mults = [ZERO] * len(system.constraints)
+    mults = [ZERO] * len(system.rows)
     for k, i in enumerate(kept):
         mults[i] = Fraction((obj[tab.n_real + k] + den) * flips[k], den)
     for j, i in bound.items():
-        mults[i] = Fraction(-obj[j], den) / system.constraints[i][0].coeffs[0][1]
+        ((_, c),), _, row_den, _ = system.rows[i]  # the bound row is c*x/row_den
+        mults[i] = Fraction(-obj[j] * row_den, den * c)
     cert = FarkasCertificate(tuple(mults))
     if not verify_certificate(system, cert):
         raise InternalError("Farkas certificate failed re-verification")
@@ -428,8 +457,8 @@ class LPMemo:
     holds for any system with that set, and a Farkas certificate maps
     over row by row (copies of a row sum onto its first occurrence).
     Every hit is re-checked: the witness by ``check``, the mapped
-    certificate by ``verify_certificate``.  Rows are numbered when first
-    seen, so a lookup hashes each row's rationals once.
+    certificate by ``verify_certificate``.  Rows are numbered by their
+    int tuples when first seen: equal rational rows are equal tuples.
     """
 
     def __init__(self):
@@ -440,10 +469,7 @@ class LPMemo:
         """The memoized verdict on ``system``, else ``solver(system)``;
         ``solver`` returns a certificate with every Infeasible."""
         number = self._ids.setdefault
-        rows = [
-            number((form.coeffs, form.const, rel), len(self._ids))
-            for form, rel in system.constraints
-        ]
+        rows = [number(row, len(self._ids)) for row in system.rows]
         key = frozenset(rows)
         hit = self._seen.get(key)
         if hit is None:
@@ -482,14 +508,12 @@ def strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
     if _SLACK in system.variables:
         raise ValueError(f"variable name {_SLACK} is reserved")
     relaxed = LinearSystem(system.variables)
-    t = LinearForm.var(_SLACK)
-    for form, rel in system.constraints:
-        if rel == GT:
-            relaxed.add(form - t, GE)
-        else:
-            relaxed.add(form, rel)
-    relaxed.add(LinearForm.constant(1) - t, GE)  # cap keeps the LP bounded
-    result = lp_max(relaxed, t)
+    for terms, const, den, rel in system.rows:
+        if rel == GT:  # (R - den*t) / den is f - t
+            terms, rel = tuple(sorted(terms + ((_SLACK, -den),))), GE
+        relaxed.add_row(terms, const, den, rel)
+    relaxed.add_row(((_SLACK, -1),), 1, 1, GE)  # cap keeps the LP bounded
+    result = lp_max(relaxed, LinearForm.var(_SLACK))
     if isinstance(result, Infeasible):
         return Infeasible(None)
     if not isinstance(result, Optimal):

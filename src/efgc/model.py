@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -190,6 +191,16 @@ class Instance:
     def is_normalized(self) -> bool:
         """Every agent's utilities sum to one; worked out once per instance."""
         return all(self.total_utility(a) == 1 for a in self.agents)
+
+    @cached_property
+    def int_utilities(self) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+        """(u * den by (agent, edge), den by agent): each agent's utilities
+        as ints over the lcm of their denominators; worked out once."""
+        ints, dens = {}, {}
+        for a in self.agents:
+            dens[a] = den = lcm(*(self.util(a, e).denominator for e in self.graph.edge_ids))
+            ints.update(((a, e), int(self.util(a, e) * den)) for e in self.graph.edge_ids)
+        return ints, dens
 
 
 def build_instance(
