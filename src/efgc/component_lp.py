@@ -108,10 +108,27 @@ def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     return comps
 
 
-def _splits(graph: Graph, edges: Container[str], required: frozenset[str]) -> bool:
-    """Do these edges leave the required vertices in more than one part?"""
-    root = graph.roots(edges)
-    return len({root[v] for v in required}) > 1
+def _steiner(graph: Graph, forest: Container[str], required: frozenset[str]) -> set[str] | None:
+    """The edges of ``forest`` on paths between required vertices, or None
+    if it leaves them apart: prune the leaves that are not required, and
+    what is left is one tree iff it has one vertex more than edges."""
+    ends: dict[str, frozenset[str]] = {}
+    incident: dict[str, set[str]] = {}
+    for e, u, v in graph.edges:
+        if e in forest:
+            ends[e] = frozenset((u, v))
+            incident.setdefault(u, set()).add(e)
+            incident.setdefault(v, set()).add(e)
+    leaves = [v for v, es in incident.items() if len(es) == 1 and v not in required]
+    while leaves:
+        v = leaves.pop()
+        for e in incident.pop(v):  # the leaf's last edge, unless pruned from its other end
+            (w,) = ends[e] - {v}
+            incident[w].discard(e)
+            if len(incident[w]) == 1 and w not in required:
+                leaves.append(w)
+    kept = set().union(*incident.values())
+    return kept if len(required.union(incident)) == len(kept) + 1 else None
 
 
 def _connector_choices(
@@ -122,22 +139,18 @@ def _connector_choices(
 
     Let H be the own edges plus the cut.  Unless H is the whole cycle it
     is a forest, and in a forest the minimal connector is unique: the cut
-    edges whose removal from H splits the required vertices (none exists
-    if H splits them).  On the whole cycle a minimal connector leaves out
-    some cut edge (with all of them, one could be dropped), so it is the
-    connector of H opened at that edge; opening in each gap between the
-    agent's parts gives the cut minus that gap.
+    edges on the paths between the required vertices (none exists if H
+    leaves them apart).  On the whole cycle a minimal connector leaves
+    out some cut edge (with all of them, one could be dropped), so it is
+    the connector of H opened at that edge; opening in each gap between
+    the agent's parts gives the cut minus that gap.  With no cut edge to
+    open, the own edges are the whole cycle and link everything.
     """
-    if not _splits(graph, frozenset(own_edges), required):
-        return [frozenset()]
     h = cut.union(own_edges)
     # H is the whole cycle iff it has as many edges as vertices
     forests = [h - {e} for e in cut] if len(h) == len(graph.vertices) else [h]
-    choices = {
-        frozenset(e for e in cut & forest if _splits(graph, forest - {e}, required))
-        for forest in forests
-        if not _splits(graph, forest, required)
-    }
+    trees = [_steiner(graph, forest, required) for forest in forests] or [set()]
+    choices = {frozenset(cut.intersection(tree)) for tree in trees if tree is not None}
     return sorted(choices, key=lambda choice: (len(choice), sorted(choice)))
 
 

@@ -7,9 +7,10 @@ Two problem variants exist: GC, where several pieces may touch the same
 vertex, and VDGC, where every vertex may belong to at most one piece.
 
 All arithmetic is exact. Utilities, cut points and interval lengths are
-``fractions.Fraction`` values and every comparison in this package is an
-exact rational comparison; there is no floating point and no tolerance
-parameter anywhere.
+``fractions.Fraction`` values; the verifier compares them as ints over a
+common denominator (``Instance.int_utilities`` gives each agent's), which
+is the same exact rational comparison.  There is no floating point and no
+tolerance parameter anywhere.
 """
 from __future__ import annotations
 
@@ -225,7 +226,8 @@ def normalize(instance: Instance) -> Instance:
 
     Scaling an agent's utility function by a positive constant never
     changes which assignments are envy-free, so the answer is preserved.
-    An instance that already sums to one is returned as it is.
+    An instance that already sums to one is returned as it is, and the
+    one built here is marked as summing to one, which it does exactly.
     """
     if instance.is_normalized:
         return instance
@@ -236,7 +238,9 @@ def normalize(instance: Instance) -> Instance:
             raise AllZeroAgentError(f"agent {a} values every edge at zero")
         for e in instance.graph.edge_ids:
             table[(a, e)] = instance.util(a, e) / total
-    return Instance(instance.graph, instance.agents, table, instance.variant)
+    normalized = Instance(instance.graph, instance.agents, table, instance.variant)
+    normalized.__dict__["is_normalized"] = True  # the cached_property's slot
+    return normalized
 
 
 @dataclass(frozen=True)
@@ -345,48 +349,68 @@ def piece_utility(agent: str, piece: Piece, instance: Instance) -> Fraction:
     return total
 
 
-def _same_edge_touch(p: EdgePiece, q: EdgePiece) -> bool:
-    lo = max(p.lo, q.lo)
-    hi = min(p.hi, q.hi)
-    if lo > hi:
-        return False
-    if lo < hi:
-        return True
-    return p.contains(lo) and q.contains(lo)
+def _layout(entries: Iterable[tuple[str, Piece]]) -> tuple[int, dict[str, list[tuple]]]:
+    """(D, spans by edge): D is the lcm of the denominators of every cut
+    point of ``entries``, and each edge piece becomes a span (owner, lo,
+    hi, lo_closed, hi_closed) with lo and hi as ints over D."""
+    owned = [(owner, ep) for owner, piece in entries for ep in piece.edge_pieces]
+    den = lcm(*(x.denominator for _, ep in owned for x in (ep.lo, ep.hi)))
+    by_edge: dict[str, list[tuple]] = {}
+    for owner, ep in owned:
+        lo = ep.lo.numerator * (den // ep.lo.denominator)
+        hi = ep.hi.numerator * (den // ep.hi.denominator)
+        by_edge.setdefault(ep.edge, []).append((owner, lo, hi, ep.lo_closed, ep.hi_closed))
+    return den, by_edge
 
 
-def _adjacent(p: EdgePiece, q: EdgePiece, graph: Graph) -> bool:
-    if p.edge == q.edge:
-        return _same_edge_touch(p, q)
-    pu, pv = graph.endpoints(p.edge)
-    qu, qv = graph.endpoints(q.edge)
-    shared = {pu, pv} & {qu, qv}
-    for v in shared:
-        if p.contains(graph.coord_of(p.edge, v)) and q.contains(graph.coord_of(q.edge, v)):
-            return True
-    return False
+def _runs(den: int, by_edge: Mapping[str, list[tuple]], graph: Graph) -> dict[str, list]:
+    """Each owner's runs, as (edge, the ends of the edge the run contains).
+
+    A run is a maximal chain of one owner's spans on one edge, each
+    sharing a point with the ones before it.  Taken in order of start,
+    closed starts first, a span shares a point with its run iff it starts
+    before the run's reach, or at it with both closed there.
+    """
+    runs: dict[str, list] = {}
+    for edge, spans in by_edge.items():
+        ends = graph.coord_vertex(edge, 0), graph.coord_vertex(edge, 1)
+        last, reach, shut = None, -1, False
+        spans = sorted(spans, key=lambda s: (s[0], s[1], not s[3]))  # closed starts first
+        for owner, lo, hi, lo_closed, hi_closed in spans:
+            if owner != last or lo > reach or lo == reach and not (lo_closed and shut):
+                run = (edge, set())
+                runs.setdefault(owner, []).append(run)
+                last, reach, shut = owner, hi, hi_closed
+            elif hi >= reach:
+                reach, shut = hi, hi_closed or hi == reach and shut
+            if lo == 0 and lo_closed:
+                run[1].add(ends[0])
+            if hi == den and hi_closed:
+                run[1].add(ends[1])
+    return runs
+
+
+def _joined(runs: list, graph: Graph) -> bool:
+    """Do one owner's runs hang together through the vertices they
+    contain?  A run that contains both ends of its edge joins them."""
+    if len(runs) <= 1 or not all(ends for _, ends in runs):
+        return len(runs) <= 1
+    root = graph.roots({edge for edge, ends in runs if len(ends) == 2})
+    return len({root[v] for _, ends in runs for v in ends}) == 1
 
 
 def is_connected_piece(piece: Piece, graph: Graph) -> bool:
     """True iff the edge pieces form one connected share of the graph.
 
-    Pieces on the same edge are adjacent when their intervals share a
-    point; pieces on adjacent edges are adjacent when both contain the
-    coordinate of the shared vertex.  Empty and singleton collections
-    count as connected.
+    Pieces on the same edge are adjacent when they share a point (where
+    one ends and the other starts, only if both are closed there); pieces
+    on adjacent edges are adjacent when both contain the coordinate of
+    the shared vertex.  Empty and singleton collections count as
+    connected.  The rule is ``verify_assignment``'s, on cut points as ints
+    over their common denominator; an unknown edge raises ``UnknownEdgeError``.
     """
-    eps = piece.edge_pieces
-    if len(eps) <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(len(eps)):
-            if j not in seen and _adjacent(eps[i], eps[j], graph):
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(eps)
+    den, by_edge = _layout([("", piece)])
+    return _joined(_runs(den, by_edge, graph).get("", []), graph)
 
 
 @dataclass(frozen=True)
@@ -404,56 +428,22 @@ class VerificationReport:
         return not self.failures
 
 
-def _check_tiling(instance: Instance, assignment: Assignment, failures: list[Failure]):
-    if set(assignment.agents) != set(instance.agents):
-        failures.append(
-            Failure("tiling", "assignment agents differ from instance agents")
-        )
-        return
-    for edge in instance.graph.edge_ids:
-        pieces = []
-        for agent, piece in assignment.items():
-            pieces.extend(piece.on_edge(edge))
-        total = sum((ep.length for ep in pieces), ZERO)
-        if total != 1:
-            failures.append(Failure("tiling", f"edge {edge}: lengths sum to {total}, not 1"))
-            continue
-        ordered = sorted(pieces, key=lambda ep: (ep.lo, ep.hi))
-        reach = ZERO
-        overlap = False
-        for ep in ordered:
-            if ep.length > 0:
-                if ep.lo < reach:
-                    overlap = True
-                reach = max(reach, ep.hi)
-        if overlap:
-            failures.append(Failure("tiling", f"edge {edge}: interval interiors overlap"))
-            continue
-        points = {ZERO, ONE}
-        for ep in ordered:
-            points.add(ep.lo)
-            points.add(ep.hi)
-        for x in sorted(points):
-            if not any(ep.contains(x) for ep in ordered):
-                failures.append(Failure("tiling", f"edge {edge}: point {x} is uncovered"))
-
-
-def _check_vertex_disjoint(instance: Instance, assignment: Assignment, failures: list[Failure]):
-    graph = instance.graph
-    for v in graph.vertices:
-        owners = set()
-        for agent, piece in assignment.items():
-            for edge in graph.incident_edges(v):
-                coord = graph.coord_of(edge, v)
-                if any(ep.contains(coord) for ep in piece.on_edge(edge)):
-                    owners.add(agent)
-        if len(owners) > 1:
-            failures.append(
-                Failure(
-                    "vertex-disjointness",
-                    f"vertex {v} belongs to pieces of {sorted(owners)}",
-                )
-            )
+def _tiling_gaps(spans: list[tuple], den: int) -> list[str]:
+    """What is wrong with one edge's tiling: lengths that do not sum to
+    D, else overlapping interiors, else each uncovered point in order."""
+    total = sum(hi - lo for _, lo, hi, _, _ in spans)
+    if total != den:
+        return [f"lengths sum to {Fraction(total, den)}, not 1"]
+    solid = sorted((lo, hi) for _, lo, hi, _, _ in spans if lo < hi)
+    if any(nxt[0] < prev[1] for prev, nxt in zip(solid, solid[1:])):
+        return ["interval interiors overlap"]
+    # the solid spans now tile [0, D] end to end, so only a cut point can
+    # be uncovered, and it is covered iff some span is closed there
+    points, closed = {0, den}, set()
+    for _, lo, hi, lo_closed, hi_closed in spans:
+        points.update((lo, hi))
+        closed.update(x for x, shut in ((lo, lo_closed), (hi, hi_closed)) if shut)
+    return [f"point {Fraction(x, den)} is uncovered" for x in sorted(points - closed)]
 
 
 def verify_assignment(instance: Instance, assignment: Assignment) -> VerificationReport:
@@ -465,39 +455,56 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
     agent values another piece above its own.  A piece on an edge that
     the graph does not have is a tiling failure; the checks after tiling
     are then skipped, since they need the edge.
+
+    One pass lays the assignment out by edge, every cut point as an int
+    over the lcm D of their denominators, so each check is int arithmetic
+    (a's values over D times a's ``Instance.int_utilities`` denominator);
+    a ``Fraction`` is built only for a failure message.
     """
+    graph = instance.graph
+    den, by_edge = _layout(assignment.entries)
     failures: list[Failure] = []
-    _check_tiling(instance, assignment, failures)
-    known = set(instance.graph.edge_ids)
+    agents_match = set(assignment.agents) == set(instance.agents)
+    if not agents_match:
+        failures.append(Failure("tiling", "assignment agents differ from instance agents"))
+    for edge in graph.edge_ids if agents_match else ():
+        for gap in _tiling_gaps(by_edge.get(edge, []), den):
+            failures.append(Failure("tiling", f"edge {edge}: {gap}"))
     unknown = [
         Failure("tiling", f"piece of {agent} lies on unknown edge {ep.edge}")
-        for agent, piece in assignment.items()
+        for agent, piece in assignment.entries
         for ep in piece.edge_pieces
-        if ep.edge not in known
+        if ep.edge not in graph._coords
     ]
     if unknown:
         return VerificationReport(tuple(failures + unknown))
-    for agent, piece in assignment.items():
-        if not is_connected_piece(piece, instance.graph):
+    runs = _runs(den, by_edge, graph)
+    for agent in assignment.agents:
+        if not _joined(runs.get(agent, []), graph):
             failures.append(Failure("connectivity", f"piece of {agent} is disconnected"))
     if instance.variant is Variant.VDGC:
-        _check_vertex_disjoint(instance, assignment, failures)
-    if set(assignment.agents) == set(instance.agents):
-        values = {
-            (a, b): piece_utility(a, assignment.piece_of(b), instance)
-            for a in instance.agents
-            for b in instance.agents
-        }
-        for a in instance.agents:
-            for b in instance.agents:
-                if values[(a, a)] < values[(a, b)]:
-                    failures.append(
-                        Failure(
-                            "envy",
-                            f"{a} values the piece of {b} at {values[(a, b)]}"
-                            f" but its own at {values[(a, a)]}",
-                        )
-                    )
+        owners: dict[str, set[str]] = {}
+        for agent, agent_runs in runs.items():
+            for v in set().union(*(ends for _, ends in agent_runs)):
+                owners.setdefault(v, set()).add(agent)
+        for v in graph.vertices:
+            if len(owners.get(v, ())) > 1:
+                message = f"vertex {v} belongs to pieces of {sorted(owners[v])}"
+                failures.append(Failure("vertex-disjointness", message))
+    ints, dens = instance.int_utilities
+    for a in instance.agents if agents_match else ():
+        value = dict.fromkeys(instance.agents, 0)
+        for edge, spans in by_edge.items():
+            for owner, lo, hi, _, _ in spans:
+                value[owner] += (hi - lo) * ints[a, edge]
+        over = den * dens[a]
+        for b in instance.agents:
+            if value[a] < value[b]:
+                message = (
+                    f"{a} values the piece of {b} at {Fraction(value[b], over)}"
+                    f" but its own at {Fraction(value[a], over)}"
+                )
+                failures.append(Failure("envy", message))
     return VerificationReport(tuple(failures))
 
 

@@ -27,7 +27,19 @@ from efgc.linprog import (
     strict_feasible,
     verify_certificate,
 )
-from efgc.model import Assignment, Graph, Instance, InternalError, Variant, build_instance
+from efgc.model import (
+    Assignment,
+    EdgePiece,
+    Failure,
+    Graph,
+    Instance,
+    InternalError,
+    Piece,
+    Variant,
+    VerificationReport,
+    build_instance,
+    piece_utility,
+)
 
 F = Fraction
 
@@ -623,3 +635,146 @@ def fraction_strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
     point = dict(result.witness)
     point.pop("__slack")
     return Feasible(point)
+
+
+def _same_edge_touch(p: EdgePiece, q: EdgePiece) -> bool:
+    lo = max(p.lo, q.lo)
+    hi = min(p.hi, q.hi)
+    if lo > hi:
+        return False
+    if lo < hi:
+        return True
+    return p.contains(lo) and q.contains(lo)
+
+
+def _adjacent(p: EdgePiece, q: EdgePiece, graph: Graph) -> bool:
+    if p.edge == q.edge:
+        return _same_edge_touch(p, q)
+    pu, pv = graph.endpoints(p.edge)
+    qu, qv = graph.endpoints(q.edge)
+    shared = {pu, pv} & {qu, qv}
+    for v in shared:
+        if p.contains(graph.coord_of(p.edge, v)) and q.contains(graph.coord_of(q.edge, v)):
+            return True
+    return False
+
+
+def is_connected_piece_reference(piece: Piece, graph: Graph) -> bool:
+    """True iff the edge pieces form one connected share of the graph.
+
+    Pieces on the same edge are adjacent when their intervals share a
+    point; pieces on adjacent edges are adjacent when both contain the
+    coordinate of the shared vertex.  Empty and singleton collections
+    count as connected.
+    """
+    eps = piece.edge_pieces
+    if len(eps) <= 1:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(len(eps)):
+            if j not in seen and _adjacent(eps[i], eps[j], graph):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(eps)
+
+
+def _check_tiling(instance: Instance, assignment: Assignment, failures: list[Failure]):
+    if set(assignment.agents) != set(instance.agents):
+        failures.append(
+            Failure("tiling", "assignment agents differ from instance agents")
+        )
+        return
+    for edge in instance.graph.edge_ids:
+        pieces = []
+        for agent, piece in assignment.items():
+            pieces.extend(piece.on_edge(edge))
+        total = sum((ep.length for ep in pieces), ZERO)
+        if total != 1:
+            failures.append(Failure("tiling", f"edge {edge}: lengths sum to {total}, not 1"))
+            continue
+        ordered = sorted(pieces, key=lambda ep: (ep.lo, ep.hi))
+        reach = ZERO
+        overlap = False
+        for ep in ordered:
+            if ep.length > 0:
+                if ep.lo < reach:
+                    overlap = True
+                reach = max(reach, ep.hi)
+        if overlap:
+            failures.append(Failure("tiling", f"edge {edge}: interval interiors overlap"))
+            continue
+        points = {ZERO, ONE}
+        for ep in ordered:
+            points.add(ep.lo)
+            points.add(ep.hi)
+        for x in sorted(points):
+            if not any(ep.contains(x) for ep in ordered):
+                failures.append(Failure("tiling", f"edge {edge}: point {x} is uncovered"))
+
+
+def _check_vertex_disjoint(instance: Instance, assignment: Assignment, failures: list[Failure]):
+    graph = instance.graph
+    for v in graph.vertices:
+        owners = set()
+        for agent, piece in assignment.items():
+            for edge in graph.incident_edges(v):
+                coord = graph.coord_of(edge, v)
+                if any(ep.contains(coord) for ep in piece.on_edge(edge)):
+                    owners.add(agent)
+        if len(owners) > 1:
+            failures.append(
+                Failure(
+                    "vertex-disjointness",
+                    f"vertex {v} belongs to pieces of {sorted(owners)}",
+                )
+            )
+
+
+def verify_assignment_reference(instance: Instance, assignment: Assignment) -> VerificationReport:
+    """Independently check an assignment; failures are reported, not raised.
+
+    Checks: every edge is tiled exactly (lengths sum to one, interval
+    interiors disjoint, every point covered), every agent's piece is
+    connected, vertices belong to at most one agent (VDGC only), and no
+    agent values another piece above its own.  A piece on an edge that
+    the graph does not have is a tiling failure; the checks after tiling
+    are then skipped, since they need the edge.  The ``Fraction``
+    verifier, kept as the reference that ``efgc.model.verify_assignment``
+    must match, report for report.
+    """
+    failures: list[Failure] = []
+    _check_tiling(instance, assignment, failures)
+    known = set(instance.graph.edge_ids)
+    unknown = [
+        Failure("tiling", f"piece of {agent} lies on unknown edge {ep.edge}")
+        for agent, piece in assignment.items()
+        for ep in piece.edge_pieces
+        if ep.edge not in known
+    ]
+    if unknown:
+        return VerificationReport(tuple(failures + unknown))
+    for agent, piece in assignment.items():
+        if not is_connected_piece_reference(piece, instance.graph):
+            failures.append(Failure("connectivity", f"piece of {agent} is disconnected"))
+    if instance.variant is Variant.VDGC:
+        _check_vertex_disjoint(instance, assignment, failures)
+    if set(assignment.agents) == set(instance.agents):
+        values = {
+            (a, b): piece_utility(a, assignment.piece_of(b), instance)
+            for a in instance.agents
+            for b in instance.agents
+        }
+        for a in instance.agents:
+            for b in instance.agents:
+                if values[(a, a)] < values[(a, b)]:
+                    failures.append(
+                        Failure(
+                            "envy",
+                            f"{a} values the piece of {b} at {values[(a, b)]}"
+                            f" but its own at {values[(a, a)]}",
+                        )
+                    )
+    return VerificationReport(tuple(failures))

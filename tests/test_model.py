@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from efgc.cli import select_solver
 from efgc.model import (
     AllZeroAgentError,
     Assignment,
     EdgePiece,
     Graph,
+    Instance,
     Piece,
     UnknownEdgeError,
     Variant,
@@ -19,11 +22,17 @@ from efgc.model import (
     verify_assignment,
 )
 from helpers import (
+    is_connected_piece_reference,
     path,
+    random_cycle_instance,
+    random_graph_instance,
+    random_path_instance,
+    random_tree_instance,
     single_edge,
     singleton_interval_lengths_agree,
     star,
     star3_identical,
+    verify_assignment_reference,
 )
 
 F = Fraction
@@ -44,6 +53,17 @@ def test_normalize_identity_when_already_normalized():
     assert not raw.is_normalized
     norm = normalize(raw)
     assert norm is not raw and norm.is_normalized and normalize(norm) is norm
+
+
+def test_normalize_marks_its_instance_normalized(monkeypatch):
+    raw = path(2, {"a": [1, 2], "b": [F(1, 3), 1]})
+    norm = normalize(raw)
+
+    def resummed(self, agent):
+        raise AssertionError("a normalized instance was summed again")
+
+    monkeypatch.setattr(Instance, "total_utility", resummed)
+    assert normalize(norm) is norm and norm.is_normalized
 
 
 def test_normalize_rejects_all_zero_agent():
@@ -169,6 +189,12 @@ def test_disconnected_non_adjacent_edges():
     inst = path(3, {"a": [1, 1, 1]})
     piece = Piece([EdgePiece("e1", 0, F(1, 3)), EdgePiece("e3", F(2, 3), 1)])
     assert not is_connected_piece(piece, inst.graph)
+
+
+def test_connected_piece_on_unknown_edge_raises():
+    g = single_edge({"a": 1}).graph
+    with pytest.raises(UnknownEdgeError):
+        is_connected_piece(Piece([EdgePiece("e9", 0, 1)]), g)
 
 
 def test_abutting_intervals_connect_via_shared_point():
@@ -361,3 +387,111 @@ def test_build_instance_defaults_missing_utilities_to_zero():
     )
     assert inst2.util("b", "e2") == 0
     assert inst.util("b", "e2") == 1
+
+
+def _witness_corpus():
+    """Seeded paths, stars, cycles and graphs with a cycle, both variants,
+    2-4 agents, with the Yes witnesses of the solvers ``auto`` picks."""
+    rng = random.Random(1414)
+    makers = (random_path_instance, random_tree_instance, random_cycle_instance)
+    corpus = []
+    for n_agents in (2, 3, 4):
+        for variant in ("gc", "vdgc"):
+            for make in makers + (random_graph_instance,) * (n_agents < 4):
+                for _ in range(4):
+                    inst = normalize(make(rng, rng.randint(3, 4 if n_agents < 4 else 3), n_agents, variant))
+                    verdict = select_solver(inst, "auto")(inst)
+                    if verdict.yes:
+                        corpus.append((inst, verdict.assignment))
+    return corpus
+
+
+def _eighths(rng, lo=0, hi=1):
+    """A random point strictly between ``lo`` and ``hi``."""
+    return lo + (hi - lo) * F(rng.randint(1, 7), 8)
+
+
+def _mutate(inst, rows, rng):
+    """One random mutation of an assignment's rows (agent -> edge pieces),
+    or None when the draw does not apply."""
+    agents = sorted(rows)
+    if len(agents) < 2:
+        return None
+    a = rng.choice(agents)
+    b = rng.choice([x for x in agents if x != a])
+    if not rows[a]:
+        return None
+    j = rng.randrange(len(rows[a]))
+    ep, rest = rows[a][j], rows[a][:j] + rows[a][j + 1 :]
+    kind = rng.choice(
+        ("move", "flip", "drop", "give", "swap", "add", "point", "unknown", "no agent")
+    )
+    if kind == "move":  # every end at one inner cut point of the edge moves with it
+        cuts = sorted({x for eps in rows.values() for q in eps if q.edge == ep.edge for x in (q.lo, q.hi)})
+        inner = [i for i in range(1, len(cuts) - 1)]
+        if not inner:
+            return None
+        i = rng.choice(inner)
+        old, new = cuts[i], _eighths(rng, cuts[i - 1], cuts[i + 1])
+
+        def moved(q):
+            lo, hi = (new if x == old else x for x in (q.lo, q.hi))
+            return EdgePiece(q.edge, lo, hi, q.lo_closed, q.hi_closed)
+
+        return {c: [moved(q) if q.edge == ep.edge else q for q in eps] for c, eps in rows.items()}
+    if kind == "flip":
+        if ep.lo == ep.hi:
+            return None
+        side = rng.randrange(2)
+        flipped = EdgePiece(ep.edge, ep.lo, ep.hi, ep.lo_closed ^ (side == 0), ep.hi_closed ^ (side == 1))
+        return {**rows, a: rest + [flipped]}
+    if kind == "drop":
+        return {**rows, a: rest}
+    if kind == "give":
+        return {**rows, a: rest, b: rows[b] + [ep]}
+    if kind == "swap":
+        return {**rows, a: rows[b], b: rows[a]}
+    edge = rng.choice(inst.graph.edge_ids)
+    if kind == "add":
+        lo = rng.choice([F(0), _eighths(rng)])
+        hi = rng.choice([F(1), _eighths(rng, lo)])
+        added = EdgePiece(edge, lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        return {**rows, a: rows[a] + [added]}
+    if kind == "point":
+        at = F(rng.randrange(2))
+        return {**rows, a: rows[a] + [EdgePiece(edge, at, at)]}
+    if kind == "unknown":
+        return {**rows, a: rest + [EdgePiece("e99", ep.lo, ep.hi, ep.lo_closed, ep.hi_closed)]}
+    return {c: eps for c, eps in rows.items() if c != a}
+
+
+def _report(check, inst, asg):
+    return [(f.kind, f.message) for f in check(inst, asg).failures]
+
+
+def test_verifier_matches_the_fraction_reference_on_mutated_witnesses():
+    # each solver witness, and one or two random mutations of it, many
+    # times over; the int verifier must give the reference's report
+    rng = random.Random(2024)
+    corpus = _witness_corpus()
+    kinds, valid, cases = set(), 0, 0
+    for inst, witness in corpus:
+        original = {a: list(piece.edge_pieces) for a, piece in witness.items()}
+        for draw in range(40):
+            rows = original
+            for _ in range(1 + draw % 2):
+                rows = _mutate(inst, rows, rng) or rows
+            asg = Assignment({a: Piece(eps) for a, eps in rows.items()})
+            expected = _report(verify_assignment_reference, inst, asg)
+            assert _report(verify_assignment, inst, asg) == expected, (inst, asg)
+            for _, piece in asg.items():
+                if all(ep.edge in inst.graph.edge_ids for ep in piece.edge_pieces):
+                    assert is_connected_piece(piece, inst.graph) == is_connected_piece_reference(
+                        piece, inst.graph
+                    )
+            kinds.update(kind for kind, _ in expected)
+            valid += not expected
+            cases += 1
+    assert len(corpus) >= 60 and cases == 40 * len(corpus)
+    assert kinds == {"tiling", "connectivity", "vertex-disjointness", "envy"}
+    assert valid >= len(corpus)
