@@ -199,7 +199,6 @@ def _extract_cut_assignment(
     owned_edges: dict[str, list[str]],
     witness,
 ) -> Assignment:
-    graph = instance.graph
     buckets: dict[str, list] = {a: [] for a in instance.agents}
     for agent, edges in owned_edges.items():
         for g in edges:

@@ -35,6 +35,10 @@ already decided: branches that differ only by swapping identical agents
 build the same rows in another order, and the same set has the same
 verdict.  A stored witness is re-checked against the new rows, and a
 stored certificate is mapped row by row and re-verified.
+
+The witness of a feasible LP fixes every length, and its non-negativity
+and tiling rows hold, so ``extract_assignment`` tiles it straight into
+pieces with one ``tile_edge`` per edge.
 """
 from __future__ import annotations
 
@@ -62,7 +66,6 @@ from efgc.linprog import (
 from efgc.matching import compatibility_graph, is_perfect, max_bipartite_matching
 from efgc.model import (
     Assignment,
-    EfgcError,
     Instance,
     InternalError,
     Piece,
@@ -75,10 +78,6 @@ from efgc.model import (
 )
 
 ZERO = Fraction(0)
-
-
-class InconsistentLengthsError(EfgcError):
-    """The supplied lengths do not satisfy the branch's constraints."""
 
 
 def delta_var(edge: str) -> str:
@@ -94,6 +93,8 @@ class BranchGuess:
     caches the set of endpoint holders.  On the paper's route the
     critical-agent maps plus the sample point pin down the envy rows; on
     the explicit route ``placement`` maps every outsider to its edge.
+    Either way, the agents a guess puts on an edge are pinned there: they
+    take that edge's leftmost inside intervals in agent order.
     """
 
     endpoint_agent: Mapping[tuple[str, int], str]
@@ -103,23 +104,6 @@ class BranchGuess:
     vertex_critical: Mapping[tuple[str, str], str] = field(default_factory=dict)
     sample_point: Mapping[str, Fraction] = field(default_factory=dict)
     placement: Mapping[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class LengthSolution:
-    x0: Mapping[str, Fraction]
-    delta: Mapping[str, Fraction]
-    x1: Mapping[str, Fraction]
-
-    @staticmethod
-    def from_witness(edges: Sequence[str], witness: Mapping[str, Fraction]) -> "LengthSolution":
-        """Read the lengths off an LP witness; an edge whose LP has no
-        inside length (nobody inside) gets 0."""
-        return LengthSolution(
-            {e: witness[endpoint_var(e, 0)] for e in edges},
-            {e: witness.get(delta_var(e), ZERO) for e in edges},
-            {e: witness[endpoint_var(e, 1)] for e in edges},
-        )
 
 
 def _holder_links(instance: Instance, endpoint_agent) -> list[tuple[set[str], list[str]]]:
@@ -388,60 +372,38 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
 
 
 def extract_assignment(
-    instance: Instance, guess: BranchGuess, lengths: LengthSolution
+    instance: Instance, guess: BranchGuess, witness: Mapping[str, Fraction]
 ) -> tuple[dict[str, Piece], list[Piece]]:
-    """Turn an LP solution into pieces.
+    """Tile a feasible LP witness into pieces, one ``tile_edge`` per edge.
 
-    Holders receive their endpoint intervals; each edge's interior is
-    split into equal inside intervals; placed and guessed critical
-    agents are pinned to the leftmost free interval of their edge.
-    Returns the pinned part and the remaining inside pieces in edge order.
+    Each edge is laid out left to right as its end-0 holder's interval
+    (x0), one inside interval of length d_e per agent pinned to the edge
+    (placed or guessed critical), in agent order, then the free inside
+    intervals, then its end-1 holder's interval (x1); d_e = 0 where the
+    LP has no d_e.  The LP's rows fix every length, so no length is
+    re-checked here.  Returns the pieces of the holders and pinned
+    agents, in agent order, and the free intervals in edge order.
     """
-    for table in (lengths.x0, lengths.delta, lengths.x1):
-        for e, value in table.items():
-            if value < 0:
-                raise InconsistentLengthsError(f"negative length on {e}")
-    for e in instance.graph.edge_ids:
-        total = lengths.x0[e] + guess.n[e] * lengths.delta[e] + lengths.x1[e]
-        if total != 1:
-            raise InconsistentLengthsError(
-                f"lengths on {e} sum to {total}, not 1"
-            )
-    graph = instance.graph
-    pieces = guessed_pieces(guess.endpoint_agent)
-    endpoint_bucket: dict[str, list] = {a: [] for a in pieces}
-    slot_pieces: dict[str, list] = {}
-    for e in graph.edge_ids:
-        segments: list[tuple[object, Fraction]] = [
-            (("end", guess.endpoint_agent[(e, 0)]), lengths.x0[e])
-        ]
-        for j in range(guess.n[e]):
-            segments.append((("slot", j), lengths.delta[e]))
-        segments.append((("end", guess.endpoint_agent[(e, 1)]), lengths.x1[e]))
-        for owner, ep in tile_edge(e, segments):
-            if owner[0] == "end":
-                endpoint_bucket[owner[1]].append(ep)
-            else:
-                slot_pieces.setdefault(e, []).append(ep)
-        got = slot_pieces.get(e, ())
-        if len(got) != guess.n[e] or any(ep.length != lengths.delta[e] for ep in got):
-            raise InternalError(f"inside intervals on {e} do not match the lengths")
-    partial = {a: Piece(bucket) for a, bucket in endpoint_bucket.items()}
-    pinned = guess.placement or _pin_map([guess.pair_critical, guess.vertex_critical])
+    pinned = guess.placement
     if pinned is None:
-        raise InternalError("a critical agent is pinned to two edges")
-    taken = {e: 0 for e in graph.edge_ids}
-    for agent in instance.agents:
-        edge = pinned.get(agent)
-        if edge is not None:
-            partial[agent] = Piece([slot_pieces[edge][taken[edge]]])
-            taken[edge] += 1
-    leftovers = [
-        Piece([ep])
-        for e in graph.edge_ids
-        for ep in slot_pieces.get(e, [])[taken[e] :]
-    ]
-    return partial, leftovers
+        pinned = _pin_map([guess.pair_critical, guess.vertex_critical])
+        if pinned is None:
+            raise InternalError("a critical agent is pinned to two edges")
+    buckets: dict[str, list] = {a: [] for a in instance.agents}
+    leftovers = []
+    for e in instance.graph.edge_ids:
+        d = witness.get(delta_var(e), ZERO)
+        inside = [a for a in instance.agents if pinned.get(a) == e]
+        segments = [(guess.endpoint_agent[e, 0], witness[endpoint_var(e, 0)])]
+        segments += [(a, d) for a in inside]
+        segments += [((e, j), d) for j in range(len(inside), guess.n[e])]
+        segments.append((guess.endpoint_agent[e, 1], witness[endpoint_var(e, 1)]))
+        for owner, ep in tile_edge(e, segments):
+            if owner in buckets:
+                buckets[owner].append(ep)
+            else:
+                leftovers.append(Piece([ep]))
+    return {a: Piece(b) for a, b in buckets.items() if b}, leftovers
 
 
 def _holder_blocks(instance: Instance, guess: BranchGuess):
@@ -487,14 +449,13 @@ def _sample_points(instance: Instance, guess: BranchGuess) -> Iterator[dict]:
 def _complete_with_matching(
     instance: Instance, guess: BranchGuess, partial: dict, leftovers: list[Piece]
 ) -> Assignment | None:
-    full_partition = [partial[a] for a in instance.agents if a in partial] + leftovers
+    full_partition = [*partial.values(), *leftovers]
     best = {
         a: max(piece_utility(a, q, instance) for q in full_partition)
         for a in instance.agents
     }
-    pinned = _pin_map([guess.pair_critical, guess.vertex_critical]) or {}
-    for agent in pinned:
-        if piece_utility(agent, partial[agent], instance) < best[agent]:
+    for agent, piece in partial.items():  # everyone there but the holders is pinned
+        if agent not in guess.a_v and piece_utility(agent, piece, instance) < best[agent]:
             return None  # a pinned agent would envy; reject the branch
     unassigned = [a for a in instance.agents if a not in partial]
     graph = compatibility_graph(instance, full_partition, unassigned, leftovers)
@@ -527,7 +488,6 @@ def solve_few_edges(instance: Instance) -> Verdict:
     the witness.  The verdict is deterministic.
     """
     inst = normalize(instance)
-    edges = inst.graph.edge_ids
     memo = LPMemo()
     for base in enumerate_initial_branches(inst):
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
@@ -540,8 +500,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
             result = memo.solve(build_lp(inst, guess), lp_feasible)
             if not isinstance(result, Feasible):
                 continue
-            lengths = LengthSolution.from_witness(edges, result.witness)
-            partial, leftovers = extract_assignment(inst, guess, lengths)
+            partial, leftovers = extract_assignment(inst, guess, result.witness)
             if guess.placement is None:
                 assignment = _complete_with_matching(inst, guess, partial, leftovers)
             else:  # everyone is placed, and the LP has every envy row

@@ -115,15 +115,9 @@ class Graph:
             parent[w] = r
         return parent
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e[0] for e in self.edges)
-
-    def endpoints(self, edge: str) -> tuple[str, str]:
-        for eid, u, v in self.edges:
-            if eid == edge:
-                return u, v
-        raise UnknownEdgeError(edge)
 
     @cached_property
     def _coords(self) -> dict[str, tuple[str, str]]:
@@ -138,13 +132,6 @@ class Graph:
         except KeyError:
             raise UnknownEdgeError(edge) from None
         return lo if coord == 0 else hi
-
-    def coord_of(self, edge: str, vertex: str) -> Fraction:
-        """The coordinate (0 or 1) of ``vertex`` within ``edge``."""
-        u, v = self.endpoints(edge)
-        if vertex not in (u, v):
-            raise ValueError(f"{vertex} is not an endpoint of {edge}")
-        return ZERO if self.coord_vertex(edge, 0) == vertex else ONE
 
     def incident_edges(self, vertex: str) -> tuple[str, ...]:
         return tuple(eid for eid, u, v in self.edges if vertex in (u, v))
@@ -271,15 +258,6 @@ class EdgePiece:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, point: Fraction) -> bool:
-        if point < self.lo or point > self.hi:
-            return False
-        if point == self.lo and not self.lo_closed:
-            return False
-        if point == self.hi and not self.hi_closed:
-            return False
-        return True
-
 
 def _sort_key(ep: EdgePiece):
     return (ep.edge, ep.lo, ep.hi, ep.lo_closed, ep.hi_closed)
@@ -295,9 +273,6 @@ class Piece:
         object.__setattr__(
             self, "edge_pieces", tuple(sorted(set(edge_pieces), key=_sort_key))
         )
-
-    def on_edge(self, edge: str) -> tuple[EdgePiece, ...]:
-        return tuple(ep for ep in self.edge_pieces if ep.edge == edge)
 
 
 @dataclass(frozen=True)
@@ -316,12 +291,6 @@ class Assignment:
     @property
     def agents(self) -> tuple[str, ...]:
         return tuple(a for a, _ in self.entries)
-
-    def piece_of(self, agent: str) -> Piece:
-        for a, p in self.entries:
-            if a == agent:
-                return p
-        raise KeyError(agent)
 
     def items(self) -> tuple[tuple[str, Piece], ...]:
         return self.entries

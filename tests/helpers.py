@@ -8,7 +8,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 import efgc.few_edges as few_edges
-from efgc.cells import endpoint_var
+from efgc.cells import endpoint_var, guessed_pieces
 from efgc.few_edges import BranchGuess, check_connected_guesses
 from efgc.generators import numpart_dp, solve_explicit_oracle
 from efgc.linprog import (
@@ -35,10 +35,12 @@ from efgc.model import (
     Instance,
     InternalError,
     Piece,
+    UnknownEdgeError,
     Variant,
     VerificationReport,
     build_instance,
     piece_utility,
+    tile_edge,
 )
 
 F = Fraction
@@ -324,6 +326,66 @@ def force_paper_route(monkeypatch) -> list[BranchGuess]:
     return opened
 
 
+def extract_assignment_reference(
+    instance: Instance, guess: BranchGuess, witness
+) -> tuple[dict[str, Piece], list[Piece]]:
+    """Turn an LP witness into pieces the long way: read the lengths off
+    it, re-check their signs and sums, tile each edge with keyed slots,
+    count the slots, then pin the placed and critical agents in a second
+    loop.  Kept as the reference that ``efgc.few_edges.extract_assignment``
+    must match, pieces and order.
+    """
+    edges = instance.graph.edge_ids
+    x0 = {e: witness[endpoint_var(e, 0)] for e in edges}
+    delta = {e: witness.get(few_edges.delta_var(e), ZERO) for e in edges}
+    x1 = {e: witness[endpoint_var(e, 1)] for e in edges}
+    for table in (x0, delta, x1):
+        for e, value in table.items():
+            if value < 0:
+                raise ValueError(f"negative length on {e}")
+    for e in instance.graph.edge_ids:
+        total = x0[e] + guess.n[e] * delta[e] + x1[e]
+        if total != 1:
+            raise ValueError(
+                f"lengths on {e} sum to {total}, not 1"
+            )
+    graph = instance.graph
+    pieces = guessed_pieces(guess.endpoint_agent)
+    endpoint_bucket: dict[str, list] = {a: [] for a in pieces}
+    slot_pieces: dict[str, list] = {}
+    for e in graph.edge_ids:
+        segments: list[tuple[object, Fraction]] = [
+            (("end", guess.endpoint_agent[(e, 0)]), x0[e])
+        ]
+        for j in range(guess.n[e]):
+            segments.append((("slot", j), delta[e]))
+        segments.append((("end", guess.endpoint_agent[(e, 1)]), x1[e]))
+        for owner, ep in tile_edge(e, segments):
+            if owner[0] == "end":
+                endpoint_bucket[owner[1]].append(ep)
+            else:
+                slot_pieces.setdefault(e, []).append(ep)
+        got = slot_pieces.get(e, ())
+        if len(got) != guess.n[e] or any(ep.length != delta[e] for ep in got):
+            raise InternalError(f"inside intervals on {e} do not match the lengths")
+    partial = {a: Piece(bucket) for a, bucket in endpoint_bucket.items()}
+    pinned = guess.placement or few_edges._pin_map([guess.pair_critical, guess.vertex_critical])
+    if pinned is None:
+        raise InternalError("a critical agent is pinned to two edges")
+    taken = {e: 0 for e in graph.edge_ids}
+    for agent in instance.agents:
+        edge = pinned.get(agent)
+        if edge is not None:
+            partial[agent] = Piece([slot_pieces[edge][taken[edge]]])
+            taken[edge] += 1
+    leftovers = [
+        Piece([ep])
+        for e in graph.edge_ids
+        for ep in slot_pieces.get(e, [])[taken[e] :]
+    ]
+    return partial, leftovers
+
+
 def _links_all(parts: set[str], links) -> bool:
     """Do these links between parts put every one of ``parts`` in one group?"""
     parent: dict[str, str] = {}
@@ -351,7 +413,7 @@ def connector_choices_reference(
     parts = {root[v] for v in required}
     if len(parts) <= 1:
         return [frozenset()]
-    ends = {e: tuple(root[v] for v in graph.endpoints(e)) for e in cut}
+    ends = {e: tuple(root[v] for v in endpoints(graph, e)) for e in cut}
     minimal: list[frozenset[str]] = []
     for size in range(len(parts) - 1, len(cut) + 1):
         for subset in combinations(sorted(cut), size):
@@ -637,6 +699,44 @@ def fraction_strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
     return Feasible(point)
 
 
+# The model lookups the references below were written against, as functions.
+
+def endpoints(graph: Graph, edge: str) -> tuple[str, str]:
+    for eid, u, v in graph.edges:
+        if eid == edge:
+            return u, v
+    raise UnknownEdgeError(edge)
+
+
+def coord_of(graph: Graph, edge: str, vertex: str) -> Fraction:
+    """The coordinate (0 or 1) of ``vertex`` within ``edge``."""
+    u, v = endpoints(graph, edge)
+    if vertex not in (u, v):
+        raise ValueError(f"{vertex} is not an endpoint of {edge}")
+    return ZERO if graph.coord_vertex(edge, 0) == vertex else ONE
+
+
+def contains(ep: EdgePiece, point: Fraction) -> bool:
+    if point < ep.lo or point > ep.hi:
+        return False
+    if point == ep.lo and not ep.lo_closed:
+        return False
+    if point == ep.hi and not ep.hi_closed:
+        return False
+    return True
+
+
+def on_edge(piece: Piece, edge: str) -> tuple[EdgePiece, ...]:
+    return tuple(ep for ep in piece.edge_pieces if ep.edge == edge)
+
+
+def piece_of(assignment: Assignment, agent: str) -> Piece:
+    for a, p in assignment.entries:
+        if a == agent:
+            return p
+    raise KeyError(agent)
+
+
 def _same_edge_touch(p: EdgePiece, q: EdgePiece) -> bool:
     lo = max(p.lo, q.lo)
     hi = min(p.hi, q.hi)
@@ -644,17 +744,17 @@ def _same_edge_touch(p: EdgePiece, q: EdgePiece) -> bool:
         return False
     if lo < hi:
         return True
-    return p.contains(lo) and q.contains(lo)
+    return contains(p, lo) and contains(q, lo)
 
 
 def _adjacent(p: EdgePiece, q: EdgePiece, graph: Graph) -> bool:
     if p.edge == q.edge:
         return _same_edge_touch(p, q)
-    pu, pv = graph.endpoints(p.edge)
-    qu, qv = graph.endpoints(q.edge)
+    pu, pv = endpoints(graph, p.edge)
+    qu, qv = endpoints(graph, q.edge)
     shared = {pu, pv} & {qu, qv}
     for v in shared:
-        if p.contains(graph.coord_of(p.edge, v)) and q.contains(graph.coord_of(q.edge, v)):
+        if contains(p, coord_of(graph, p.edge, v)) and contains(q, coord_of(graph, q.edge, v)):
             return True
     return False
 
@@ -690,7 +790,7 @@ def _check_tiling(instance: Instance, assignment: Assignment, failures: list[Fai
     for edge in instance.graph.edge_ids:
         pieces = []
         for agent, piece in assignment.items():
-            pieces.extend(piece.on_edge(edge))
+            pieces.extend(on_edge(piece, edge))
         total = sum((ep.length for ep in pieces), ZERO)
         if total != 1:
             failures.append(Failure("tiling", f"edge {edge}: lengths sum to {total}, not 1"))
@@ -711,7 +811,7 @@ def _check_tiling(instance: Instance, assignment: Assignment, failures: list[Fai
             points.add(ep.lo)
             points.add(ep.hi)
         for x in sorted(points):
-            if not any(ep.contains(x) for ep in ordered):
+            if not any(contains(ep, x) for ep in ordered):
                 failures.append(Failure("tiling", f"edge {edge}: point {x} is uncovered"))
 
 
@@ -721,8 +821,8 @@ def _check_vertex_disjoint(instance: Instance, assignment: Assignment, failures:
         owners = set()
         for agent, piece in assignment.items():
             for edge in graph.incident_edges(v):
-                coord = graph.coord_of(edge, v)
-                if any(ep.contains(coord) for ep in piece.on_edge(edge)):
+                coord = coord_of(graph, edge, v)
+                if any(contains(ep, coord) for ep in on_edge(piece, edge)):
                     owners.add(agent)
         if len(owners) > 1:
             failures.append(
@@ -763,7 +863,7 @@ def verify_assignment_reference(instance: Instance, assignment: Assignment) -> V
         _check_vertex_disjoint(instance, assignment, failures)
     if set(assignment.agents) == set(instance.agents):
         values = {
-            (a, b): piece_utility(a, assignment.piece_of(b), instance)
+            (a, b): piece_utility(a, piece_of(assignment, b), instance)
             for a in instance.agents
             for b in instance.agents
         }

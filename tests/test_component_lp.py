@@ -34,6 +34,7 @@ from helpers import (
     cycle,
     identical_agents_corpus,
     path,
+    piece_of,
     random_cycle_instance,
     random_tree_instance,
     single_edge,
@@ -61,7 +62,7 @@ def test_cut_set_on_path_splits_cut_edge():
     norm = normalize(inst)
     assert verify_assignment(norm, verdict.assignment).valid
     # the branch hands the whole first edge to a1
-    assert piece_utility("a1", verdict.assignment.piece_of("a1"), norm) == 1
+    assert piece_utility("a1", piece_of(verdict.assignment, "a1"), norm) == 1
 
 
 def test_cut_set_star_small_cuts_say_no():
@@ -75,7 +76,7 @@ def test_cut_set_single_edge_forces_halves():
     verdict = solve_with_cut_set(single_edge({"a": 1, "b": 1}), ["e1"])
     assert verdict.yes
     for agent in ("a", "b"):
-        (ep,) = verdict.assignment.piece_of(agent).edge_pieces
+        (ep,) = piece_of(verdict.assignment, agent).edge_pieces
         assert ep.length == F(1, 2)
 
 
@@ -121,7 +122,7 @@ def test_tree_gc_examples():
     thirds = solve_tree_gc_bounded_degree(single_edge({"a": 1, "b": 1, "c": 1}))
     assert thirds.yes
     for agent in ("a", "b", "c"):
-        (ep,) = thirds.assignment.piece_of(agent).edge_pieces
+        (ep,) = piece_of(thirds.assignment, agent).edge_pieces
         assert ep.length == F(1, 3)
 
 

@@ -16,8 +16,6 @@ from efgc.cells import (
 from efgc.component_lp import solve_cycle, solve_tree_vdgc
 from efgc.few_edges import (
     BranchGuess,
-    InconsistentLengthsError,
-    LengthSolution,
     _holder_blocks,
     _holder_order,
     build_lp,
@@ -42,6 +40,7 @@ from helpers import (
     GRAPH_SHAPES,
     criterion_4_instances,
     cycle,
+    extract_assignment_reference,
     force_paper_route,
     holder_region_reference,
     identical_agents_corpus,
@@ -252,8 +251,11 @@ def test_sample_region_matches_written_out_bounds(monkeypatch):
 
 
 def extract(inst, guess, x0, delta, x1):
-    lengths = LengthSolution(x0, delta, x1)
-    return extract_assignment(normalize(inst), guess, lengths)
+    witness = {}
+    for e in x0:
+        witness[endpoint_var(e, 0)], witness[endpoint_var(e, 1)] = x0[e], x1[e]
+        witness[delta_var(e)] = delta[e]
+    return extract_assignment(normalize(inst), guess, witness)
 
 
 def test_extract_halves_no_leftovers():
@@ -299,9 +301,10 @@ def test_extract_rejects_inconsistent_lengths():
     guess = BranchGuess(
         {("e1", 0): "a", ("e1", 1): "b"}, frozenset(["a", "b"]), {"e1": 0}
     )
-    with pytest.raises(InconsistentLengthsError):
+    # the LP's rows rule both out; a direct caller still meets tile_edge and EdgePiece
+    with pytest.raises(ValueError, match="sum to 1/2"):
         extract(inst, guess, {"e1": F(1, 4)}, {"e1": F(0)}, {"e1": F(1, 4)})
-    with pytest.raises(InconsistentLengthsError):
+    with pytest.raises(ValueError, match="invalid interval"):
         extract(inst, guess, {"e1": F(5, 4)}, {"e1": F(0)}, {"e1": F(-1, 4)})
 
 
@@ -324,6 +327,69 @@ def test_extract_pins_critical_agent_to_leftmost_slot():
     assert partial["c"].edge_pieces[0].hi == F(1, 2)
     assert len(leftovers) == 1
     assert leftovers[0].edge_pieces[0].lo == F(1, 2)
+
+
+def test_extract_pins_critical_agents_in_agent_order():
+    inst = single_edge({"a": 1, "b": 1, "c": 1, "d": 1})
+    guess = BranchGuess(
+        {("e1", 0): "a", ("e1", 1): "b"},
+        frozenset(["a", "b"]),
+        {"e1": 2},
+        vertex_critical={("e1", "a"): "d", ("e1", "b"): "c"},  # d is pinned first
+    )
+    partial, leftovers = extract(
+        inst, guess, {"e1": F(1, 4)}, {"e1": F(1, 4)}, {"e1": F(1, 4)}
+    )
+    spans = {a: [(ep.lo, ep.hi) for ep in partial[a].edge_pieces] for a in "cd"}
+    assert spans == {"c": [(F(1, 4), F(1, 2))], "d": [(F(1, 2), F(3, 4))]}
+    assert leftovers == []
+
+
+def test_extract_cold_edge_has_its_end_intervals_alone():
+    """An explicit placement whose LP has no d_e on the edge with nobody
+    inside: that edge is tiled by its two holders' intervals."""
+    inst = normalize(path(2, {"a": [1, 0], "b": [1, 1], "c": [0, 1], "d": [1, 0]}))
+    guess = BranchGuess(
+        {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "c"},
+        frozenset("abc"),
+        {"e1": 1, "e2": 0},
+        placement={"d": "e1"},
+    )
+    result = lp_feasible(build_lp(inst, guess))
+    assert isinstance(result, Feasible) and delta_var("e2") not in result.witness
+    partial, leftovers = extract_assignment(inst, guess, result.witness)
+    assert leftovers == [] and set(partial) == set("abcd")
+    cold = [(a, ep) for a, piece in partial.items() for ep in piece.edge_pieces if ep.edge == "e2"]
+    x0, x1 = result.witness[endpoint_var("e2", 0)], result.witness[endpoint_var("e2", 1)]
+    assert [(a, ep.lo, ep.hi) for a, ep in cold] == [("b", 0, x0), ("c", x0, x0 + x1)]
+    assert x0 + x1 == 1
+
+
+def test_extraction_matches_the_reference(monkeypatch):
+    """Every extraction of the search, on both routes, gives the pieces
+    and leftovers of the length-checking, slot-keyed reference."""
+    rng = random.Random(7070)
+    corpus = [
+        random_graph_instance(rng, rng.randint(1, 3), rng.randint(2, 4), variant)
+        for variant in ("gc", "vdgc") * 12
+    ]
+    calls = {"explicit": 0, "paper": 0}
+    original = few_edges.extract_assignment
+
+    def checked(inst, guess, witness):
+        got = original(inst, guess, witness)
+        assert got == extract_assignment_reference(inst, guess, witness), (inst, guess)
+        calls["paper" if guess.placement is None else "explicit"] += 1
+        return got
+
+    monkeypatch.setattr(few_edges, "extract_assignment", checked)
+    for inst in corpus:
+        solve_few_edges(inst)
+    with monkeypatch.context() as patch:
+        opened = force_paper_route(patch)
+        for inst in corpus:
+            solve_few_edges(inst)
+    assert opened and all(calls.values()), calls
 
 
 def test_solve_star_identical_is_no():

@@ -24,6 +24,7 @@ from helpers import (
     dominant,
     numpart_family_solvable,
     path,
+    piece_of,
     single_edge,
     star3_identical,
 )
@@ -157,7 +158,7 @@ def test_oracle_examples():
     thirds = solve_explicit_oracle(single_edge({"a": 1, "b": 1, "c": 1}))
     assert thirds.yes
     for agent in ("a", "b", "c"):
-        (ep,) = thirds.assignment.piece_of(agent).edge_pieces
+        (ep,) = piece_of(thirds.assignment, agent).edge_pieces
         assert ep.length == F(1, 3)
     split = solve_explicit_oracle(path(2, {"a1": [1, 0], "a2": [0, 1]}))
     assert split.yes

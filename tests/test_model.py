@@ -22,6 +22,7 @@ from efgc.model import (
     verify_assignment,
 )
 from helpers import (
+    contains,
     is_connected_piece_reference,
     path,
     random_cycle_instance,
@@ -96,8 +97,9 @@ def test_coordinates_follow_vertex_order():
     g = Graph(("v1", "v2"), (("e1", "v2", "v1"),))  # endpoints listed reversed
     assert g.coord_vertex("e1", 0) == "v1"
     assert g.coord_vertex("e1", 1) == "v2"
-    assert g.coord_of("e1", "v1") == 0
-    assert g.coord_of("e1", "v2") == 1
+    coord = {g.coord_vertex("e1", i): i for i in (0, 1)}  # each vertex's coordinate
+    assert coord["v1"] == 0
+    assert coord["v2"] == 1
 
 
 def test_piece_utility_half_edge():
@@ -369,7 +371,7 @@ def test_tile_edge_points_covered_exactly_once():
     )
     pieces = [ep for _, ep in tiled]
     for point in (F(0), F(1, 4), F(1, 3), F(1, 2), F(1)):
-        assert sum(1 for ep in pieces if ep.contains(point)) == 1
+        assert sum(1 for ep in pieces if contains(ep, point)) == 1
 
 
 def test_tile_edge_rejects_bad_total():
