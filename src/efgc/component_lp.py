@@ -37,12 +37,9 @@ most |A| edges.  Trying the maximal unions alone loses nothing:
   G - F' lies inside a component of G - F;
 - every cut of at most k items lies inside a cut of exactly min(k, n).
 
-Each wrapper normalizes once and shares one ``LPMemo`` across all its
-cut sets: different cut sets and component assignments often lead to
-the same set of constraints, and the same set has the same verdict.  A
-hit is re-checked: a feasible one checks its stored witness, an
-infeasible one maps its Farkas certificate row by row and re-verifies
-it.
+Each wrapper normalizes once.  Most share LPs fail on one envy row
+against the tiling simplices of the cut edges, so ``RowTest`` tests
+every LP before the simplex and skips the ones it refutes.
 """
 from __future__ import annotations
 
@@ -52,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Container, Iterable, Sequence
 
-from efgc.linprog import EQ, GE, Feasible, LinearSystem, LPMemo, lp_feasible
+from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
 from efgc.model import (
     Assignment,
     EdgePiece,
@@ -213,26 +210,16 @@ def _extract_cut_assignment(
     return Assignment({a: Piece(b) for a, b in buckets.items()})
 
 
-def solve_with_cut_set(
-    instance: Instance, cut: Sequence[str], memo: LPMemo | None = None
-) -> Verdict:
+def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     """Decide existence of an envy-free assignment in which every
     component of G - cut goes wholly to one agent.
 
     A yes verdict ships a verified assignment; no means no assignment
-    within this restricted scope exists.  ``memo`` holds the LPs decided
-    so far for the same normalized instance, e.g. under other cut sets.
-
-    Each held set's options are worked out once per cut set, on first
-    use: each minimal connector, the edges then owned whole and every
-    agent's int value of them.  Under vdgc a connector is kept only if both
-    ends of each of its edges lie in the held components, since every
-    vertex lies in one component and every component has a holder: an
-    end outside is another holder's vertex, an end inside is no other's.
+    within this restricted scope exists.  Each held set's options are
+    worked out once, on first use (see the module docstring), and an LP
+    that ``RowTest`` refutes skips the simplex.
     """
     inst = normalize(instance)
-    if memo is None:
-        memo = LPMemo()
     graph = inst.graph
     if not (graph.is_tree() or graph.is_cycle()):
         raise NotTreeOrCycleError("cut-set solving needs a tree or a cycle")
@@ -287,7 +274,9 @@ def solve_with_cut_set(
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
                 system = _build_cut_lp(inst, f_prime, end_owners, insiders, whole_value)
-                result = memo.solve(system, lp_feasible)
+                if RowTest(system.rows).refuting_row(system.rows) is not None:
+                    continue
+                result = lp_feasible(system)
                 if isinstance(result, Feasible):
                     owned_edges = dict(zip(holders, owned))
                     assignment = _extract_cut_assignment(
@@ -313,12 +302,11 @@ def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[
 
 
 def _first_yes(instance: Instance, cuts: Iterable[frozenset[str]]) -> Verdict:
-    """Try the cut sets in order on the normalized instance, sharing one
-    LP memo across them; the first yes wins."""
+    """Try the cut sets in order on the normalized instance; the first
+    yes wins."""
     inst = normalize(instance)
-    memo = LPMemo()
     for cut in cuts:
-        verdict = solve_with_cut_set(inst, cut, memo)
+        verdict = solve_with_cut_set(inst, cut)
         if verdict.yes:
             return verdict
     return Verdict(False, None)

@@ -30,11 +30,9 @@ vertex), and each LP states each constraint once, as ``build_lp`` and
 Sample points are enumerated per holder: holders' length variables are
 disjoint, so the joint cells are the product of the per-holder ones.
 
-One ``LPMemo`` per call answers an LP whose set of constraints was
-already decided: branches that differ only by swapping identical agents
-build the same rows in another order, and the same set has the same
-verdict.  A stored witness is re-checked against the new rows, and a
-stored certificate is mapped row by row and re-verified.
+``RowTest`` skips most infeasible LPs, and only those, before the
+simplex.  ``build_lp`` emits the rows every guess of an initial branch
+shares first, so a refuting shared row in its first LP skips the branch.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
@@ -60,7 +58,7 @@ from efgc.linprog import (
     GE,
     Feasible,
     LinearSystem,
-    LPMemo,
+    RowTest,
     lp_feasible,
 )
 from efgc.matching import compatibility_graph, is_perfect, max_bipartite_matching
@@ -106,13 +104,14 @@ class BranchGuess:
     placement: Mapping[str, str] | None = None
 
 
-def _holder_links(instance: Instance, endpoint_agent) -> list[tuple[set[str], list[str]]]:
+def _holder_links(instance: Instance, endpoint_agent, vertex_of) -> list[tuple[set[str], list[str]]]:
     """Per holder whose ends sit at two or more vertices: those vertices,
-    and the edges whose two ends are both guessed for the holder."""
+    and the edges whose two ends are both guessed for the holder;
+    ``vertex_of`` maps each edge end to its vertex."""
     graph = instance.graph
     ends: dict[str, set[str]] = {}
-    for (e, i), agent in endpoint_agent.items():
-        ends.setdefault(agent, set()).add(graph.coord_vertex(e, i))
+    for slot, agent in endpoint_agent.items():
+        ends.setdefault(agent, set()).add(vertex_of[slot])
     return [
         (vertices, [e for e in graph.edge_ids if endpoint_agent[e, 0] == a == endpoint_agent[e, 1]])
         for a, vertices in ends.items() if len(vertices) > 1
@@ -132,7 +131,8 @@ def _linked(instance: Instance, links, n) -> bool:
 def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
     """Each holder's guessed ends must be linkable through edges that the
     holder owns outright (both ends guessed for it, nobody inside)."""
-    return _linked(instance, _holder_links(instance, endpoint_agent), n)
+    vertex_of = {(e, i): instance.graph.coord_vertex(e, i) for e, i in endpoint_agent}
+    return _linked(instance, _holder_links(instance, endpoint_agent, vertex_of), n)
 
 
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
@@ -152,11 +152,9 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     agents = instance.agents
     edges = graph.edge_ids
     slots = [(e, i) for e in edges for i in (0, 1)]
+    vertex_of = {(e, i): graph.coord_vertex(e, i) for e, i in slots}
     # each slot's owner is that of its unit: its vertex under VDGC, else itself
-    if instance.variant is Variant.VDGC:
-        keys = [graph.coord_vertex(e, i) for e, i in slots]
-    else:
-        keys = slots
+    keys = list(vertex_of.values()) if instance.variant is Variant.VDGC else slots
     units = list(dict.fromkeys(keys))
     counts_by_sum: dict[int, list[dict[str, int]]] = {}
     for counts in product(range(len(agents) + 1), repeat=len(edges)):
@@ -165,7 +163,7 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
         owner = dict(zip(units, combo))
         ep = {slot: owner[key] for slot, key in zip(slots, keys)}
         a_v = frozenset(combo)
-        links = _holder_links(instance, ep)
+        links = _holder_links(instance, ep, vertex_of)
         for n in counts_by_sum.get(len(agents) - len(a_v), ()):
             if _linked(instance, links, n):
                 yield BranchGuess(ep, a_v, n)
@@ -371,6 +369,13 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     return system
 
 
+def _shared_rows(base: BranchGuess) -> int:
+    """How many rows ``build_lp`` emits first for every guess of ``base``:
+    bounds and tiling, then the holders' envy rows."""
+    hot, holders = sum(map(bool, base.n.values())), len(base.a_v)
+    return 3 * len(base.n) + hot + holders * (holders - 1 + hot)
+
+
 def extract_assignment(
     instance: Instance, guess: BranchGuess, witness: Mapping[str, Fraction]
 ) -> tuple[dict[str, Piece], list[Piece]]:
@@ -488,7 +493,6 @@ def solve_few_edges(instance: Instance) -> Verdict:
     the witness.  The verdict is deterministic.
     """
     inst = normalize(instance)
-    memo = LPMemo()
     for base in enumerate_initial_branches(inst):
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
             outsiders = [a for a in inst.agents if a not in base.a_v]
@@ -496,8 +500,17 @@ def solve_few_edges(instance: Instance) -> Verdict:
             guesses = (replace(base, placement=p) for p in placements)
         else:
             guesses = _paper_guesses(inst, base)
+        shared, test = _shared_rows(base), None
         for guess in guesses:
-            result = memo.solve(build_lp(inst, guess), lp_feasible)
+            system = build_lp(inst, guess)
+            start = 0 if test is None else shared  # the first LP: its shared rows too
+            test = test or RowTest(system.rows[:shared])
+            row = test.refuting_row(system.rows, start)
+            if row is not None and row < shared:
+                break  # every LP of the branch has this row
+            if row is not None:
+                continue
+            result = lp_feasible(system)
             if not isinstance(result, Feasible):
                 continue
             partial, leftovers = extract_assignment(inst, guess, result.witness)

@@ -23,6 +23,7 @@ from efgc.linprog import (
     LinearForm,
     LinearSystem,
     Optimal,
+    RowTest,
     Unbounded,
     strict_feasible,
     verify_certificate,
@@ -326,6 +327,27 @@ def force_paper_route(monkeypatch) -> list[BranchGuess]:
     return opened
 
 
+def count_branch_skips(monkeypatch) -> list[int]:
+    """Record, for the rest of the test, each refuting row through which
+    ``solve_few_edges`` skips a whole initial branch: a row among those
+    its first LP shares with every other LP of the branch."""
+    skips: list[int] = []
+
+    class Recording(RowTest):
+        def __init__(self, rows):
+            super().__init__(rows)
+            self.shared = len(rows)
+
+        def refuting_row(self, rows, start=0):
+            row = super().refuting_row(rows, start)
+            if row is not None and row < self.shared:
+                skips.append(row)
+            return row
+
+    monkeypatch.setattr(few_edges, "RowTest", Recording)
+    return skips
+
+
 def extract_assignment_reference(
     instance: Instance, guess: BranchGuess, witness
 ) -> tuple[dict[str, Piece], list[Piece]]:
@@ -561,6 +583,36 @@ class FractionTableau:
         for i, b in enumerate(self.basis):
             z[b] = Fraction(self.rows[i][self.n_cols])
         return z
+
+
+def row_certificate(system: LinearSystem, i: int) -> FarkasCertificate:
+    """The Farkas certificate of a row that ``RowTest`` refutes, built in
+    ``Fraction``s from the system's forms: multiplier 1 on row i, -max/C
+    on each tiling row sum a_v*x_v = C that it touches (max being the
+    row's largest value over that simplex, a variable absent from the row
+    counting 0), and each variable's first sign bound takes up what is
+    left on it."""
+    forms = list(system.constraints)
+    row = dict(forms[i][0].coeffs)
+    bound = {}
+    for k, (form, rel) in enumerate(forms):
+        if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
+            bound.setdefault(form.coeffs[0][0], k)
+    mults = [ZERO] * len(forms)
+    mults[i] = ONE
+    left = dict(row)
+    for k, (form, rel) in enumerate(forms):
+        tiling = dict(form.coeffs)
+        if rel == EQ and form.const < 0 and all(a > 0 for a in tiling.values()) and row.keys() & tiling:
+            top = -form.const * max(row.get(v, ZERO) / a for v, a in tiling.items())
+            mults[k] = top / form.const  # -max/C
+            for v, a in tiling.items():
+                left[v] = left.get(v, ZERO) + mults[k] * a
+    for v, c in left.items():
+        if c:
+            k = bound[v]
+            mults[k] -= c / forms[k][0].coeffs[0][1]
+    return FarkasCertificate(tuple(mults))
 
 
 def _fraction_prepare(system: LinearSystem):

@@ -188,8 +188,8 @@ def test_tree_gc_agrees_with_oracle():
 
 
 def test_identical_agents_agree_with_oracle():
-    # the cut-set LPs of identical agents repeat in another row order,
-    # so the shared memo answers many of them
+    # identical agents make many cut-set LPs fail on one envy row, which
+    # the row test refutes before the simplex
     checked = 0
     for inst, expected in identical_agents_corpus():
         graph = inst.graph
@@ -340,7 +340,7 @@ def test_wrappers_try_the_maximal_cuts_of_their_family(monkeypatch):
     # which cut all their edges, and edges on gc trees (k = |A|)
     tried = []
 
-    def record(instance, cut, memo=None):
+    def record(instance, cut):
         tried.append(frozenset(cut))
         return Verdict(False, None)
 

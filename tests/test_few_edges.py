@@ -31,6 +31,7 @@ from efgc.linprog import (
     Infeasible,
     LinearForm,
     Optimal,
+    RowTest,
     lp_feasible,
     lp_max,
     verify_certificate,
@@ -38,6 +39,7 @@ from efgc.linprog import (
 from efgc.model import build_instance, normalize, verify_assignment
 from helpers import (
     GRAPH_SHAPES,
+    count_branch_skips,
     criterion_4_instances,
     cycle,
     extract_assignment_reference,
@@ -53,6 +55,7 @@ from helpers import (
     random_utilities,
     single_edge,
     singleton_interval_lengths_agree,
+    star,
     star3_identical,
 )
 
@@ -447,22 +450,21 @@ def test_agreement_with_cycle_solver():
         assert solve_few_edges(inst).yes == solve_cycle(inst).yes
 
 
-def test_identical_agents_agree_with_oracle():
+def test_identical_agents_agree_with_oracle(monkeypatch):
+    skips = count_branch_skips(monkeypatch)
     for inst, expected in identical_agents_corpus():
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert skips  # some branches were skipped through a shared row
 
 
-def _constraint_set(system):
-    return frozenset((form.coeffs, form.const, rel) for form, rel in system.constraints)
-
-
-def _trace_star3_identical() -> list:
-    """Trace the search on star3_identical and check that the tracer sees
-    one LP solve per distinct constraint set built; return the guesses
-    the LPs were built for."""
+def _trace_identical_stars() -> list:
+    """Trace the search on stars of three identical agents and check that
+    the tracer sees one LP solve per built LP that the row test leaves:
+    every other built LP has a refuting row.  Returns the guesses the LPs
+    were built for."""
     from perfbench.tracer import BOUNDARIES, Tracer
 
     # every name the benchmark's tracer wraps must still exist
@@ -472,51 +474,53 @@ def _trace_star3_identical() -> list:
 
     def record_build(span, args, result):
         guesses.append(args[1])
-        built.append(_constraint_set(result))
+        built.append(result)
 
     probes = (
         ("efgc.few_edges", "build_lp", "probe.built", record_build),
         ("efgc.few_edges", "lp_feasible", "probe.solved",
-         lambda span, args, result: solved.append(_constraint_set(args[0]))),
+         lambda span, args, result: solved.append(args[0])),
     )
+    uneven = star(3, {a: [5, 2, F(3, 4)] for a in ("a1", "a2", "a3")}, "vdgc")
     with Tracer(BOUNDARIES + probes) as tracer:
         assert not solve_few_edges(star3_identical()).yes
+        assert not solve_few_edges(uneven).yes
     lp_spans = [s for s in tracer.spans if s.kind == "linprog.lp_feasible@few_edges"]
-    assert len(lp_spans) == len(solved) == len(set(built)) < len(built)
-    assert set(solved) == set(built)
+    assert 0 < len(lp_spans) == len(solved) < len(built)
+    left = [system for system in built if RowTest(system.rows).refuting_row(system.rows) is None]
+    assert [id(system) for system in solved] == [id(system) for system in left]
     return guesses
 
 
-def test_tracer_sees_one_solve_per_distinct_lp(monkeypatch):
+def test_tracer_sees_one_solve_per_unrefuted_lp(monkeypatch):
     opened = force_paper_route(monkeypatch)
-    guesses = _trace_star3_identical()
+    guesses = _trace_identical_stars()
     assert opened and all(g.placement is None for g in guesses)  # the paper route's LPs
 
 
-def test_tracer_sees_one_solve_per_distinct_explicit_lp():
-    # identical agents placed the other way round build the same rows
-    guesses = _trace_star3_identical()
+def test_tracer_sees_one_solve_per_unrefuted_explicit_lp():
+    guesses = _trace_identical_stars()
     assert all(g.placement is not None for g in guesses)
 
 
 def test_paper_route_agrees_with_oracle_on_identical_agents(monkeypatch):
-    opened = force_paper_route(monkeypatch)
+    opened, skips = force_paper_route(monkeypatch), count_branch_skips(monkeypatch)
     for inst, expected in identical_agents_corpus():
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
-    assert opened
+    assert opened and skips
 
 
 def test_paper_route_agrees_with_oracle_on_random_graphs(monkeypatch):
-    opened = force_paper_route(monkeypatch)
+    opened, skips = force_paper_route(monkeypatch), count_branch_skips(monkeypatch)
     for inst in criterion_4_instances():
         verdict = solve_few_edges(inst)
         assert verdict.yes == solve_explicit_oracle(inst).yes, inst
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
-    assert opened
+    assert opened and skips
 
 
 def test_route_rule_takes_the_smaller_count():

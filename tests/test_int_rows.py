@@ -3,8 +3,8 @@
 The solvers build their rows straight from each agent's int utilities;
 these tests hold those rows to rows built from the normalized
 ``Fraction`` utilities, check that the certificate check weighs each row
-by its denominator, and that a row reaches one memo id however it was
-built.
+by its denominator, and that the row test reads a row the same however
+it was built.
 """
 import random
 from fractions import Fraction
@@ -25,10 +25,10 @@ from efgc.linprog import (
     EQ,
     GE,
     FarkasCertificate,
-    Feasible,
+    Infeasible,
     LinearForm,
     LinearSystem,
-    LPMemo,
+    RowTest,
     lp_feasible,
     verify_certificate,
 )
@@ -86,34 +86,32 @@ def test_constraints_count_without_building_forms(monkeypatch):
     assert len(system.constraints) == 2
 
 
-def test_a_form_row_and_an_int_row_share_one_memo_id():
+def test_a_form_row_and_an_int_row_get_one_row_test_verdict():
+    # x + y = 1, x, y >= 0 and (-2/3)x - (1/2)y + 1/6 >= 0, whose maximum
+    # over the simplex is 1/6 - 1/2 < 0
     def built_from_forms() -> LinearSystem:
         system = LinearSystem()
-        system.add(LinearForm.make({"x": F(2, 3), "y": F(-1, 2)}, F(1, 6)), GE)
+        system.add(LinearForm.make({"x": F(-2, 3), "y": F(-1, 2)}, F(1, 6)), GE)
         system.add(LinearForm.make({"x": 1, "y": 1}, -1), EQ)
         system.add(LinearForm.var("x"), GE)
+        system.add(LinearForm.var("y"), GE)
         return system
 
     def built_from_ints() -> LinearSystem:
         # the same rows, not in lowest terms and in another order
         system = LinearSystem()
         system.add_row((("x", 5),), 0, 5, GE)
-        system.add_row((("x", 8), ("y", -6)), 2, 12, GE)
         system.add_row((("x", 2), ("y", 2)), -2, 2, EQ)
+        system.add_row((("y", 3),), 0, 3, GE)
+        system.add_row((("x", -8), ("y", -6)), 2, 12, GE)
         return system
 
-    solved = []
-
-    def solver(system):
-        solved.append(system)
-        return lp_feasible(system)
-
-    memo = LPMemo()
-    first = memo.solve(built_from_forms(), solver)
-    second = memo.solve(built_from_ints(), solver)
-    assert len(solved) == 1  # the second solve is a memo hit
-    assert isinstance(first, Feasible) and isinstance(second, Feasible)
-    assert sorted(built_from_forms().rows) == sorted(built_from_ints().rows)
+    forms, ints = built_from_forms(), built_from_ints()
+    assert sorted(forms.rows) == sorted(ints.rows)
+    for system, at in ((forms, 0), (ints, 3)):
+        assert RowTest(system.rows).refuting_row(system.rows) == at
+        assert isinstance(lp_feasible(system), Infeasible)
+    assert forms.rows[0] == ints.rows[3]
 
 
 def _vdgc_whole_value_reference(inst, f_prime, end_owners) -> dict:
