@@ -9,13 +9,9 @@ for the share lengths on the remaining cut edges.
 
 A held set, the components one agent holds, decides that agent's
 options alone, so they are worked out once per cut set: its minimal
-connectors, the edges it then owns whole, and every agent's value of
-those edges.  The connectors are read off H, the agent's own edges plus
-F.  Unless H is the whole cycle it is a forest, which holds exactly one
-minimal connector: the cut edges whose removal from H splits the
-agent's vertices.  On the whole cycle a minimal connector leaves out
-some cut edge, so it is the connector of H opened there: F minus one
-gap between the agent's components, one choice per gap.
+connectors (read off the agent's own edges plus F by
+``_connector_choices``), the edges it then owns whole, and every
+agent's value of those edges.
 
 Under vdgc no connector may pass through another agent's vertex, and a
 connector is kept exactly when both ends of each of its edges lie in
@@ -37,9 +33,13 @@ most |A| edges.  Trying the maximal unions alone loses nothing:
   G - F' lies inside a component of G - F;
 - every cut of at most k items lies inside a cut of exactly min(k, n).
 
-Each wrapper normalizes once.  Most share LPs fail on one envy row
-against the tiling simplices of the cut edges, so ``RowTest`` tests
-every LP before the simplex and skips the ones it refutes.
+Each wrapper normalizes once.  Most share LPs fail on one envy row of
+an agent a against a holder b, so before any LP ``_must_envy`` skips a
+component assignment, then a connector combo, where b's whole edges are
+worth more to a than a's best case: its own whole edges plus every cut
+edge (once the connectors are fixed, the cut edges it holds an end of),
+or for an agent that holds no component, its best cut edge.
+``RowTest`` then skips most other infeasible LPs before the simplex.
 """
 from __future__ import annotations
 
@@ -210,14 +210,20 @@ def _extract_cut_assignment(
     return Assignment({a: Piece(b) for a, b in buckets.items()})
 
 
+def _must_envy(values: Iterable[dict[str, int]], limit: dict[str, int]) -> bool:
+    """Is some holder's whole-edge value v[a] to an agent a above limit[a],
+    the most a's own share can be worth to a (a negative envy row)?"""
+    return any(v[a] > limit[a] for v in values for a in limit)
+
+
 def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     """Decide existence of an envy-free assignment in which every
     component of G - cut goes wholly to one agent.
 
     A yes verdict ships a verified assignment; no means no assignment
     within this restricted scope exists.  Each held set's options are
-    worked out once, on first use (see the module docstring), and an LP
-    that ``RowTest`` refutes skips the simplex.
+    worked out once, on first use; the envy checks and ``RowTest`` skip
+    what they refute (see the module docstring).
     """
     inst = normalize(instance)
     graph = inst.graph
@@ -234,31 +240,39 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
     vdgc = inst.variant is Variant.VDGC
     ints = inst.int_utilities[0]
-    # each agent's int value of each component's edges
-    comp_value = [{a: sum(ints[a, g] for g in comp.edges) for a in inst.agents} for comp in comps]
+    best_cut = {a: max((ints[a, e] for e in cut), default=0) for a in inst.agents}
+    all_cut = {a: sum(ints[a, e] for e in cut) for a in inst.agents}
+
+    @cache
+    def value_of(held: tuple[int, ...]) -> dict[str, int]:
+        """Each agent's int value of the held components' edges."""
+        return {a: sum(ints[a, g] for k in held for g in comps[k].edges) for a in inst.agents}
 
     @cache
     def options_of(held: tuple[int, ...]) -> list[tuple]:
         """(connector, edges owned whole, each agent's int value of them)."""
         own_edges = [e for k in held for e in comps[k].edges]
         own_vertices = frozenset().union(*(comps[k].vertices for k in held))
-        held_value = {a: sum(comp_value[k][a] for k in held) for a in inst.agents}
         found = []
         for connector in _connector_choices(graph, cut, own_edges, own_vertices):
             if vdgc and not all(k in held for e in connector for k in end_comps[e]):
                 continue
             owned = tuple(sorted(own_edges + list(connector), key=position.get))
-            values = {a: v + sum(ints[a, e] for e in connector) for a, v in held_value.items()}
+            values = {a: v + sum(ints[a, e] for e in connector) for a, v in value_of(held).items()}
             found.append((connector, owned, values))
         return found
 
-    zeros = dict.fromkeys(inst.agents, 0)
     for comp_assign in product(inst.agents, repeat=len(comps)):
         held: dict[str, list[int]] = {}
         for k, agent in enumerate(comp_assign):
             held.setdefault(agent, []).append(k)
         holders = [a for a in inst.agents if a in held]
         floaters = [a for a in inst.agents if a not in held]
+        held_values = [value_of(tuple(held[a])) for a in holders]
+        limit = {a: best_cut[a] for a in floaters}
+        limit |= {a: v[a] + all_cut[a] for a, v in zip(holders, held_values)}
+        if _must_envy(held_values, limit):
+            continue
         for combo in product(*(options_of(tuple(held[a])) for a in holders)):
             connectors, owned, values = zip(*combo)
             used = frozenset().union(*connectors)
@@ -266,7 +280,11 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 continue  # two holders want the same connector edge
             f_prime = sorted(cut - used, key=position.get)
             end_owners = {e: tuple(comp_assign[k] for k in end_comps[e]) for e in f_prime}
-            whole_value = dict.fromkeys(floaters, zeros) | dict(zip(holders, values))
+            for a, v in zip(holders, values):
+                limit[a] = v[a] + sum(ints[a, e] for e in f_prime if a in end_owners[e])
+            if _must_envy(values, limit):
+                continue
+            whole_value = dict.fromkeys(floaters, value_of(())) | dict(zip(holders, values))
             # an agent placed inside an edge it values at zero must envy
             options = [[e for e in f_prime if ints[a, e] > 0] for a in floaters]
             for placement in product(*options):

@@ -30,9 +30,9 @@ vertex), and each LP states each constraint once, as ``build_lp`` and
 Sample points are enumerated per holder: holders' length variables are
 disjoint, so the joint cells are the product of the per-holder ones.
 
-``RowTest`` skips most infeasible LPs, and only those, before the
-simplex.  ``build_lp`` emits the rows every guess of an initial branch
-shares first, so a refuting shared row in its first LP skips the branch.
+An initial branch in which some holder must envy another whatever the
+lengths is skipped before any LP (``_holders_must_envy``); ``RowTest``
+then skips most other infeasible LPs, and only those, before the simplex.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
@@ -53,14 +53,7 @@ from efgc.cells import (
     holdings_value_form,
     ordering_forms,
 )
-from efgc.linprog import (
-    EQ,
-    GE,
-    Feasible,
-    LinearSystem,
-    RowTest,
-    lp_feasible,
-)
+from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
 from efgc.matching import compatibility_graph, is_perfect, max_bipartite_matching
 from efgc.model import (
     Assignment,
@@ -369,6 +362,18 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     return system
 
 
+def _holders_must_envy(ints, base: BranchGuess) -> bool:
+    """Does a holder a value the edges where it holds an end below those a
+    holder b owns outright (both ends, nobody inside)?  That is the maximum
+    of a's envy row against b in every LP of the branch (``RowTest``'s)."""
+    ep, n = base.endpoint_agent, base.n
+    return any(
+        sum(ints[a, e] for e in n if a in (ep[e, 0], ep[e, 1]))
+        < sum(ints[a, e] for e in n if ep[e, 0] == b == ep[e, 1] and not n[e])
+        for a in base.a_v for b in base.a_v if a != b
+    )
+
+
 def _shared_rows(base: BranchGuess) -> int:
     """How many rows ``build_lp`` emits first for every guess of ``base``:
     bounds and tiling, then the holders' envy rows."""
@@ -494,6 +499,8 @@ def solve_few_edges(instance: Instance) -> Verdict:
     """
     inst = normalize(instance)
     for base in enumerate_initial_branches(inst):
+        if _holders_must_envy(inst.int_utilities[0], base):
+            continue
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
             outsiders = [a for a in inst.agents if a not in base.a_v]
             placements = _placements(inst, outsiders, dict(base.n))
@@ -503,15 +510,10 @@ def solve_few_edges(instance: Instance) -> Verdict:
         shared, test = _shared_rows(base), None
         for guess in guesses:
             system = build_lp(inst, guess)
-            start = 0 if test is None else shared  # the first LP: its shared rows too
             test = test or RowTest(system.rows[:shared])
-            row = test.refuting_row(system.rows, start)
-            if row is not None and row < shared:
-                break  # every LP of the branch has this row
-            if row is not None:
+            if test.refuting_row(system.rows, shared) is not None:
                 continue
-            result = lp_feasible(system)
-            if not isinstance(result, Feasible):
+            if not isinstance(result := lp_feasible(system), Feasible):
                 continue
             partial, leftovers = extract_assignment(inst, guess, result.witness)
             if guess.placement is None:

@@ -23,7 +23,6 @@ from efgc.linprog import (
     LinearForm,
     LinearSystem,
     Optimal,
-    RowTest,
     Unbounded,
     strict_feasible,
     verify_certificate,
@@ -327,24 +326,20 @@ def force_paper_route(monkeypatch) -> list[BranchGuess]:
     return opened
 
 
-def count_branch_skips(monkeypatch) -> list[int]:
-    """Record, for the rest of the test, each refuting row through which
-    ``solve_few_edges`` skips a whole initial branch: a row among those
-    its first LP shares with every other LP of the branch."""
-    skips: list[int] = []
+def count_branch_skips(monkeypatch) -> list[BranchGuess]:
+    """Record, for the rest of the test, each initial branch that
+    ``solve_few_edges`` skips before building any LP, because one holder
+    must envy another (``few_edges._holders_must_envy``)."""
+    skips: list[BranchGuess] = []
+    must_envy = few_edges._holders_must_envy
 
-    class Recording(RowTest):
-        def __init__(self, rows):
-            super().__init__(rows)
-            self.shared = len(rows)
+    def recording(ints, base):
+        if must_envy(ints, base):
+            skips.append(base)
+            return True
+        return False
 
-        def refuting_row(self, rows, start=0):
-            row = super().refuting_row(rows, start)
-            if row is not None and row < self.shared:
-                skips.append(row)
-            return row
-
-    monkeypatch.setattr(few_edges, "RowTest", Recording)
+    monkeypatch.setattr(few_edges, "_holders_must_envy", recording)
     return skips
 
 

@@ -457,14 +457,15 @@ def test_identical_agents_agree_with_oracle(monkeypatch):
         assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
-    assert skips  # some branches were skipped through a shared row
+    assert skips  # some branches were skipped before any LP
 
 
 def _trace_identical_stars() -> list:
-    """Trace the search on stars of three identical agents and check that
-    the tracer sees one LP solve per built LP that the row test leaves:
-    every other built LP has a refuting row.  Returns the guesses the LPs
-    were built for."""
+    """Trace the search on stars of three identical agents, and on a
+    two-edge path where some placement or critical guess adds a refuting
+    row, and check that the tracer sees one LP solve per built LP that the
+    row test leaves: every other built LP has a refuting row.  Returns the
+    guesses the LPs were built for."""
     from perfbench.tracer import BOUNDARIES, Tracer
 
     # every name the benchmark's tracer wraps must still exist
@@ -482,9 +483,11 @@ def _trace_identical_stars() -> list:
          lambda span, args, result: solved.append(args[0])),
     )
     uneven = star(3, {a: [5, 2, F(3, 4)] for a in ("a1", "a2", "a3")}, "vdgc")
+    placed = path(2, {"a1": [2, 0], "a2": [5, 5], "a3": [3, 1]})
     with Tracer(BOUNDARIES + probes) as tracer:
         assert not solve_few_edges(star3_identical()).yes
         assert not solve_few_edges(uneven).yes
+        assert solve_few_edges(placed).yes
     lp_spans = [s for s in tracer.spans if s.kind == "linprog.lp_feasible@few_edges"]
     assert 0 < len(lp_spans) == len(solved) < len(built)
     left = [system for system in built if RowTest(system.rows).refuting_row(system.rows) is None]
