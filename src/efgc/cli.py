@@ -10,9 +10,10 @@ Instance files (UTF-8, line oriented, ``#`` starts a comment)::
     agent a1 e1=1 e2=0
     agent a2 e1=0 e2=1
 
-Utilities are integers or ``p/q`` and are normalized on load; omitted
-edges count as zero, and an edge may appear once per agent.  Assignment
-files hold one ``piece`` line per edge interval::
+A utility is any non-negative token that ``fractions.Fraction`` reads
+(``3``, ``2/4``, ``0.5``, ``1e3``); utilities are normalized on load,
+omitted edges count as zero, and an edge may appear once per agent.
+Assignment files hold one ``piece`` line per edge interval::
 
     efgc-assignment v1
     piece a1 e1 0 1/2 closed closed

@@ -163,7 +163,7 @@ def _build_cut_lp(
     whole_value: dict[str, dict[str, int]],
 ) -> LinearSystem:
     """The share LP of one placement; ``whole_value[b][a]`` is a's int
-    value (``Instance.int_utilities``) of the edges b owns whole."""
+    value (over ``Instance.dens[a]``) of the edges b owns whole."""
     system = LinearSystem()
     # the share variables each agent may hold, as (variable, edge)
     shares: dict[str, list[tuple[str, str]]] = {a: [] for a in instance.agents}
@@ -177,7 +177,7 @@ def _build_cut_lp(
 
     # each envy row u_a(own share) - u_a(b's share) >= 0 is built from a's int
     # utilities in canonical form: the two shares have disjoint variables
-    ints, dens = instance.int_utilities
+    ints, dens = instance.ints, instance.dens
     for a in instance.agents:
         mine = [(var, ints[a, e]) for var, e in shares[a] if ints[a, e]]
         for b in instance.agents:
@@ -239,7 +239,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     # the components at the two ends of each cut edge
     end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
     vdgc = inst.variant is Variant.VDGC
-    ints = inst.int_utilities[0]
+    ints = inst.ints
     best_cut = {a: max((ints[a, e] for e in cut), default=0) for a in inst.agents}
     all_cut = {a: sum(ints[a, e] for e in cut) for a in inst.agents}
 

@@ -163,10 +163,10 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
 
 
 def _ratio_ge(instance: Instance, a1: str, a2: str, e: str, f: str) -> bool:
-    """Division-free test for u_a1(e)/u_a1(f) >= u_a2(e)/u_a2(f)."""
-    return instance.util(a1, e) * instance.util(a2, f) >= instance.util(
-        a1, f
-    ) * instance.util(a2, e)
+    """Division-free test for u_a1(e)/u_a1(f) >= u_a2(e)/u_a2(f), on
+    ints: each side carries both agents' denominators once."""
+    ints = instance.ints
+    return ints[a1, e] * ints[a2, f] >= ints[a1, f] * ints[a2, e]
 
 
 def _holder_order(instance: Instance, a_v: frozenset[str]) -> list[str]:
@@ -195,7 +195,7 @@ def _placements(instance: Instance, outsiders: Sequence[str], left: dict) -> Ite
         return
     agent = outsiders[0]
     for e, k in left.items():
-        if k and instance.util(agent, e) > 0:
+        if k and instance.ints[agent, e] > 0:
             left[e] = k - 1
             for rest in _placements(instance, outsiders[1:], left):
                 yield {agent: e, **rest}
@@ -297,12 +297,12 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     On an edge with nobody inside, d_e would appear only in d_e >= 0 and
     in "holder >= u * d_e", all satisfied by d_e = 0 because holder
     values are non-negative, so the variable and its rows are left out.
-    Each row is built from the valuer's ``Instance.int_utilities``, in
+    Each row is built from the valuer's ints (``Instance.ints``), in
     canonical form in one pass: the terms it joins have disjoint variables.
     """
     graph = instance.graph
     edges = graph.edge_ids
-    ints, dens = instance.int_utilities
+    ints, dens = instance.ints, instance.dens
     hot = _hot_edges(instance, guess.n)
     system = LinearSystem()  # the bound rows declare the variables, edge by edge
     pieces = guessed_pieces(guess.endpoint_agent)
@@ -372,13 +372,6 @@ def _holders_must_envy(ints, base: BranchGuess) -> bool:
         < sum(ints[a, e] for e in n if ep[e, 0] == b == ep[e, 1] and not n[e])
         for a in base.a_v for b in base.a_v if a != b
     )
-
-
-def _shared_rows(base: BranchGuess) -> int:
-    """How many rows ``build_lp`` emits first for every guess of ``base``:
-    bounds and tiling, then the holders' envy rows."""
-    hot, holders = sum(map(bool, base.n.values())), len(base.a_v)
-    return 3 * len(base.n) + hot + holders * (holders - 1 + hot)
 
 
 def extract_assignment(
@@ -499,7 +492,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
     """
     inst = normalize(instance)
     for base in enumerate_initial_branches(inst):
-        if _holders_must_envy(inst.int_utilities[0], base):
+        if _holders_must_envy(inst.ints, base):
             continue
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
             outsiders = [a for a in inst.agents if a not in base.a_v]
@@ -507,11 +500,9 @@ def solve_few_edges(instance: Instance) -> Verdict:
             guesses = (replace(base, placement=p) for p in placements)
         else:
             guesses = _paper_guesses(inst, base)
-        shared, test = _shared_rows(base), None
         for guess in guesses:
             system = build_lp(inst, guess)
-            test = test or RowTest(system.rows[:shared])
-            if test.refuting_row(system.rows, shared) is not None:
+            if RowTest(system.rows).refuting_row(system.rows) is not None:
                 continue
             if not isinstance(result := lp_feasible(system), Feasible):
                 continue

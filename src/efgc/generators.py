@@ -74,6 +74,8 @@ def numpart_dp(values: Sequence[int]) -> bool:
 
 
 def _check_values(values: Sequence[int], positive: bool):
+    if not values:
+        raise EmptyInputError("need at least one value")
     if positive and any(v <= 0 for v in values):
         raise ValueError("values must be positive integers")
     if any(v < 0 for v in values):
@@ -89,8 +91,6 @@ def gen_star_from_numpart(values: Sequence[int]) -> Instance:
     agent (a leaf-side remainder would strand a disconnected scrap), so
     an envy-free division is exactly an equal-sum two-partition.
     """
-    if not values:
-        raise EmptyInputError("need at least one value")
     _check_values(values, positive=False)
     vertices = ["c"] + [f"l{i}" for i in range(1, len(values) + 1)]
     edges = [(f"e{i}", "c", f"l{i}") for i in range(1, len(values) + 1)]
@@ -108,8 +108,6 @@ def gen_matching_plus_two(values: Sequence[int]) -> Instance:
     vertex-disjointness forces every pendant edge wholly to one agent
     and envy-freeness again means an equal-sum split.
     """
-    if not values:
-        raise ZeroSumError("values sum to zero")
     _check_values(values, positive=True)
     n = len(values)
     vertices = ["c1", "c2"]
@@ -133,8 +131,6 @@ def gen_ladder_tw2(values: Sequence[int], variant: Variant | str = Variant.GC) -
     pendants; either variant encodes the equal-sum split question on
     multisets without a dominant value.
     """
-    if not values:
-        raise ZeroSumError("values sum to zero")
     _check_values(values, positive=True)
     if isinstance(variant, str):
         variant = Variant(variant)
@@ -282,14 +278,14 @@ def solve_explicit_oracle(instance: Instance) -> Verdict:
     live = [
         e
         for e in graph.edge_ids
-        if any(inst.util(a, e) > 0 for a in inst.agents)
+        if any(inst.ints[a, e] > 0 for a in inst.agents)
     ]
     for ep in _endpoint_functions(inst):
         holders = set(ep.values())
         outsiders = [a for a in inst.agents if a not in holders]
         # an agent placed inside an edge it values at zero always envies
         options = [
-            [e for e in graph.edge_ids if inst.util(a, e) > 0] for a in outsiders
+            [e for e in graph.edge_ids if inst.ints[a, e] > 0] for a in outsiders
         ]
         for placement in product(*options):
             inside = dict(zip(outsiders, placement))

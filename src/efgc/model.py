@@ -6,11 +6,13 @@ edge intervals that hangs together through shared endpoint vertices.
 Two problem variants exist: GC, where several pieces may touch the same
 vertex, and VDGC, where every vertex may belong to at most one piece.
 
-All arithmetic is exact. Utilities, cut points and interval lengths are
-``fractions.Fraction`` values; the verifier compares them as ints over a
-common denominator (``Instance.int_utilities`` gives each agent's), which
-is the same exact rational comparison.  There is no floating point and no
-tolerance parameter anywhere.
+All arithmetic is exact.  An instance stores each agent's utilities once,
+as ints over one denominator per agent (``Instance.ints`` and
+``Instance.dens``); ``Instance.util`` reads one as a ``fractions.Fraction``.
+Cut points and interval lengths are Fractions; the verifier compares
+values as ints over a common denominator, which is the same exact
+rational comparison.  There is no floating point and no tolerance
+parameter anywhere.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from types import MappingProxyType
+from math import gcd, lcm
 from typing import Container, Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -148,11 +149,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class Instance:
-    """A division problem: a graph, agents, and per-edge utilities."""
+    """A division problem: a graph, agents, and per-edge utilities.
+
+    Agent a values edge e at ``ints[a, e] / dens[a]``: each agent's
+    utilities are non-negative ints over one positive denominator, in
+    lowest terms (the gcd of the denominator and the ints is 1).
+    """
 
     graph: Graph
     agents: tuple[str, ...]
-    utilities: Mapping[tuple[str, str], Fraction]
+    ints: Mapping[tuple[str, str], int]
+    dens: Mapping[str, int]
     variant: Variant
 
     def __post_init__(self):
@@ -161,34 +168,19 @@ class Instance:
         if len(set(self.agents)) != len(self.agents):
             raise ValueError("duplicate agent identifiers")
         for a in self.agents:
-            for e in self.graph.edge_ids:
-                u = self.utilities.get((a, e))
+            row = [self.ints.get((a, e)) for e in self.graph.edge_ids]
+            for e, u in zip(self.graph.edge_ids, row):
                 if u is None:
                     raise ValueError(f"missing utility for ({a}, {e})")
                 if u < 0:
                     raise ValueError(f"negative utility for ({a}, {e})")
-        object.__setattr__(self, "utilities", MappingProxyType(dict(self.utilities)))
+            if not self.dens.get(a, 0) > 0:
+                raise ValueError(f"denominator of {a} is not positive")
+            if gcd(self.dens[a], *row) != 1:
+                raise ValueError(f"utilities of {a} are not in lowest terms")
 
     def util(self, agent: str, edge: str) -> Fraction:
-        return self.utilities[(agent, edge)]
-
-    def total_utility(self, agent: str) -> Fraction:
-        return sum((self.util(agent, e) for e in self.graph.edge_ids), ZERO)
-
-    @cached_property
-    def is_normalized(self) -> bool:
-        """Every agent's utilities sum to one; worked out once per instance."""
-        return all(self.total_utility(a) == 1 for a in self.agents)
-
-    @cached_property
-    def int_utilities(self) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
-        """(u * den by (agent, edge), den by agent): each agent's utilities
-        as ints over the lcm of their denominators; worked out once."""
-        ints, dens = {}, {}
-        for a in self.agents:
-            dens[a] = den = lcm(*(self.util(a, e).denominator for e in self.graph.edge_ids))
-            ints.update(((a, e), int(self.util(a, e) * den)) for e in self.graph.edge_ids)
-        return ints, dens
+        return Fraction(self.ints[agent, edge], self.dens[agent])
 
 
 def build_instance(
@@ -197,15 +189,20 @@ def build_instance(
     utilities: Mapping[str, Mapping[str, object]],
     variant: Variant | str = Variant.GC,
 ) -> Instance:
-    """Convenience constructor; missing utilities default to zero."""
+    """Convenience constructor; missing utilities default to zero.  Each
+    agent's values become ints over the lcm of their denominators."""
     graph = Graph(tuple(vertices), tuple(edges))
     if isinstance(variant, str):
         variant = Variant(variant)
-    table: dict[tuple[str, str], Fraction] = {}
+    ints: dict[tuple[str, str], int] = {}
+    dens: dict[str, int] = {}
     for agent, per_edge in utilities.items():
-        for e in graph.edge_ids:
-            table[(agent, e)] = as_rational(per_edge.get(e, 0))
-    return Instance(graph, tuple(utilities.keys()), table, variant)
+        row = [as_rational(per_edge.get(e, 0)) for e in graph.edge_ids]
+        dens[agent] = den = lcm(*(u.denominator for u in row))
+        ints.update(
+            ((agent, e), u.numerator * (den // u.denominator)) for e, u in zip(graph.edge_ids, row)
+        )
+    return Instance(graph, tuple(utilities), ints, dens, variant)
 
 
 def normalize(instance: Instance) -> Instance:
@@ -213,21 +210,23 @@ def normalize(instance: Instance) -> Instance:
 
     Scaling an agent's utility function by a positive constant never
     changes which assignments are envy-free, so the answer is preserved.
-    An instance that already sums to one is returned as it is, and the
-    one built here is marked as summing to one, which it does exactly.
+    With t the sum of an agent's ints and g their gcd, the agent's row
+    becomes ints // g over t // g.  An instance in which every agent's
+    ints already sum to its denominator is returned as it is.
     """
-    if instance.is_normalized:
+    edges, ints = instance.graph.edge_ids, instance.ints
+    totals = {a: sum(ints[a, e] for e in edges) for a in instance.agents}
+    if all(totals[a] == instance.dens[a] for a in instance.agents):
         return instance
-    table: dict[tuple[str, str], Fraction] = {}
-    for a in instance.agents:
-        total = instance.total_utility(a)
+    scaled: dict[tuple[str, str], int] = {}
+    dens: dict[str, int] = {}
+    for a, total in totals.items():
         if total == 0:
             raise AllZeroAgentError(f"agent {a} values every edge at zero")
-        for e in instance.graph.edge_ids:
-            table[(a, e)] = instance.util(a, e) / total
-    normalized = Instance(instance.graph, instance.agents, table, instance.variant)
-    normalized.__dict__["is_normalized"] = True  # the cached_property's slot
-    return normalized
+        g = gcd(*(ints[a, e] for e in edges))
+        dens[a] = total // g
+        scaled.update(((a, e), ints[a, e] // g) for e in edges)
+    return Instance(instance.graph, instance.agents, scaled, dens, instance.variant)
 
 
 @dataclass(frozen=True)
@@ -427,7 +426,7 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
 
     One pass lays the assignment out by edge, every cut point as an int
     over the lcm D of their denominators, so each check is int arithmetic
-    (a's values over D times a's ``Instance.int_utilities`` denominator);
+    (a's values over D times a's denominator ``Instance.dens[a]``);
     a ``Fraction`` is built only for a failure message.
     """
     graph = instance.graph
@@ -460,7 +459,7 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
             if len(owners.get(v, ())) > 1:
                 message = f"vertex {v} belongs to pieces of {sorted(owners[v])}"
                 failures.append(Failure("vertex-disjointness", message))
-    ints, dens = instance.int_utilities
+    ints, dens = instance.ints, instance.dens
     for a in instance.agents if agents_match else ():
         value = dict.fromkeys(instance.agents, 0)
         for edge, spans in by_edge.items():

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 import efgc.few_edges as few_edges
 from efgc.cells import endpoint_var, guessed_pieces
@@ -28,6 +30,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from efgc.model import (
+    AllZeroAgentError,
     Assignment,
     EdgePiece,
     Failure,
@@ -341,6 +344,42 @@ def count_branch_skips(monkeypatch) -> list[BranchGuess]:
 
     monkeypatch.setattr(few_edges, "_holders_must_envy", recording)
     return skips
+
+
+def shared_rows(inst: Instance, base: BranchGuess) -> int:
+    """How many rows ``build_lp`` emits first for every guess of ``base``:
+    those of the branch's LP with no outsider placed (bounds and tiling,
+    then the holders' envy rows)."""
+    return len(few_edges.build_lp(inst, replace(base, placement={})).rows)
+
+
+def fraction_normalize(
+    table: Mapping[tuple[str, str], Fraction], agents: Sequence[str], edges: Sequence[str]
+) -> dict[tuple[str, str], Fraction]:
+    """``normalize`` on a ``Fraction`` table by (agent, edge), the way it
+    worked when an instance stored one: every value divided by its
+    agent's total; a table whose totals are all one comes back as it is."""
+    totals = {a: sum((table[a, e] for e in edges), F(0)) for a in agents}
+    if all(total == 1 for total in totals.values()):
+        return dict(table)
+    out = {}
+    for a, total in totals.items():
+        if total == 0:
+            raise AllZeroAgentError(f"agent {a} values every edge at zero")
+        out.update(((a, e), table[a, e] / total) for e in edges)
+    return out
+
+
+def fraction_int_utilities(
+    table: Mapping[tuple[str, str], Fraction], agents: Sequence[str], edges: Sequence[str]
+) -> tuple[dict[tuple[str, str], int], dict[str, int]]:
+    """(u * den by (agent, edge), den by agent): each agent's ``Fraction``
+    values as ints over the lcm of their denominators."""
+    ints, dens = {}, {}
+    for a in agents:
+        dens[a] = den = lcm(*(table[a, e].denominator for e in edges))
+        ints.update(((a, e), int(table[a, e] * den)) for e in edges)
+    return ints, dens
 
 
 def extract_assignment_reference(

@@ -18,7 +18,7 @@ from efgc.cli import (
 )
 from efgc.component_lp import solve_cycle, solve_tree_gc_bounded_degree, solve_tree_vdgc
 from efgc.few_edges import solve_few_edges
-from efgc.model import Assignment, EdgePiece, Piece, Variant
+from efgc.model import Assignment, EdgePiece, Piece, Variant, build_instance, normalize
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_parse_instance_roundtrip():
     assert inst.agents == ("a1", "a2")
     assert inst.util("a1", "e1") == 1  # normalized
     again = parse_instance(emit_instance(inst))
-    assert again.utilities == inst.utilities
+    assert again == inst
     assert again.graph == inst.graph
 
 
@@ -101,6 +101,37 @@ agent a1 e1=1 e2=1
         parse_instance(disconnected)
     with pytest.raises(ValidationError):
         parse_instance(P3_TEXT.replace("agent a2 e1=0 e2=1", "agent a2 e1=0 e2=0"))
+
+
+def _token_text(token: str) -> str:
+    return P3_TEXT.replace("agent a1 e1=1 e2=0", f"agent a1 e1={token} e2=1")
+
+
+@pytest.mark.parametrize(
+    "token, value", [("2/4", F(1, 2)), ("0.5", F(1, 2)), ("1e3", F(1000)), ("+2", F(2)), ("-0", F(0))]
+)
+def test_utility_tokens_fraction_reads_are_accepted(token, value):
+    raw = build_instance(
+        ["v1", "v2", "v3"],
+        [("e1", "v1", "v2"), ("e2", "v2", "v3")],
+        {"a1": {"e1": value, "e2": 1}, "a2": {"e2": 1}},
+    )
+    assert parse_instance(_token_text(token)) == normalize(raw)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("1/0", "bad rational '1/0'"),
+        ("3/-4", "bad rational '3/-4'"),
+        ("nan", "bad rational 'nan'"),
+        ("0x10", "bad rational '0x10'"),
+        ("-1", "negative utility for e1"),
+    ],
+)
+def test_utility_tokens_fraction_rejects_are_parse_errors(token, message):
+    with pytest.raises(ParseError, match=f"^line 6: {message}$"):
+        parse_instance(_token_text(token))
 
 
 def test_repeated_utility_term_is_rejected_in_either_order():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -243,9 +244,7 @@ def test_shared_no_implies_disjoint_no():
     rng = random.Random(444)
     for _ in range(10):
         base = random_tree_instance(rng, rng.randint(1, 3), rng.randint(1, 3), "gc")
-        from efgc.model import Instance
-
-        paired = Instance(base.graph, base.agents, base.utilities, Variant.VDGC)
+        paired = replace(base, variant=Variant.VDGC)
         if not solve_explicit_oracle(base).yes:
             assert not solve_explicit_oracle(paired).yes
 

@@ -65,11 +65,16 @@ def test_star_generator_structure():
     assert solve_tree_gc_bounded_degree(inst).yes
 
 
-def test_star_generator_guards():
+@pytest.mark.parametrize(
+    "generate, zero_sum_error",
+    [(gen_star_from_numpart, ZeroSumError), (gen_matching_plus_two, ValueError), (gen_ladder_tw2, ValueError)],
+    ids=["star", "matching2", "ladder"],
+)
+def test_generator_guards(generate, zero_sum_error):
     with pytest.raises(EmptyInputError):
-        gen_star_from_numpart([])
-    with pytest.raises(ZeroSumError):
-        gen_star_from_numpart([0])
+        generate([])
+    with pytest.raises(zero_sum_error):
+        generate([0])
 
 
 def test_matching_plus_two_structure():
@@ -81,8 +86,6 @@ def test_matching_plus_two_structure():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScaleExceededWarning)
         assert solve_explicit_oracle(inst).yes
-    with pytest.raises(ZeroSumError):
-        gen_matching_plus_two([])
     with pytest.raises(ValueError):
         gen_matching_plus_two([0, 1])
 

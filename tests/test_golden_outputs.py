@@ -1,0 +1,54 @@
+"""``efgc solve`` output on the benchmark corpora is pinned byte for byte.
+
+Each (workload, seed) corpus from ``perfbench.workloads.build_corpus`` is
+sent, one request at a time, through ``efgc solve --in - --mode MODE``;
+a sha256 over every request's exit code and standard output must equal
+the digest recorded below.  A refactor that changes no verdict and no
+witness keeps every digest; a change that alters any output fails here
+and has to say why it records new digests.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+
+import pytest
+
+from efgc import cli
+from perfbench.workloads import build_corpus
+
+DIGESTS = {
+    ("general_random", 1): "df8723ff05f9c363da512d5d14b1ce77b850e7fa97d2ea375e32420d52e1fc94",
+    ("general_random", 2): "11a108817c250241efcc90ad9bcb1d0e3eebaf0eda79b1b9752c9224447e262c",
+    ("general_random", 3): "0f406e52c6f2a111e550468c4a69c8ef070dc9bc274dbe120db7d4bc955833f4",
+    # every request of this workload is a No, so the seeds share a digest
+    ("general_unsolvable", 1): "2d0139511f764a026475e5f17f76cd90d1b35abb40e6268da318d7a771f45c1f",
+    ("general_unsolvable", 2): "2d0139511f764a026475e5f17f76cd90d1b35abb40e6268da318d7a771f45c1f",
+    ("general_unsolvable", 3): "2d0139511f764a026475e5f17f76cd90d1b35abb40e6268da318d7a771f45c1f",
+    ("trees_cycles", 1): "2155c9f9263091dda07462139e3c99fb88bdaf55d0e43d3e7823084f7ce010c6",
+    ("trees_cycles", 2): "7369a589b30704528bbd2bb8fc87b48411712d8435d8f7de066a5e4083aa2407",
+    ("trees_cycles", 3): "1596c2049cc15c0bd9be37d3154f71a921fa11ac0149991828f629a9ed335d06",
+}
+
+
+def solve_digest(corpus: list[dict]) -> str:
+    """sha256 over each request's exit code and stdout, in corpus order."""
+    digest = hashlib.sha256()
+    for request in corpus:
+        out = io.StringIO()
+        saved = sys.stdin
+        sys.stdin = io.StringIO(request["text"])
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(["solve", "--in", "-", "--mode", request["mode"]])
+        finally:
+            sys.stdin = saved
+        digest.update(f"{code}\n{out.getvalue()}\0".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workload, seed", sorted(DIGESTS))
+def test_solve_output_matches_recorded_digest(workload, seed):
+    assert solve_digest(build_corpus(workload, seed)) == DIGESTS[workload, seed]

@@ -160,7 +160,7 @@ def test_cut_lp_rows_equal_rows_from_fraction_utilities(monkeypatch):
 
     def recording(inst, f_prime, end_owners, insiders, whole_value):
         system = build(inst, f_prime, end_owners, insiders, whole_value)
-        dens = inst.int_utilities[1]
+        dens = inst.dens
         whole = {(b, a): F(v, dens[a]) for b, per in whole_value.items() for a, v in per.items()}
         calls.append((inst, list(f_prime), dict(end_owners), dict(insiders), whole, system))
         return system
@@ -194,7 +194,7 @@ def test_cut_lp_rows_equal_rows_from_fraction_utilities(monkeypatch):
             vdgc_checked += 1
         reference = _cut_lp_reference(inst, f_prime, end_owners, insiders, whole)
         assert list(system.constraints) == [(form, rel) for form, rel, _ in reference]
-        dens = inst.int_utilities[1]
+        dens = inst.dens
         reduced += sum(row[2] < dens[a] for row, (_, _, a) in zip(system.rows, reference) if a)
     assert reduced and vdgc_checked > 100  # some rows needed the gcd to reach lowest terms
 
@@ -281,5 +281,5 @@ def test_few_edges_rows_equal_rows_from_fraction_utilities(monkeypatch):
             assert system.rows == reference.rows
             assert list(system.constraints) == list(reference.constraints)
             # a denominator that no agent has comes from a reduced row
-            reduced += sum(row[2] not in inst.int_utilities[1].values() for row in system.rows)
+            reduced += sum(row[2] not in inst.dens.values() for row in system.rows)
         assert reduced

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from efgc.model import (
 )
 from helpers import (
     contains,
+    fraction_int_utilities,
+    fraction_normalize,
     is_connected_piece_reference,
     path,
     random_cycle_instance,
@@ -51,26 +54,89 @@ def test_normalize_identity_when_already_normalized():
     inst = path(2, {"a": [F(1, 2), F(1, 2)]})
     assert normalize(inst) is inst
     raw = path(2, {"a": [1, 1], "b": [F(1, 3), F(2, 3)]})
-    assert not raw.is_normalized
+    assert sum(raw.util("a", e) for e in raw.graph.edge_ids) != 1
     norm = normalize(raw)
-    assert norm is not raw and norm.is_normalized and normalize(norm) is norm
-
-
-def test_normalize_marks_its_instance_normalized(monkeypatch):
-    raw = path(2, {"a": [1, 2], "b": [F(1, 3), 1]})
-    norm = normalize(raw)
-
-    def resummed(self, agent):
-        raise AssertionError("a normalized instance was summed again")
-
-    monkeypatch.setattr(Instance, "total_utility", resummed)
-    assert normalize(norm) is norm and norm.is_normalized
+    sums_to_one = all(sum(norm.util(a, e) for e in norm.graph.edge_ids) == 1 for a in norm.agents)
+    assert norm is not raw and sums_to_one and normalize(norm) is norm
 
 
 def test_normalize_rejects_all_zero_agent():
     inst = path(2, {"a": [0, 0]})
     with pytest.raises(AllZeroAgentError):
         normalize(inst)
+    # next to an agent whose values already sum to one
+    with pytest.raises(AllZeroAgentError):
+        normalize(path(2, {"a": [F(1, 2), F(1, 2)], "b": [0, 0]}))
+
+
+def _seeded_rows(rng: random.Random, edges, seen: Counter) -> dict[str, dict[str, Fraction]]:
+    """Three agents' rows: p/q values, whole values, rows with zeros,
+    copies of an earlier row, and rows that already sum to one."""
+    rows: dict[str, dict[str, Fraction]] = {}
+    for a in ("a1", "a2", "a3"):
+        kind = rng.choice(["p/q", "whole", "zeros", "copy", "sums to one"])
+        if kind == "copy" and rows:
+            row = dict(rows[rng.choice(sorted(rows))])
+        elif kind == "whole":
+            row = {e: F(rng.randint(0, 6)) for e in edges}
+        elif kind == "zeros":
+            row = {e: F(rng.randint(1, 9), rng.randint(1, 9)) * rng.randint(0, 1) for e in edges}
+        else:
+            row = {e: F(rng.randint(0, 9), rng.randint(1, 12)) for e in edges}
+        if not any(row.values()):
+            row[rng.choice(edges)] = F(rng.randint(1, 9), rng.randint(1, 9))
+        if kind == "sums to one":
+            total = sum(row.values())
+            row = {e: v / total for e, v in row.items()}
+        seen[kind] += 1
+        seen["zero value"] += not all(row.values())
+        rows[a] = row
+    return rows
+
+
+def test_int_normalize_matches_the_fraction_reference():
+    """``build_instance`` and ``normalize`` give each agent the ints and
+    denominator, and ``util`` the values, that the ``Fraction`` table of
+    the same input gives, normalized by division and put over the lcm."""
+    rng = random.Random(1818)
+    edges = ["e1", "e2", "e3"]
+    seen = Counter()
+    for _ in range(400):
+        rows = _seeded_rows(rng, edges, seen)
+        inst = path(3, {a: [row[e] for e in edges] for a, row in rows.items()})
+        table = {(a, e): rows[a][e] for a in rows for e in edges}
+        assert (inst.ints, inst.dens) == fraction_int_utilities(table, inst.agents, edges)
+        want = fraction_normalize(table, inst.agents, edges)
+        norm = normalize(inst)
+        assert (norm.ints, norm.dens) == fraction_int_utilities(want, inst.agents, edges)
+        assert {key: norm.util(*key) for key in want} == want
+        already = all(sum(row.values()) == 1 for row in rows.values())
+        assert (norm is inst) == already
+        seen["instance sums to one"] += already
+    assert min(seen.values()) > 5, seen
+
+
+_E1, _E2 = ("a", "e1"), ("a", "e2")
+
+
+@pytest.mark.parametrize(
+    "ints, dens, message",
+    [
+        ({_E1: 1}, {"a": 3}, "missing utility"),
+        ({_E1: -1, _E2: 2}, {"a": 3}, "negative utility"),
+        ({_E1: 1, _E2: 2}, {"a": 0}, "not positive"),
+        ({_E1: 1, _E2: 2}, {"a": -3}, "not positive"),
+        ({_E1: 1, _E2: 2}, {}, "not positive"),
+        ({_E1: 2, _E2: 4}, {"a": 6}, "lowest terms"),
+        ({_E1: 0, _E2: 0}, {"a": 2}, "lowest terms"),
+    ],
+    ids=["missing", "negative", "zero-den", "negative-den", "no-den", "common-factor", "zeros-over-2"],
+)
+def test_instance_rejects_a_bad_int_row(ints, dens, message):
+    graph = path(2, {"a": [1, 2]}).graph
+    assert Instance(graph, ("a",), {_E1: 1, _E2: 2}, {"a": 3}, Variant.GC).util("a", "e2") == F(2, 3)
+    with pytest.raises(ValueError, match=message):
+        Instance(graph, ("a",), ints, dens, Variant.GC)
 
 
 def test_graph_validation():

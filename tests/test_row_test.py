@@ -36,6 +36,7 @@ from helpers import (
     random_tree_instance,
     random_utilities,
     row_certificate,
+    shared_rows,
     star3_identical,
 )
 
@@ -97,7 +98,7 @@ def test_row_test_refutes_no_feasible_lp_of_either_search(monkeypatch):
 
 def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
     """On both routes, every guess of an initial branch builds an LP that
-    starts with the same ``_shared_rows`` rows, and the row test of those
+    starts with the same ``shared_rows`` rows, and the row test of those
     rows has the verdict of the full test on each LP; when one of them
     refutes, no LP of the branch is feasible."""
     rng = random.Random(2323)
@@ -113,9 +114,9 @@ def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
                     placements = few_edges._placements(inst, outsiders, dict(base.n))
                     guesses = [replace(base, placement=p) for p in placements]
                     if not outsiders:
-                        assert len(build_lp(inst, guesses[0]).rows) == few_edges._shared_rows(base)
+                        assert len(build_lp(inst, guesses[0]).rows) == shared_rows(inst, base)
                 systems = [build_lp(inst, guess) for guess in guesses]
-                shared = few_edges._shared_rows(base)
+                shared = shared_rows(inst, base)
                 assert len({tuple(system.rows[:shared]) for system in systems}) <= 1
                 for system in systems:
                     test = RowTest(system.rows[:shared])
@@ -144,7 +145,7 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
     """On both routes, the few-edges check skips an initial branch exactly
     when ``RowTest`` over the branch's first LP (and over its shared rows
     alone, for a branch with no guess) returns a row below
-    ``_shared_rows``; that row is always a holder's row against another
+    ``shared_rows``; that row is always a holder's row against another
     holder, never one against an inside piece.  A search that answers No
     skips exactly those branches."""
     rng = random.Random(1717)
@@ -160,9 +161,9 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
                 for variant in ("gc", "vdgc") for _ in range(2)
             ]
             for inst in map(normalize, _few_edges_corpus(rng, 16, 3 if paper else 4) + nos + paws):
-                ints, refuted = inst.int_utilities[0], []
+                ints, refuted = inst.ints, []
                 for base in enumerate_initial_branches(inst):
-                    shared, lps = few_edges._shared_rows(base), [replace(base, placement={})]
+                    shared, lps = shared_rows(inst, base), [replace(base, placement={})]
                     first = next(_route_guesses(inst, base), None)
                     lps += [first] if first is not None else []
                     skip = few_edges._holders_must_envy(ints, base)
@@ -196,7 +197,7 @@ def _share_lp_tree(inst, cut):
     them, grouped by component assignment (with whether some agent holds
     no component), then by connector combo, in search order; each
     holder's whole-edge values summed afresh from its edges."""
-    graph, ints, cut = inst.graph, inst.int_utilities[0], frozenset(cut)
+    graph, ints, cut = inst.graph, inst.ints, frozenset(cut)
     position = {e: i for i, e in enumerate(graph.edge_ids)}
     comps = component_lp.components_without(graph, cut)
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp.vertices}
