@@ -2,10 +2,11 @@
 
 Fix a set F of cut edges.  Its scope is the assignments in which every
 connected component of G - F goes wholly to one agent, and within it
-the rest is searchable: branch over the component assignment, connect each
-agent's components with a minimal set of edges from F, branch over which
-cut edge hosts each agent that owns no component, and solve an exact LP
-for the share lengths on the remaining cut edges.
+the rest is searchable: branch over the component assignment (one per
+orbit of identical agents, see ``orbit_leaders``), connect each agent's
+components with a minimal set of edges from F, branch over which cut
+edge hosts each agent that owns no component, and solve an exact LP for
+the share lengths on the remaining cut edges.
 
 A held set, the components one agent holds, decides that agent's
 options alone, so they are worked out once per cut set: its minimal
@@ -62,6 +63,7 @@ from efgc.model import (
     Variant,
     Verdict,
     normalize,
+    orbit_leaders,
     tile_edge,
     verify_assignment,
 )
@@ -262,7 +264,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
             found.append((connector, owned, values))
         return found
 
-    for comp_assign in product(inst.agents, repeat=len(comps)):
+    for comp_assign in orbit_leaders(inst, len(comps)):
         held: dict[str, list[int]] = {}
         for k, agent in enumerate(comp_assign):
             held.setdefault(agent, []).append(k)

@@ -1,8 +1,9 @@
 """Decision procedure for arbitrary connected graphs with few edges.
 
 The search first guesses, for both ends of every edge, the agent whose
-piece contains that end, plus the number n[e] of agents placed fully
-inside each edge (an initial branch).  It finishes each initial branch
+piece contains that end (one map per orbit of identical agents, see
+``orbit_leaders``), plus the number n[e] of agents placed fully inside
+each edge (an initial branch).  It finishes each initial branch
 along one of two routes and lets an exact LP fill in the lengths:
 
 * explicit placements: put every outsider (an agent holding no end) on
@@ -63,6 +64,7 @@ from efgc.model import (
     Variant,
     Verdict,
     normalize,
+    orbit_leaders,
     piece_utility,
     tile_edge,
     verify_assignment,
@@ -129,17 +131,19 @@ def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
 
 
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
-    """Every endpoint-holder map crossed with every inside-count map
-    whose counts place exactly the agents that hold no end, minus the
-    guesses whose holders' ends cannot be linked; in lexicographic order
-    of the edge ends (edge by edge, end 0 first), then of the counts.
+    """One endpoint-holder map per orbit of identical agents, crossed with
+    every inside-count map placing exactly the agents that hold no end,
+    minus the guesses whose holders' ends cannot be linked; in lexicographic
+    order of the edge ends (edge by edge, end 0 first), then of the counts.
 
     Under VDGC all ends at one vertex belong to one agent, so one owner
     is guessed per vertex, the vertices taken in the order they first
     appear among the edge ends.  Two consistent maps first differ at the
     first appearance of some vertex, so this yields the same maps in the
     same order as filtering all maps of the ends; the order is kept
-    because the first feasible branch gives the witness.
+    because the first feasible branch gives the witness.  Renaming
+    identical agents maps a feasible branch to a feasible one, so the
+    first feasible branch leads its orbit (``orbit_leaders``).
     """
     graph = instance.graph
     agents = instance.agents
@@ -152,7 +156,7 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     counts_by_sum: dict[int, list[dict[str, int]]] = {}
     for counts in product(range(len(agents) + 1), repeat=len(edges)):
         counts_by_sum.setdefault(sum(counts), []).append(dict(zip(edges, counts)))
-    for combo in product(agents, repeat=len(units)):
+    for combo in orbit_leaders(instance, len(units)):
         owner = dict(zip(units, combo))
         ep = {slot: owner[key] for slot, key in zip(slots, keys)}
         a_v = frozenset(combo)

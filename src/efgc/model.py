@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -227,6 +228,32 @@ def normalize(instance: Instance) -> Instance:
         dens[a] = total // g
         scaled.update(((a, e), ints[a, e] // g) for e in edges)
     return Instance(instance.graph, instance.agents, scaled, dens, instance.variant)
+
+
+def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
+    """The sequences of ``length`` agents that are least, in the order of
+    ``instance.agents``, among their renamings of identical agents (equal
+    ``ints`` row and ``dens``), in lexicographic order: an agent may come
+    once the one before it in its class has.  Without identical agents,
+    every sequence."""
+    agents, last, before = instance.agents, {}, {}  # before: predecessor in class
+    for a in agents:
+        key = (instance.dens[a], *(instance.ints[a, e] for e in instance.graph.edge_ids))
+        if key in last:
+            before[a] = last[key]
+        last[key] = a
+    if not before:
+        return product(agents, repeat=length)
+
+    def extend(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+        if len(prefix) == length:
+            yield prefix
+            return
+        for a in agents:
+            if a not in before or before[a] in prefix:
+                yield from extend(prefix + (a,))
+
+    return extend(())
 
 
 @dataclass(frozen=True)

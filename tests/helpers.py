@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -299,6 +299,48 @@ def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
                         inst = build_instance(vertices, edges, table, variant)
                         corpus.append((inst, solve_explicit_oracle(inst).yes))
     return tuple(corpus)
+
+
+@lru_cache(maxsize=None)
+def mixed_classes_corpus() -> tuple[tuple[Instance, bool], ...]:
+    """Every graph shape of at most 4 edges, both variants, with agents
+    a1, a2, a3 where a3 values every edge twice as much as a1 and a2 has
+    another row: a1 and a3 are identical only after ``normalize``, and
+    their class is split by a2 in agent order.  Three seeded random row
+    pairs with zeros per shape, each with the oracle's verdict."""
+    rng = random.Random(1919)
+    corpus = []
+    for shapes in GRAPH_SHAPES.values():
+        for vertices, edges in shapes:
+            edge_ids = [e[0] for e in edges]
+            for _ in range(3):
+                while True:
+                    r, s = ({e: rng.randint(0, 5) for e in edge_ids} for _ in range(2))
+                    total_r, total_s = sum(r.values()), sum(s.values())
+                    # neither row is all zero, and a2 differs from a1 after
+                    # normalize wherever there are two edges to tell them apart
+                    if total_r and total_s and (
+                        len(edge_ids) == 1 or any(r[e] * total_s != s[e] * total_r for e in edge_ids)
+                    ):
+                        break
+                table = {"a1": r, "a2": s, "a3": {e: 2 * u for e, u in r.items()}}
+                for variant in ("gc", "vdgc"):
+                    inst = build_instance(vertices, edges, table, variant)
+                    corpus.append((inst, solve_explicit_oracle(inst).yes))
+    return tuple(corpus)
+
+
+def least_in_orbit(classes: Sequence[Sequence[str]], agents: Sequence[str], seq) -> bool:
+    """Is ``seq`` no greater, in the lexicographic order that ``agents``
+    induces, than any of its renamings by a permutation of each class?
+    Tries every such permutation."""
+    rank = {a: i for i, a in enumerate(agents)}
+    key = [rank[a] for a in seq]
+    for perms in product(*(permutations(c) for c in classes)):
+        rename = {a: b for c, p in zip(classes, perms) for a, b in zip(c, p)}
+        if [rank[rename[a]] for a in seq] < key:
+            return False
+    return True
 
 
 def criterion_4_instances() -> list[Instance]:

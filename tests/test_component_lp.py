@@ -34,6 +34,7 @@ from helpers import (
     connector_choices_reference,
     cycle,
     identical_agents_corpus,
+    mixed_classes_corpus,
     path,
     piece_of,
     random_cycle_instance,
@@ -188,11 +189,11 @@ def test_tree_gc_agrees_with_oracle():
             assert verify_assignment(normalize(inst), verdict.assignment).valid
 
 
-def test_identical_agents_agree_with_oracle():
-    # identical agents make many cut-set LPs fail on one envy row, which
-    # the row test refutes before the simplex
+def _tree_or_cycle_agree(corpus) -> int:
+    """Check every tree and cycle of ``corpus`` with its solver against
+    the oracle's verdict; returns how many were checked."""
     checked = 0
-    for inst, expected in identical_agents_corpus():
+    for inst, expected in corpus:
         graph = inst.graph
         if graph.is_tree():
             solver = (
@@ -207,7 +208,18 @@ def test_identical_agents_agree_with_oracle():
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
         checked += 1
-    assert checked == 72  # every shape but the paw
+    return checked
+
+
+def test_identical_agents_agree_with_oracle():
+    # identical agents make many cut-set LPs fail on one envy row, which
+    # the row test refutes before the simplex
+    assert _tree_or_cycle_agree(identical_agents_corpus()) == 72  # every shape but the paw
+
+
+def test_mixed_classes_agree_with_oracle():
+    # a1 and a3 are identical after normalize, a2 sits between them
+    assert _tree_or_cycle_agree(mixed_classes_corpus()) == 54  # every shape but the paw
 
 
 def test_cycle_agrees_with_oracle():

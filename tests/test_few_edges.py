@@ -47,6 +47,8 @@ from helpers import (
     holder_region_reference,
     identical_agents_corpus,
     initial_branches_reference,
+    least_in_orbit,
+    mixed_classes_corpus,
     path,
     random_cycle_instance,
     random_graph_instance,
@@ -74,15 +76,24 @@ def test_single_edge_one_agent_single_branch():
     assert only.n == {"e1": 0}
 
 
+def _single_edge_shapes(got):
+    return {(g.endpoint_agent[("e1", 0)], g.endpoint_agent[("e1", 1)], g.n["e1"]) for g in got}
+
+
 def test_single_edge_two_agents_branches():
-    got = branches(single_edge({"a": 1, "b": 1}))
-    shapes = {
-        (g.endpoint_agent[("e1", 0)], g.endpoint_agent[("e1", 1)], g.n["e1"])
-        for g in got
-    }
+    # after normalize any two agents on one edge are identical, so a and b
+    # are told apart here only as the raw instance gives them: a's int 1,
+    # b's int 2, each over denominator 1
+    got = list(enumerate_initial_branches(single_edge({"a": 1, "b": 2})))
     # both mixed-endpoint branches survive; same-agent endpoints with one
     # agent inside fail the connectedness check (the piece would split)
-    assert shapes == {("a", "b", 0), ("b", "a", 0)}
+    assert _single_edge_shapes(got) == {("a", "b", 0), ("b", "a", 0)}
+
+
+def test_single_edge_identical_agents_one_branch():
+    # ("b", "a", 0) is ("a", "b", 0) with the identical agents renamed
+    for utilities in ({"a": 1, "b": 1}, {"a": 1, "b": 2}):
+        assert _single_edge_shapes(branches(single_edge(utilities))) == {("a", "b", 0)}
 
 
 def test_vdgc_branch_rejects_vertex_conflicts():
@@ -97,15 +108,29 @@ OUT_OF_ORDER_PATH = (["v1", "v2", "v3"], [("e1", "v2", "v3"), ("e2", "v1", "v2")
 
 
 def test_initial_branches_match_reference():
+    """With identical agents, the reference's branches whose endpoint map
+    is least among its renamings (edge ends in reference order), in the
+    reference's order; with distinct agents, every reference branch."""
     shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]]
     for vertices, edges in shapes + [OUT_OF_ORDER_PATH]:
+        slots = [(e[0], i) for e in edges for i in (0, 1)]
         for n_agents in (1, 2, 3):
+            agents = [f"a{i}" for i in range(1, n_agents + 1)]
             for variant in ("gc", "vdgc"):
-                table = {f"a{i}": {e[0]: 1 for e in edges} for i in range(1, n_agents + 1)}
+                table = {a: {e[0]: 1 for e in edges} for a in agents}
                 inst = normalize(build_instance(vertices, edges, table, variant))
-                assert branches(inst) == initial_branches_reference(inst), (
-                    edges, n_agents, variant,
-                )
+                want = [
+                    b for b in initial_branches_reference(inst)
+                    if least_in_orbit([agents], agents, [b.endpoint_agent[s] for s in slots])
+                ]
+                assert branches(inst) == want, (edges, n_agents, variant)
+                if len(edges) > 1:  # a_i values the j-th edge, from 0, at (i + 1)^j
+                    table = {a: {e[0]: (i + 2) ** j for j, e in enumerate(edges)}
+                             for i, a in enumerate(agents)}
+                    inst = normalize(build_instance(vertices, edges, table, variant))
+                    assert branches(inst) == initial_branches_reference(inst), (
+                        edges, n_agents, variant,
+                    )
 
 
 def test_build_lp_single_edge_forces_halves():
@@ -458,6 +483,25 @@ def test_identical_agents_agree_with_oracle(monkeypatch):
         if verdict.yes:
             assert verify_assignment(normalize(inst), verdict.assignment).valid
     assert skips  # some branches were skipped before any LP
+
+
+def _agree_on_mixed_classes():
+    for inst, expected in mixed_classes_corpus():
+        verdict = solve_few_edges(inst)
+        assert verdict.yes == expected, (inst.graph.edges, inst.variant)
+        if verdict.yes:
+            assert verify_assignment(normalize(inst), verdict.assignment).valid
+
+
+def test_mixed_classes_agree_with_oracle():
+    # a1 and a3 are identical after normalize, a2 sits between them
+    _agree_on_mixed_classes()
+
+
+def test_paper_route_agrees_with_oracle_on_mixed_classes(monkeypatch):
+    opened = force_paper_route(monkeypatch)
+    _agree_on_mixed_classes()
+    assert opened
 
 
 def _trace_identical_stars() -> list:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from efgc.model import (
     build_instance,
     is_connected_piece,
     normalize,
+    orbit_leaders,
     piece_utility,
     tile_edge,
     verify_assignment,
@@ -27,6 +29,7 @@ from helpers import (
     fraction_int_utilities,
     fraction_normalize,
     is_connected_piece_reference,
+    least_in_orbit,
     path,
     random_cycle_instance,
     random_graph_instance,
@@ -67,6 +70,42 @@ def test_normalize_rejects_all_zero_agent():
     # next to an agent whose values already sum to one
     with pytest.raises(AllZeroAgentError):
         normalize(path(2, {"a": [F(1, 2), F(1, 2)], "b": [0, 0]}))
+
+
+@pytest.mark.parametrize(
+    "rows, classes",
+    [
+        # a3 values each edge twice as much as a1: one class after normalize
+        ({"a1": [1, 2], "a2": [1, 1], "a3": [2, 4]}, [["a1", "a3"], ["a2"]]),
+        ({"a1": [1, 1], "a2": [1, 1], "a3": [1, 1]}, [["a1", "a2", "a3"]]),
+        ({"a1": [1, 2], "a2": [1, 1], "a3": [2, 1]}, [["a1"], ["a2"], ["a3"]]),
+    ],
+)
+def test_orbit_leaders_one_least_member_per_orbit(rows, classes):
+    raw = path(2, rows)
+    inst = normalize(raw)
+    agents = inst.agents
+    renamings = [
+        {a: b for c, p in zip(classes, perms) for a, b in zip(c, p)}
+        for perms in product(*(permutations(c) for c in classes))
+    ]
+
+    def orbit(seq):
+        return frozenset(tuple(rename[a] for a in seq) for rename in renamings)
+
+    rank = {a: i for i, a in enumerate(agents)}
+    for length in range(5):
+        every = list(product(agents, repeat=length))
+        got = list(orbit_leaders(inst, length))
+        keys = [[rank[a] for a in seq] for seq in got]
+        assert keys == sorted(keys) and len(set(got)) == len(got)  # lexicographic
+        assert {orbit(seq) for seq in got} == {orbit(seq) for seq in every}
+        assert len(got) == len({orbit(seq) for seq in every})  # one per orbit
+        assert all(least_in_orbit(classes, agents, seq) for seq in got)
+        if len(classes) == len(agents):
+            assert got == every
+        # identity is read off ints and dens: a raw 2·r row is not r's
+        assert list(orbit_leaders(raw, length)) == (every if rows["a3"] != rows["a1"] else got)
 
 
 def _seeded_rows(rng: random.Random, edges, seen: Counter) -> dict[str, dict[str, Fraction]]:

@@ -113,8 +113,11 @@ def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
                     outsiders = [a for a in inst.agents if a not in base.a_v]
                     placements = few_edges._placements(inst, outsiders, dict(base.n))
                     guesses = [replace(base, placement=p) for p in placements]
-                    if not outsiders:
-                        assert len(build_lp(inst, guesses[0]).rows) == shared_rows(inst, base)
+                    if not outsiders:  # n = 0 on every edge: two bounds and a
+                        # tiling row per edge, then one row per ordered holder pair
+                        holders = len(base.a_v)
+                        rows = 3 * len(base.n) + holders * (holders - 1)
+                        assert len(build_lp(inst, guesses[0]).rows) == rows
                 systems = [build_lp(inst, guess) for guess in guesses]
                 shared = shared_rows(inst, base)
                 assert len({tuple(system.rows[:shared]) for system in systems}) <= 1
