@@ -141,9 +141,7 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     appear among the edge ends.  Two consistent maps first differ at the
     first appearance of some vertex, so this yields the same maps in the
     same order as filtering all maps of the ends; the order is kept
-    because the first feasible branch gives the witness.  Renaming
-    identical agents maps a feasible branch to a feasible one, so the
-    first feasible branch leads its orbit (``orbit_leaders``).
+    because the first feasible branch gives the witness.
     """
     graph = instance.graph
     agents = instance.agents

@@ -231,18 +231,17 @@ def normalize(instance: Instance) -> Instance:
 
 
 def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
-    """The sequences of ``length`` agents that are least, in the order of
-    ``instance.agents``, among their renamings of identical agents (equal
-    ``ints`` row and ``dens``), in lexicographic order: an agent may come
-    once the one before it in its class has.  Without identical agents,
-    every sequence."""
+    """The sequences of ``length`` agents least, in ``instance.agents``
+    order, among their renamings of identical agents (equal ``ints`` row
+    and ``dens``), in lexicographic order: an agent may come once the one
+    before it in its class has (``product`` when no two are identical).
+    Renaming identical agents maps feasible branches to feasible ones, so
+    the first feasible branch in lexicographic order is among these."""
     agents, last, before = instance.agents, {}, {}  # before: predecessor in class
     for a in agents:
         key = (instance.dens[a], *(instance.ints[a, e] for e in instance.graph.edge_ids))
-        if key in last:
-            before[a] = last[key]
-        last[key] = a
-    if not before:
+        before[a], last[key] = last.get(key), a
+    if len(last) == len(agents):  # no two agents identical
         return product(agents, repeat=length)
 
     def extend(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -250,7 +249,7 @@ def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
             yield prefix
             return
         for a in agents:
-            if a not in before or before[a] in prefix:
+            if before[a] is None or before[a] in prefix:
                 yield from extend(prefix + (a,))
 
     return extend(())

@@ -330,17 +330,22 @@ def mixed_classes_corpus() -> tuple[tuple[Instance, bool], ...]:
     return tuple(corpus)
 
 
+def renamings(classes: Sequence[Sequence[str]]) -> list[dict[str, str]]:
+    """Every renaming of the agents that permutes each class within
+    itself, as a map from each agent to its new name."""
+    return [
+        {a: b for c, p in zip(classes, perms) for a, b in zip(c, p)}
+        for perms in product(*(permutations(c) for c in classes))
+    ]
+
+
 def least_in_orbit(classes: Sequence[Sequence[str]], agents: Sequence[str], seq) -> bool:
     """Is ``seq`` no greater, in the lexicographic order that ``agents``
     induces, than any of its renamings by a permutation of each class?
     Tries every such permutation."""
     rank = {a: i for i, a in enumerate(agents)}
     key = [rank[a] for a in seq]
-    for perms in product(*(permutations(c) for c in classes)):
-        rename = {a: b for c, p in zip(classes, perms) for a, b in zip(c, p)}
-        if [rank[rename[a]] for a in seq] < key:
-            return False
-    return True
+    return all([rank[rename[a]] for a in seq] >= key for rename in renamings(classes))
 
 
 def criterion_4_instances() -> list[Instance]:

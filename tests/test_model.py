@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +35,7 @@ from helpers import (
     random_graph_instance,
     random_path_instance,
     random_tree_instance,
+    renamings,
     single_edge,
     singleton_interval_lengths_agree,
     star,
@@ -85,13 +86,9 @@ def test_orbit_leaders_one_least_member_per_orbit(rows, classes):
     raw = path(2, rows)
     inst = normalize(raw)
     agents = inst.agents
-    renamings = [
-        {a: b for c, p in zip(classes, perms) for a, b in zip(c, p)}
-        for perms in product(*(permutations(c) for c in classes))
-    ]
 
     def orbit(seq):
-        return frozenset(tuple(rename[a] for a in seq) for rename in renamings)
+        return frozenset(tuple(rename[a] for a in seq) for rename in renamings(classes))
 
     rank = {a: i for i, a in enumerate(agents)}
     for length in range(5):
