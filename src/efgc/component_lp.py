@@ -10,9 +10,9 @@ the share lengths on the remaining cut edges.
 
 A held set, the components one agent holds, decides that agent's
 options alone, so they are worked out once per cut set: its minimal
-connectors (read off the agent's own edges plus F by
-``_connector_choices``), the edges it then owns whole, and every
-agent's value of those edges.
+connectors (read off the agent's own edges plus F and the graph's
+subtree masks by ``_connector_choices``), the edges it then owns whole,
+and every agent's value of those edges.
 
 Under vdgc no connector may pass through another agent's vertex, and a
 connector is kept exactly when both ends of each of its edges lie in
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
 from efgc.model import (
@@ -107,49 +107,30 @@ def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     return comps
 
 
-def _steiner(graph: Graph, forest: Container[str], required: frozenset[str]) -> set[str] | None:
-    """The edges of ``forest`` on paths between required vertices, or None
-    if it leaves them apart: prune the leaves that are not required, and
-    what is left is one tree iff it has one vertex more than edges."""
-    ends: dict[str, frozenset[str]] = {}
-    incident: dict[str, set[str]] = {}
-    for e, u, v in graph.edges:
-        if e in forest:
-            ends[e] = frozenset((u, v))
-            incident.setdefault(u, set()).add(e)
-            incident.setdefault(v, set()).add(e)
-    leaves = [v for v, es in incident.items() if len(es) == 1 and v not in required]
-    while leaves:
-        v = leaves.pop()
-        for e in incident.pop(v):  # the leaf's last edge, unless pruned from its other end
-            (w,) = ends[e] - {v}
-            incident[w].discard(e)
-            if len(incident[w]) == 1 and w not in required:
-                leaves.append(w)
-    kept = set().union(*incident.values())
-    return kept if len(required.union(incident)) == len(kept) + 1 else None
-
-
 def _connector_choices(
-    graph: Graph, cut: frozenset[str], own_edges: Sequence[str], required: frozenset[str]
+    masks: dict, cut: frozenset[str], own_edges: Sequence[str], held: int
 ) -> list[frozenset[str]]:
     """The minimal subsets of the cut that, with the own edges, link the
-    required vertices, sorted by size and then by edge names.
+    vertices in the mask ``held``, sorted by size and then by edge names;
+    ``masks`` is the graph's ``subtree_masks``.
 
-    Let H be the own edges plus the cut.  Unless H is the whole cycle it
-    is a forest, and in a forest the minimal connector is unique: the cut
-    edges on the paths between the required vertices (none exists if H
-    leaves them apart).  On the whole cycle a minimal connector leaves
-    out some cut edge (with all of them, one could be dropped), so it is
-    the connector of H opened at that edge; opening in each gap between
-    the agent's parts gives the cut minus that gap.  With no cut edge to
-    open, the own edges are the whole cycle and link everything.
+    Let H be the own edges plus the cut, and open the graph at an edge x
+    outside H (at none on a tree).  H lies in the tree G - x, so it links
+    the held vertices iff it holds their subtree there, the edges with
+    held vertices on both sides, and the connector is that subtree's cut
+    edges.  On the whole cycle a minimal connector leaves out some cut
+    edge (with all of them, one could be dropped), so open at each cut
+    edge in turn; with no cut edge, the own edges link everything.
     """
     h = cut.union(own_edges)
-    # H is the whole cycle iff it has as many edges as vertices
-    forests = [h - {e} for e in cut] if len(h) == len(graph.vertices) else [h]
-    trees = [_steiner(graph, forest, required) for forest in forests] or [set()]
-    choices = {frozenset(cut.intersection(tree)) for tree in trees if tree is not None}
+    openings = [None] if None in masks else [x for x in masks if x not in h][:1] or list(cut)
+    if not openings:
+        return [frozenset()]
+    choices = set()
+    for x in openings:
+        tree = {e for e, below in masks[x].items() if 0 != held & below != held}
+        if tree <= h:
+            choices.add(frozenset(cut & tree))
     return sorted(choices, key=lambda choice: (len(choice), sorted(choice)))
 
 
@@ -238,6 +219,9 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
         raise UnknownEdgeError(unknown[0])
     comps = components_without(graph, cut)
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp.vertices}
+    comp_mask = [0] * len(comps)  # bit i for vertex i
+    for i, v in enumerate(graph.vertices):
+        comp_mask[comp_of[v]] |= 1 << i
     # the components at the two ends of each cut edge
     end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
     vdgc = inst.variant is Variant.VDGC
@@ -254,9 +238,9 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     def options_of(held: tuple[int, ...]) -> list[tuple]:
         """(connector, edges owned whole, each agent's int value of them)."""
         own_edges = [e for k in held for e in comps[k].edges]
-        own_vertices = frozenset().union(*(comps[k].vertices for k in held))
+        held_mask = sum(comp_mask[k] for k in held)
         found = []
-        for connector in _connector_choices(graph, cut, own_edges, own_vertices):
+        for connector in _connector_choices(graph.subtree_masks, cut, own_edges, held_mask):
             if vdgc and not all(k in held for e in connector for k in end_comps[e]):
                 continue
             owned = tuple(sorted(own_edges + list(connector), key=position.get))

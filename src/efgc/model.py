@@ -127,6 +127,32 @@ class Graph:
         index = {v: i for i, v in enumerate(self.vertices)}
         return {eid: (u, v) if index[u] < index[v] else (v, u) for eid, u, v in self.edges}
 
+    @cached_property
+    def subtree_masks(self) -> dict[str | None, dict[str, int]]:
+        """For a tree or a cycle, keyed by x, None on a tree and each edge on
+        a cycle: the tree G - x rooted at the first vertex, each of its edges
+        mapped to the mask of the vertices below it (bit i for vertex i)."""
+        adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
+        for e, u, v in self.edges:
+            adjacent[u].append((e, v))
+            adjacent[v].append((e, u))
+        tables = {}
+        for x in (None,) if self.is_tree() else self.edge_ids:
+            order = [self.vertices[0]]
+            up = {order[0]: None}  # each vertex's edge to its parent, and the parent
+            for v in order:  # breadth first: the list grows as it is read
+                for e, w in adjacent[v]:
+                    if e != x and w not in up:
+                        up[w] = e, v
+                        order.append(w)
+            mask = {v: 1 << i for i, v in enumerate(self.vertices)}
+            below = tables[x] = {}
+            for w in reversed(order[1:]):
+                e, v = up[w]
+                below[e] = mask[w]
+                mask[v] |= mask[w]
+        return tables
+
     def coord_vertex(self, edge: str, coord: int) -> str:
         """The vertex sitting at coordinate ``coord`` (0 or 1) of ``edge``."""
         try:

@@ -406,8 +406,50 @@ def test_connector_choices_match_the_subset_search():
                     own_edges = [e for comp in held for e in comp.edges]
                     required = frozenset().union(*(comp.vertices for comp in held))
                     expected = connector_choices_reference(graph, cut, own_edges, required)
-                    got = _connector_choices(graph, cut, own_edges, required)
+                    got = _connector_choices(
+                        graph.subtree_masks, cut, own_edges, _vertex_mask(graph, required)
+                    )
                     assert got == expected, (graph.edges, sorted(cut), sorted(required))
                     triples += 1
     assert triples == 7736
 
+
+def _vertex_mask(graph, vertices):
+    return sum(1 << i for i, v in enumerate(graph.vertices) if v in vertices)
+
+
+def _random_tree(rng, n_edges):
+    """A random tree on shuffled vertex and edge orders: vertex k joins an
+    earlier one."""
+    names = [f"v{i}" for i in range(n_edges + 1)]
+    edges = [(f"e{k}", names[k], names[rng.randrange(k)]) for k in range(1, n_edges + 1)]
+    rng.shuffle(names)
+    rng.shuffle(edges)
+    return Graph(tuple(names), tuple(edges))
+
+
+def test_connector_choices_match_on_the_workload_sizes():
+    # paths, stars, cycles and random trees as large as the benchmark
+    # runs, with sampled cuts and held sets
+    rng = random.Random(20)
+    graphs = [path(n, {"a": [1] * n}).graph for n in (7, 8)]
+    graphs += [star(7, {"a": [1] * 7}).graph]
+    graphs += [cycle(n, {"a": [1] * n}).graph for n in (8, 9)]
+    graphs += [_random_tree(rng, rng.randint(8, 10)) for _ in range(12)]
+    triples = 0
+    for graph in graphs:
+        ids = graph.edge_ids
+        for _ in range(40):
+            cut = frozenset(e for e in ids if rng.random() < 0.5)
+            comps = components_without(graph, cut)
+            for _ in range(6):
+                held = [comp for comp in comps if rng.random() < 0.5] or comps[:1]
+                own_edges = [e for comp in held for e in comp.edges]
+                required = frozenset().union(*(comp.vertices for comp in held))
+                expected = connector_choices_reference(graph, cut, own_edges, required)
+                got = _connector_choices(
+                    graph.subtree_masks, cut, own_edges, _vertex_mask(graph, required)
+                )
+                assert got == expected, (graph.edges, sorted(cut), sorted(required))
+                triples += 1
+    assert triples == 17 * 40 * 6

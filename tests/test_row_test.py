@@ -27,6 +27,7 @@ from efgc.linprog import Feasible, Infeasible, RowTest, lp_feasible, verify_cert
 from efgc.model import Variant, build_instance, normalize
 from helpers import (
     GRAPH_SHAPES,
+    connector_choices_reference,
     count_branch_skips,
     force_paper_route,
     identical_agents_corpus,
@@ -199,7 +200,8 @@ def _share_lp_tree(inst, cut):
     """The share LPs of ``solve_with_cut_set`` with no envy check before
     them, grouped by component assignment (with whether some agent holds
     no component), then by connector combo, in search order; each
-    holder's whole-edge values summed afresh from its edges."""
+    holder's connectors from the subset-search reference and its
+    whole-edge values summed afresh from its edges."""
     graph, ints, cut = inst.graph, inst.ints, frozenset(cut)
     position = {e: i for i, e in enumerate(graph.edge_ids)}
     comps = component_lp.components_without(graph, cut)
@@ -209,7 +211,7 @@ def _share_lp_tree(inst, cut):
     def options(held):
         own = [e for k in held for e in comps[k].edges]
         vertices = frozenset().union(*(comps[k].vertices for k in held))
-        for connector in component_lp._connector_choices(graph, cut, own, vertices):
+        for connector in connector_choices_reference(graph, cut, own, vertices):
             ends = [k for e in connector for k in end_comps[e]]
             if inst.variant is Variant.GC or all(k in held for k in ends):
                 yield connector, {a: sum(ints[a, e] for e in [*own, *connector]) for a in inst.agents}
