@@ -408,3 +408,29 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             outputs.append(solve.stdout)
         assert outputs[0] == outputs[1], name
         assert outputs[0].startswith(b"Yes\nefgc-assignment v1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, usage",
+    [
+        ([], 2, "usage: efgc "),
+        (["bogus"], 2, "usage: efgc "),
+        (["--help"], 0, "usage: efgc "),
+        (["solve", "--help"], 0, "usage: efgc solve "),
+        (["solve", "--bogus"], 2, "usage: efgc solve "),
+    ],
+)
+def test_dispatch_exit_codes_and_streams(argv, code, usage, capsys):
+    # help goes to stdout with exit code 0, a usage error to stderr with 2
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    shown, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert shown.startswith(usage)
+    assert silent == ""
+
+
+def test_help_names_every_command(capsys):
+    assert run(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command in ("solve", "verify", "gen", "oracle", "cells"):
+        assert command in text, command

@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -52,3 +53,61 @@ def solve_digest(corpus: list[dict]) -> str:
 @pytest.mark.parametrize("workload, seed", sorted(DIGESTS))
 def test_solve_output_matches_recorded_digest(workload, seed):
     assert solve_digest(build_corpus(workload, seed)) == DIGESTS[workload, seed]
+
+
+# ``efgc verify`` on the seed-1 Yes witnesses and on three broken copies
+# of each, recorded before the witness path went to ints
+VERIFY_DIGESTS = {
+    "general_random": "e2a12e05eee9732dea9207884904e3347eb8240d0847dcec475041a75a20c94e",
+    "trees_cycles": "7f3f6fbdc068b9f5e5ef92b3e2604ee8c9d088778cedfa8d1eb773e7254d0c79",
+}
+
+
+def _broken_copies(witness: str) -> list[str]:
+    """Three broken copies of a witness: the first cut point strictly
+    inside an edge moved halfway to 1 (left out when there is none), the
+    last closure flag of the first piece flipped, and the last piece
+    dropped."""
+    head, *lines = witness.splitlines()
+    copies = []
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[4] not in ("0", "1"):
+            parts[4] = str((Fraction(parts[4]) + 1) / 2)
+            copies.append(lines[:i] + [" ".join(parts)] + lines[i + 1 :])
+            break
+    parts = lines[0].split()
+    parts[6] = "open" if parts[6] == "closed" else "closed"
+    copies.append([" ".join(parts)] + lines[1:])
+    copies.append(lines[:-1])
+    return ["\n".join([head, *copy]) + "\n" for copy in copies]
+
+
+def _run(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``efgc`` with ``stdin`` as input."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("workload", sorted(VERIFY_DIGESTS))
+def test_verify_output_matches_recorded_digest(workload, tmp_path):
+    digest = hashlib.sha256()
+    instance_file = tmp_path / "instance.efgc"
+    for request in build_corpus(workload, 1):
+        code, out, _ = _run(["solve", "--in", "-", "--mode", request["mode"]], request["text"])
+        if code != 0:
+            continue
+        witness = out.removeprefix("Yes\n")
+        instance_file.write_text(request["text"], encoding="utf-8")
+        for assignment in [witness, *_broken_copies(witness)]:
+            argv = ["verify", "--in", str(instance_file), "--assignment", "-"]
+            code, out, err = _run(argv, assignment)
+            digest.update(f"{code}\n{out}\n{err}\0".encode())
+    assert digest.hexdigest() == VERIFY_DIGESTS[workload]
