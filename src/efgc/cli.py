@@ -13,7 +13,8 @@ Instance files (UTF-8, line oriented, ``#`` starts a comment)::
 A utility is any non-negative token that ``fractions.Fraction`` reads
 (``3``, ``2/4``, ``0.5``, ``1e3``); utilities are normalized on load,
 omitted edges count as zero, and an edge may appear once per agent.
-Assignment files hold one ``piece`` line per edge interval::
+ASCII digits ``N`` or ``N/M`` are read as ints, other tokens through
+``Fraction``.  Assignment files hold one ``piece`` line per edge interval::
 
     efgc-assignment v1
     piece a1 e1 0 1/2 closed closed
@@ -24,6 +25,7 @@ Commands: ``solve`` (exit 0 yes / 1 no / 2 error), ``verify`` (0 valid /
 ``solve --mode oracle``), ``cells`` (debug: realizable sign vectors of a
 form file over a region file).  ``--mode auto`` picks the specialized
 tree or cycle solver when it applies and the few-edges search otherwise.
+``run`` parses a command's arguments with that command's own parser.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from efgc.cells import enumerate_sign_conditions
 from efgc.component_lp import (
@@ -47,16 +50,14 @@ from efgc.generators import (
 )
 from efgc.linprog import EQ, GE, LinearForm, LinearSystem
 from efgc.model import (
-    AllZeroAgentError,
     Assignment,
     EdgePiece,
     EfgcError,
+    Graph,
     Instance,
     Piece,
     Variant,
     Verdict,
-    build_instance,
-    normalize,
     verify_assignment,
 )
 
@@ -71,33 +72,44 @@ class ValidationError(EfgcError):
     pass
 
 
-def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+def _content_lines(text: str, header: str) -> list[tuple[int, str]]:
+    """The numbered lines after the header line, without comments or blanks."""
+    lines = [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
+    if not lines or lines[0][1] != header:
+        raise ParseError(lines[0][0] if lines else 1, f"expected header {header!r}")
+    return lines[1:]
 
 
-def _rational(token: str, line_no: int) -> Fraction:
+def _ratio(token: str, line_no: int) -> tuple[int, int]:
+    """A rational token as ints (numerator, denominator > 0): ASCII digits
+    ``N`` or ``N/M`` through ``int`` (``'²'.isdigit()``, but ``int`` rejects
+    it), any other token as ``fractions.Fraction`` reads it."""
+    num, slash, den = token.partition("/")
     try:
-        value = Fraction(token)
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                return n, d
+        else:
+            value = Fraction(token)
+            return value.numerator, value.denominator
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line_no, f"bad rational {token!r}") from None
-    return value
+        pass
+    raise ParseError(line_no, f"bad rational {token!r}")
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse and fully validate an instance file; normalizes utilities."""
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "efgc-instance v1":
-        raise ParseError(lines[0][0] if lines else 1, "expected header 'efgc-instance v1'")
+    """Parse and fully validate an instance file; normalizes utilities in
+    ints, as ``normalize(build_instance(...))`` would, building one instance."""
+    lines = _content_lines(text, "efgc-instance v1")
     variant = None
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     agents: list[str] = []
-    utilities: dict[str, dict[str, Fraction]] = {}
+    utilities: dict[str, dict[str, tuple[int, int]]] = {}
     edge_ids: set[str] = set()
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         parts = line.split()
         kind = parts[0]
         if kind == "variant":
@@ -127,7 +139,7 @@ def parse_instance(text: str) -> Instance:
             if name in utilities:
                 raise ParseError(line_no, f"duplicate agent {name}")
             agents.append(name)
-            row: dict[str, Fraction] = {}
+            row: dict[str, tuple[int, int]] = {}
             for term in parts[2:]:
                 if "=" not in term:
                     raise ParseError(line_no, f"expected EDGE=VALUE, got {term!r}")
@@ -136,8 +148,8 @@ def parse_instance(text: str) -> Instance:
                     raise ParseError(line_no, f"unknown edge {edge!r}")
                 if edge in row:
                     raise ParseError(line_no, f"duplicate utility for {edge}")
-                row[edge] = _rational(value, line_no)
-                if row[edge] < 0:
+                row[edge] = _ratio(value, line_no)
+                if row[edge][0] < 0:
                     raise ParseError(line_no, f"negative utility for {edge}")
             utilities[name] = row
         else:
@@ -147,13 +159,22 @@ def parse_instance(text: str) -> Instance:
     if not agents:
         raise ValidationError("no agents declared")
     try:
-        instance = build_instance(vertices, edges, utilities, variant)
+        graph = Graph(tuple(vertices), tuple(edges))
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    try:
-        return normalize(instance)
-    except AllZeroAgentError as exc:
-        raise ValidationError(str(exc)) from None
+    ints: dict[tuple[str, str], int] = {}
+    dens: dict[str, int] = {}
+    for agent in agents:
+        row = utilities[agent]
+        den = lcm(*(d for _, d in row.values()))
+        scaled = [n * (den // d) for n, d in (row.get(e, (0, 1)) for e in graph.edge_ids)]
+        total = sum(scaled)
+        if not total:
+            raise ValidationError(f"agent {agent} values every edge at zero")
+        g = gcd(*scaled)
+        dens[agent] = total // g
+        ints.update(((agent, e), u // g) for e, u in zip(graph.edge_ids, scaled))
+    return Instance(graph, tuple(agents), ints, dens, variant)
 
 
 def emit_instance(instance: Instance) -> str:
@@ -169,24 +190,28 @@ def emit_instance(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
+def _point(x: int, den: int) -> str:
+    """x / den in lowest terms, as ``str(Fraction(x, den))`` writes it."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def emit_assignment(assignment: Assignment) -> str:
     out = ["efgc-assignment v1"]
     for agent, piece in assignment.items():
-        for ep in piece.edge_pieces:
+        den = piece.den
+        for edge, lo, hi, lo_closed, hi_closed in piece.spans:
             out.append(
-                f"piece {agent} {ep.edge} {ep.lo} {ep.hi} "
-                f"{'closed' if ep.lo_closed else 'open'} "
-                f"{'closed' if ep.hi_closed else 'open'}"
+                f"piece {agent} {edge} {_point(lo, den)} {_point(hi, den)} "
+                f"{'closed' if lo_closed else 'open'} {'closed' if hi_closed else 'open'}"
             )
     return "\n".join(out) + "\n"
 
 
 def parse_assignment(text: str) -> Assignment:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "efgc-assignment v1":
-        raise ParseError(lines[0][0] if lines else 1, "expected header 'efgc-assignment v1'")
+    lines = _content_lines(text, "efgc-assignment v1")
     pieces: dict[str, list[EdgePiece]] = {}
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         parts = line.split()
         if len(parts) != 7 or parts[0] != "piece":
             raise ParseError(line_no, "expected: piece AGENT EDGE LO HI closed|open closed|open")
@@ -197,8 +222,8 @@ def parse_assignment(text: str) -> Assignment:
         try:
             ep = EdgePiece(
                 edge,
-                _rational(lo, line_no),
-                _rational(hi, line_no),
+                Fraction(*_ratio(lo, line_no)),
+                Fraction(*_ratio(hi, line_no)),
                 lo_flag == "closed",
                 hi_flag == "closed",
             )
@@ -209,12 +234,10 @@ def parse_assignment(text: str) -> Assignment:
 
 
 def parse_forms_file(text: str) -> tuple[list[str], list[LinearForm]]:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "efgc-forms v1":
-        raise ParseError(lines[0][0] if lines else 1, "expected header 'efgc-forms v1'")
+    lines = _content_lines(text, "efgc-forms v1")
     names: list[str] = []
     forms: list[LinearForm] = []
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         parts = line.split()
         if parts[0] == "vars":
             names = parts[1:]
@@ -226,12 +249,10 @@ def parse_forms_file(text: str) -> tuple[list[str], list[LinearForm]]:
 
 
 def parse_region_file(text: str) -> LinearSystem:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "efgc-region v1":
-        raise ParseError(lines[0][0] if lines else 1, "expected header 'efgc-region v1'")
+    lines = _content_lines(text, "efgc-region v1")
     names: list[str] = []
     system = LinearSystem()
-    for line_no, line in lines[1:]:
+    for line_no, line in lines:
         parts = line.split()
         if parts[0] == "vars":
             names = parts[1:]
@@ -253,9 +274,9 @@ def _parse_terms(tokens, names, line_no) -> LinearForm:
             raise ParseError(line_no, f"expected NAME=VALUE, got {token!r}")
         name, _, value = token.partition("=")
         if name == "const":
-            const += _rational(value, line_no)
+            const += Fraction(*_ratio(value, line_no))
         elif name in names:
-            coeffs[name] = coeffs.get(name, Fraction(0)) + _rational(value, line_no)
+            coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(*_ratio(value, line_no))
         else:
             raise ParseError(line_no, f"unknown variable {name!r}")
     return LinearForm.make(coeffs, const)
@@ -352,7 +373,8 @@ def _cells_command(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser with every command as a subcommand, and each command's own."""
     parser = argparse.ArgumentParser(
         prog="efgc",
         description="exact solvers for envy-free division of graphs with divisible edges",
@@ -386,14 +408,17 @@ def _parser() -> argparse.ArgumentParser:
     cells.add_argument("--forms", required=True)
     cells.add_argument("--region", required=True)
     cells.set_defaults(func=_cells_command)
-    return parser
+    return parser, sub.choices
 
 
 def run(argv) -> int:
     """Entry point returning the process exit code (0 yes/valid, 1 no/
     invalid, 2 usage or input error or a failed self-check)."""
+    parser, commands = _parser()
+    if argv and argv[0] in commands:  # the command's parser alone
+        parser, argv = commands[argv[0]], argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

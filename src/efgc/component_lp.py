@@ -46,14 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
 from efgc.model import (
     Assignment,
-    EdgePiece,
     EfgcError,
     Graph,
     Instance,
@@ -64,11 +63,9 @@ from efgc.model import (
     Verdict,
     normalize,
     orbit_leaders,
-    tile_edge,
+    tile_spans,
     verify_assignment,
 )
-
-ZERO = Fraction(0)
 
 
 class NotTreeError(EfgcError):
@@ -179,18 +176,20 @@ def _extract_cut_assignment(
     owned_edges: dict[str, list[str]],
     witness,
 ) -> Assignment:
+    """The witness's pieces, in ints over the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in witness.values()))
+    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
     buckets: dict[str, list] = {a: [] for a in instance.agents}
     for agent, edges in owned_edges.items():
-        for g in edges:
-            buckets[agent].append(EdgePiece(g, 0, 1))
+        buckets[agent] += [(g, 0, den, True, True) for g in edges]
     for e in f_prime:
         o0, o1 = end_owners[e]
-        mid = [(b, witness[_cut_var(e, b)]) for b in insiders.get(e, ())]
-        last = ZERO if o0 == o1 else witness[_cut_var(e, o1)]
-        segments = [(o0, witness[_cut_var(e, o0)])] + mid + [(o1, last)]
-        for owner, ep in tile_edge(e, segments):
-            buckets[owner].append(ep)
-    return Assignment({a: Piece(b) for a, b in buckets.items()})
+        mid = [(b, length[_cut_var(e, b)]) for b in insiders.get(e, ())]
+        last = 0 if o0 == o1 else length[_cut_var(e, o1)]
+        segments = [(o0, length[_cut_var(e, o0)])] + mid + [(o1, last)]
+        for owner, span in tile_spans(e, segments, den):
+            buckets[owner].append(span)
+    return Assignment({a: Piece.tiled(den, b) for a, b in buckets.items()})
 
 
 def _must_envy(values: Iterable[dict[str, int]], limit: dict[str, int]) -> bool:
@@ -298,10 +297,12 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
 def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[str]]:
     """The unions of every choice of exactly min(k, n) of the n
     ``closures`` that no other such union strictly contains, in
-    first-seen order."""
-    unions = dict.fromkeys(
-        frozenset().union(*chosen) for chosen in combinations(closures, min(k, len(closures)))
-    )
+    first-seen order.  Those of n distinct single edges (vdgc trees and
+    cycles) are distinct sets of min(k, n) edges, so none is filtered."""
+    chosen = combinations(closures, min(k, len(closures)))
+    if all(len(c) == 1 for c in closures) and len(set(closures)) == len(closures):
+        return [frozenset().union(*c) for c in chosen]
+    unions = dict.fromkeys(frozenset().union(*c) for c in chosen)
     return [cut for cut in unions if not any(cut < other for other in unions)]
 
 

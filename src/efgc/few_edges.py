@@ -37,14 +37,14 @@ then skips most other infeasible LPs, and only those, before the simplex.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
-pieces with one ``tile_edge`` per edge.
+pieces, in ints over one denominator, with one ``tile_spans`` per edge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from efgc.cells import (
@@ -66,7 +66,7 @@ from efgc.model import (
     normalize,
     orbit_leaders,
     piece_utility,
-    tile_edge,
+    tile_spans,
     verify_assignment,
 )
 
@@ -379,36 +379,39 @@ def _holders_must_envy(ints, base: BranchGuess) -> bool:
 def extract_assignment(
     instance: Instance, guess: BranchGuess, witness: Mapping[str, Fraction]
 ) -> tuple[dict[str, Piece], list[Piece]]:
-    """Tile a feasible LP witness into pieces, one ``tile_edge`` per edge.
+    """Tile a feasible LP witness into pieces, one ``tile_spans`` per edge.
 
     Each edge is laid out left to right as its end-0 holder's interval
     (x0), one inside interval of length d_e per agent pinned to the edge
     (placed or guessed critical), in agent order, then the free inside
     intervals, then its end-1 holder's interval (x1); d_e = 0 where the
-    LP has no d_e.  The LP's rows fix every length, so no length is
-    re-checked here.  Returns the pieces of the holders and pinned
-    agents, in agent order, and the free intervals in edge order.
+    LP has no d_e, all in ints over the lcm of the witness's denominators.
+    The LP's rows fix every length, so no length is re-checked here.
+    Returns the pieces of the holders and pinned agents, in agent order,
+    and the free intervals in edge order.
     """
     pinned = guess.placement
     if pinned is None:
         pinned = _pin_map([guess.pair_critical, guess.vertex_critical])
         if pinned is None:
             raise InternalError("a critical agent is pinned to two edges")
+    den = lcm(*(x.denominator for x in witness.values()))
+    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
     buckets: dict[str, list] = {a: [] for a in instance.agents}
     leftovers = []
     for e in instance.graph.edge_ids:
-        d = witness.get(delta_var(e), ZERO)
+        d = length.get(delta_var(e), 0)
         inside = [a for a in instance.agents if pinned.get(a) == e]
-        segments = [(guess.endpoint_agent[e, 0], witness[endpoint_var(e, 0)])]
+        segments = [(guess.endpoint_agent[e, 0], length[endpoint_var(e, 0)])]
         segments += [(a, d) for a in inside]
         segments += [((e, j), d) for j in range(len(inside), guess.n[e])]
-        segments.append((guess.endpoint_agent[e, 1], witness[endpoint_var(e, 1)]))
-        for owner, ep in tile_edge(e, segments):
+        segments.append((guess.endpoint_agent[e, 1], length[endpoint_var(e, 1)]))
+        for owner, span in tile_spans(e, segments, den):
             if owner in buckets:
-                buckets[owner].append(ep)
+                buckets[owner].append(span)
             else:
-                leftovers.append(Piece([ep]))
-    return {a: Piece(b) for a, b in buckets.items() if b}, leftovers
+                leftovers.append(Piece.tiled(den, [span]))
+    return {a: Piece.tiled(den, b) for a, b in buckets.items() if b}, leftovers
 
 
 def _holder_blocks(instance: Instance, guess: BranchGuess):

@@ -21,8 +21,8 @@ step, which keeps it simple enough to trust.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterator, Sequence
 
 from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
@@ -38,12 +38,9 @@ from efgc.model import (
     Verdict,
     build_instance,
     normalize,
-    tile_edge,
+    tile_spans,
     verify_assignment,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class EmptyInputError(EfgcError):
@@ -236,29 +233,25 @@ def _explicit_lp(inst: Instance, ep: dict, inside: dict, n: dict, live: list[str
 def _explicit_extract(
     inst: Instance, ep: dict, inside: dict, n: dict, live: list[str], witness
 ) -> Assignment:
-    graph = inst.graph
-    buckets: dict[str, list] = {a: [] for a in inst.agents}
+    """Tile every edge in ints over the lcm of the witness's denominators
+    and the inside counts; an edge nobody values goes to its insiders
+    evenly, or to its end-0 holder."""
     insiders_by_edge: dict[str, list[str]] = {}
     for agent in inst.agents:
         if agent in inside:
             insiders_by_edge.setdefault(inside[agent], []).append(agent)
-    live_set = set(live)
-    for e in graph.edge_ids:
-        if e in live_set:
-            x0 = witness[endpoint_var(e, 0)]
-            x1 = witness[endpoint_var(e, 1)]
-            delta = witness[delta_var(e)]
-        else:  # worthless edge: hand the interior to the insiders evenly
-            x0 = ZERO if n[e] else ONE
-            x1 = ZERO
-            delta = ONE / n[e] if n[e] else ZERO
-        segments: list[tuple[object, Fraction]] = [(ep[(e, 0)], x0)]
-        for agent in insiders_by_edge.get(e, ()):
-            segments.append((agent, delta))
-        segments.append((ep[(e, 1)], x1))
-        for owner, piece in tile_edge(e, segments):
-            buckets[owner].append(piece)
-    return Assignment({a: Piece(b) for a, b in buckets.items()})
+    den = lcm(*(x.denominator for x in witness.values()), *(k for k in n.values() if k))
+    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
+    buckets: dict[str, list] = {a: [] for a in inst.agents}
+    for e in inst.graph.edge_ids:
+        if e in live:
+            x0, delta, x1 = (length[v] for v in (endpoint_var(e, 0), delta_var(e), endpoint_var(e, 1)))
+        else:
+            x0, delta, x1 = (0, den // n[e], 0) if n[e] else (den, 0, 0)
+        segments = [(ep[e, 0], x0), *((a, delta) for a in insiders_by_edge.get(e, ())), (ep[e, 1], x1)]
+        for owner, span in tile_spans(e, segments, den):
+            buckets[owner].append(span)
+    return Assignment({a: Piece.tiled(den, b) for a, b in buckets.items()})
 
 
 def solve_explicit_oracle(instance: Instance) -> Verdict:

@@ -9,13 +9,15 @@ vertex, and VDGC, where every vertex may belong to at most one piece.
 All arithmetic is exact.  An instance stores each agent's utilities once,
 as ints over one denominator per agent (``Instance.ints`` and
 ``Instance.dens``); ``Instance.util`` reads one as a ``fractions.Fraction``.
-Cut points and interval lengths are Fractions; the verifier compares
-values as ints over a common denominator, which is the same exact
-rational comparison.  There is no floating point and no tolerance
-parameter anywhere.
+Cut points are Fractions on an ``EdgePiece`` and ints over one
+denominator in a ``Piece``'s ``spans``, which is what the solvers build
+and the verifier reads: comparing ints over a common denominator is the
+same exact rational comparison.  There is no floating point and no
+tolerance parameter anywhere.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -164,14 +166,13 @@ class Graph:
     def incident_edges(self, vertex: str) -> tuple[str, ...]:
         return tuple(eid for eid, u, v in self.edges if vertex in (u, v))
 
-    def degree(self, vertex: str) -> int:
-        return len(self.incident_edges(vertex))
-
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1
 
     def is_cycle(self) -> bool:
-        return all(self.degree(v) == 2 for v in self.vertices)
+        """Is every vertex of degree 2?  Degrees are counted in one pass."""
+        ends = Counter(w for _, u, v in self.edges for w in (u, v))
+        return len(self.edges) == len(self.vertices) and set(ends.values()) == {2}
 
 
 @dataclass(frozen=True)
@@ -310,20 +311,40 @@ class EdgePiece:
         return self.hi - self.lo
 
 
-def _sort_key(ep: EdgePiece):
-    return (ep.edge, ep.lo, ep.hi, ep.lo_closed, ep.hi_closed)
-
-
-@dataclass(frozen=True)
 class Piece:
-    """A collection of edge pieces; connected collections form shares."""
+    """A collection of edge pieces; connected collections form shares.
 
-    edge_pieces: tuple[EdgePiece, ...]
+    Held as sorted ``spans``, each edge piece as (edge, lo, hi, lo_closed,
+    hi_closed) with lo and hi ints over ``den``.  The solvers build pieces
+    with ``Piece.tiled``; ``edge_pieces`` are made on first use."""
 
     def __init__(self, edge_pieces: Iterable[EdgePiece] = ()):
-        object.__setattr__(
-            self, "edge_pieces", tuple(sorted(set(edge_pieces), key=_sort_key))
-        )
+        eps = set(edge_pieces)
+        self.den = den = lcm(*(x.denominator for ep in eps for x in (ep.lo, ep.hi)))
+        self.spans = tuple(sorted(
+            (ep.edge, int(ep.lo * den), int(ep.hi * den), ep.lo_closed, ep.hi_closed) for ep in eps
+        ))
+
+    @classmethod
+    def tiled(cls, den: int, spans: Iterable[tuple]) -> Piece:
+        piece = cls.__new__(cls)
+        piece.den, piece.spans = den, tuple(sorted(set(spans)))
+        return piece
+
+    @cached_property
+    def edge_pieces(self) -> tuple[EdgePiece, ...]:
+        den = self.den
+        return tuple(EdgePiece(edge, Fraction(lo, den), Fraction(hi, den), lo_closed, hi_closed)
+                     for edge, lo, hi, lo_closed, hi_closed in self.spans)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Piece) and self.edge_pieces == other.edge_pieces
+
+    def __hash__(self) -> int:
+        return hash(self.edge_pieces)
+
+    def __repr__(self) -> str:
+        return f"Piece({list(self.edge_pieces)!r})"
 
 
 @dataclass(frozen=True)
@@ -360,26 +381,24 @@ def piece_utility(agent: str, piece: Piece, instance: Instance) -> Fraction:
 
     Closure flags never matter here; single points have measure zero.
     """
-    known = set(instance.graph.edge_ids)
-    total = ZERO
-    for ep in piece.edge_pieces:
-        if ep.edge not in known:
-            raise UnknownEdgeError(ep.edge)
-        total += ep.length * instance.util(agent, ep.edge)
-    return total
+    known, ints = instance.graph._coords, instance.ints
+    total = 0
+    for edge, lo, hi, _, _ in piece.spans:
+        if edge not in known:
+            raise UnknownEdgeError(edge)
+        total += (hi - lo) * ints[agent, edge]
+    return Fraction(total, piece.den * instance.dens[agent])
 
 
 def _layout(entries: Iterable[tuple[str, Piece]]) -> tuple[int, dict[str, list[tuple]]]:
-    """(D, spans by edge): D is the lcm of the denominators of every cut
-    point of ``entries``, and each edge piece becomes a span (owner, lo,
-    hi, lo_closed, hi_closed) with lo and hi as ints over D."""
-    owned = [(owner, ep) for owner, piece in entries for ep in piece.edge_pieces]
-    den = lcm(*(x.denominator for _, ep in owned for x in (ep.lo, ep.hi)))
+    """(D, spans by edge): D is the lcm of the pieces' ``den``, and each
+    span becomes (owner, lo, hi, lo_closed, hi_closed) over D."""
+    den = lcm(*(piece.den for _, piece in entries))
     by_edge: dict[str, list[tuple]] = {}
-    for owner, ep in owned:
-        lo = ep.lo.numerator * (den // ep.lo.denominator)
-        hi = ep.hi.numerator * (den // ep.hi.denominator)
-        by_edge.setdefault(ep.edge, []).append((owner, lo, hi, ep.lo_closed, ep.hi_closed))
+    for owner, piece in entries:
+        k = den // piece.den
+        for edge, lo, hi, lo_closed, hi_closed in piece.spans:
+            by_edge.setdefault(edge, []).append((owner, lo * k, hi * k, lo_closed, hi_closed))
     return den, by_edge
 
 
@@ -476,8 +495,8 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
     the graph does not have is a tiling failure; the checks after tiling
     are then skipped, since they need the edge.
 
-    One pass lays the assignment out by edge, every cut point as an int
-    over the lcm D of their denominators, so each check is int arithmetic
+    One pass gathers the pieces' int spans by edge, every cut point over
+    the lcm D of their denominators, so each check is int arithmetic
     (a's values over D times a's denominator ``Instance.dens[a]``);
     a ``Fraction`` is built only for a failure message.
     """
@@ -491,10 +510,10 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
         for gap in _tiling_gaps(by_edge.get(edge, []), den):
             failures.append(Failure("tiling", f"edge {edge}: {gap}"))
     unknown = [
-        Failure("tiling", f"piece of {agent} lies on unknown edge {ep.edge}")
+        Failure("tiling", f"piece of {agent} lies on unknown edge {edge}")
         for agent, piece in assignment.entries
-        for ep in piece.edge_pieces
-        if ep.edge not in graph._coords
+        for edge, *_ in piece.spans
+        if edge not in graph._coords
     ]
     if unknown:
         return VerificationReport(tuple(failures + unknown))
@@ -528,37 +547,33 @@ def verify_assignment(instance: Instance, assignment: Assignment) -> Verificatio
     return VerificationReport(tuple(failures))
 
 
-def tile_edge(
-    edge: str, segments: Sequence[tuple[object, Fraction]]
-) -> list[tuple[object, EdgePiece]]:
-    """Lay out consecutive owner segments across one edge.
+def tile_spans(edge: str, segments: Sequence[tuple[object, int]], den: int) -> list[tuple]:
+    """Lay out consecutive owner segments across one edge, in ints.
 
-    ``segments`` lists (owner key, length) pairs left to right; lengths
-    must sum to exactly one.  Consecutive segments with the same owner
-    merge.  Closure flags make the tiling exact: coordinate 0 belongs to
-    the first segment, coordinate 1 to the last, and every interior cut
-    point to the segment on its left.  Zero-length segments become
-    degenerate point pieces.
+    ``segments`` lists (owner key, length) pairs left to right, lengths
+    ints over ``den`` that sum to it.  Consecutive segments with the same
+    owner merge.  Closure flags make the tiling exact: coordinate 0
+    belongs to the first segment, coordinate 1 to the last, and every
+    interior cut point to the segment on its left.  Zero-length segments
+    become degenerate points.  Returns (owner, span) pairs, as in ``Piece.spans``.
     """
-    total = sum((length for _, length in segments), ZERO)
-    if total != 1:
-        raise ValueError(f"segment lengths on {edge} sum to {total}, not 1")
+    total = sum(length for _, length in segments)
+    if total != den:
+        raise ValueError(f"segment lengths on {edge} sum to {Fraction(total, den)}, not 1")
     merged: list[list] = []
     for owner, length in segments:
         if merged and merged[-1][0] == owner:
             merged[-1][1] += length
         else:
             merged.append([owner, length])
-    out: list[tuple[object, EdgePiece]] = []
+    out = []
     m = len(merged)
-    lo = ZERO
+    lo = 0
     for j, (owner, length) in enumerate(merged, start=1):
         hi = lo + length
-        if lo == hi:
-            out.append((owner, EdgePiece(edge, lo, hi, True, True)))
-        else:
-            lo_closed = j == 1
-            hi_closed = j == m or hi != 1
-            out.append((owner, EdgePiece(edge, lo, hi, lo_closed, hi_closed)))
+        if not 0 <= lo <= hi <= den:
+            raise ValueError(f"invalid interval [{Fraction(lo, den)}, {Fraction(hi, den)}]")
+        point = lo == hi
+        out.append((owner, (edge, lo, hi, point or j == 1, point or j == m or hi != den)))
         lo = hi
     return out

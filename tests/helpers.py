@@ -41,12 +41,27 @@ from efgc.model import (
     UnknownEdgeError,
     Variant,
     VerificationReport,
+    as_rational,
     build_instance,
     piece_utility,
-    tile_edge,
+    tile_spans,
 )
 
 F = Fraction
+
+
+def tile_edge(
+    edge: str, segments: Sequence[tuple[object, Fraction]]
+) -> list[tuple[object, EdgePiece]]:
+    """``tile_spans`` on rational lengths that sum to one, each span as an
+    ``EdgePiece``."""
+    lengths = [as_rational(length) for _, length in segments]
+    den = lcm(*(x.denominator for x in lengths))
+    ints = [(owner, x.numerator * (den // x.denominator)) for (owner, _), x in zip(segments, lengths)]
+    return [
+        (owner, EdgePiece(e, Fraction(lo, den), Fraction(hi, den), lo_closed, hi_closed))
+        for owner, (e, lo, hi, lo_closed, hi_closed) in tile_spans(edge, ints, den)
+    ]
 
 
 def dominant(values) -> bool:

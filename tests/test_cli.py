@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -132,6 +133,31 @@ def test_utility_tokens_fraction_reads_are_accepted(token, value):
 def test_utility_tokens_fraction_rejects_are_parse_errors(token, message):
     with pytest.raises(ParseError, match=f"^line 6: {message}$"):
         parse_instance(_token_text(token))
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["3", "2/4", "1_000", "\u0663", "\u00b2", "007", "00/5", "3/04", "1/0", "0/0", "3/-4",
+     "+2", "-0", "0.5", "1e3", "nan", "0x10", "", "1/", "/2", "\u0661/\u0662", "-1/2"],
+)
+def test_utility_token_reads_as_fraction_does(token):
+    # the int fast path takes ASCII digits only: '\u00b2'.isdigit() holds, int() rejects it
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match=f"^line 6: {re.escape(f'bad rational {token!r}')}$"):
+            parse_instance(_token_text(token))
+        return
+    if value < 0:
+        with pytest.raises(ParseError, match="^line 6: negative utility for e1$"):
+            parse_instance(_token_text(token))
+        return
+    raw = build_instance(
+        ["v1", "v2", "v3"],
+        [("e1", "v1", "v2"), ("e2", "v2", "v3")],
+        {"a1": {"e1": value, "e2": 1}, "a2": {"e2": 1}},
+    )
+    assert parse_instance(_token_text(token)) == normalize(raw)
 
 
 def test_repeated_utility_term_is_rejected_in_either_order():

@@ -346,6 +346,18 @@ def test_maximal_cuts_cover_every_smaller_cut():
                 assert set(cuts) == _maximal_members(family)  # none holds another
 
 
+def test_maximal_cuts_of_single_edges_are_the_unfiltered_unions_in_order():
+    # distinct single-edge closures: every union of min(k, n) is a distinct
+    # set of that many edges, so the containment filter removes nothing
+    for n in range(1, 10):
+        closures = [frozenset([f"e{i}"]) for i in range(n)]
+        for k in range(n + 2):
+            chosen = combinations(closures, min(k, n))
+            unions = list(dict.fromkeys(frozenset().union(*c) for c in chosen))
+            filtered = [cut for cut in unions if not any(cut < other for other in unions)]
+            assert _maximal_cuts(closures, k) == filtered, (n, k)
+
+
 def test_wrappers_try_the_maximal_cuts_of_their_family(monkeypatch):
     # edges on cycles (k = |A|) and on vdgc trees (k = |A| - 1); vertices,
     # which cut all their edges, and edges on gc trees (k = |A|)

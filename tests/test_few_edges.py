@@ -329,7 +329,7 @@ def test_extract_rejects_inconsistent_lengths():
     guess = BranchGuess(
         {("e1", 0): "a", ("e1", 1): "b"}, frozenset(["a", "b"]), {"e1": 0}
     )
-    # the LP's rows rule both out; a direct caller still meets tile_edge and EdgePiece
+    # the LP's rows rule both out; a direct caller still meets the checks of tile_spans
     with pytest.raises(ValueError, match="sum to 1/2"):
         extract(inst, guess, {"e1": F(1, 4)}, {"e1": F(0)}, {"e1": F(1, 4)})
     with pytest.raises(ValueError, match="invalid interval"):

@@ -95,7 +95,7 @@ def test_ladder_structure():
     graph = inst.graph
     assert len(graph.vertices) == 8
     assert len(graph.edges) == 8
-    assert max(graph.degree(v) for v in graph.vertices) == 3
+    assert max(len(graph.incident_edges(v)) for v in graph.vertices) == 3
     assert numpart_dp([1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScaleExceededWarning)

@@ -21,7 +21,6 @@ from efgc.model import (
     normalize,
     orbit_leaders,
     piece_utility,
-    tile_edge,
     verify_assignment,
 )
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     renamings,
     single_edge,
     singleton_interval_lengths_agree,
+    tile_edge,
     star,
     star3_identical,
     verify_assignment_reference,
