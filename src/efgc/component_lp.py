@@ -8,44 +8,42 @@ components with a minimal set of edges from F, branch over which cut
 edge hosts each agent that owns no component, and solve an exact LP for
 the share lengths on the remaining cut edges.
 
-A held set, the components one agent holds, decides that agent's
-options alone, so they are worked out once per cut set: its minimal
-connectors (read off the agent's own edges plus F and the graph's
-subtree masks by ``_connector_choices``), the edges it then owns whole,
-and every agent's value of those edges.
+What does not depend on F is worked out once per instance and cached on
+it and its graph: normalization, the tree-or-cycle check with the
+subtree masks, edge positions and end bits, and the classes of identical
+agents.  Per cut set, the components of G - F are read off the subtree
+masks (``_components``), each with one value per agent, and a held set,
+the components one agent holds, has its options worked out once, on
+first use: its value (the sum of its components'), its minimal
+connectors (read off its own edges plus F by ``_connector_choices``),
+the edges it then owns whole, and every agent's value of those edges.
 
-Under vdgc no connector may pass through another agent's vertex, and a
-connector is kept exactly when both ends of each of its edges lie in
-its held components:
-
-- every vertex lies in exactly one component, and every component goes
-  to some agent;
-- so an end outside the held components is another holder's vertex,
-  and an end inside them is no other holder's.
+Under vdgc a connector is kept exactly when both ends of each of its
+edges lie in its held components: every vertex lies in exactly one
+component, and every component goes to some agent, so an end outside
+them is another holder's vertex, and an end inside them is no other's.
 
 The wrappers try only the inclusion-maximal cut sets of one family,
 the unions of exactly min(k, n) of n item closures: for vertex-disjoint
 division of trees every solution is captured by cutting at most |A|-1
 edges; for the shared variant on trees by cutting around at most |A|
-shared vertices (all their edges) and edges; on cycles by cutting at
-most |A| edges.  Trying the maximal unions alone loses nothing:
+vertices (all their edges; vertex closures alone give the same maximal
+cuts as vertices and edges, see ``solve_tree_gc_bounded_degree``); on
+cycles by cutting at most |A| edges.  The maximal unions lose nothing:
+F <= F' implies scope(F) <= scope(F'), since every component of G - F'
+lies inside one of G - F, and every cut of at most k items lies inside
+a cut of exactly min(k, n).
 
-- F <= F' implies scope(F) <= scope(F'), since every component of
-  G - F' lies inside a component of G - F;
-- every cut of at most k items lies inside a cut of exactly min(k, n).
-
-Each wrapper normalizes once.  Most share LPs fail on one envy row of
-an agent a against a holder b, so before any LP ``_must_envy`` skips a
-component assignment, then a connector combo, where b's whole edges are
-worth more to a than a's best case: its own whole edges plus every cut
-edge (once the connectors are fixed, the cut edges it holds an end of),
-or for an agent that holds no component, its best cut edge.
-``RowTest`` then skips most other infeasible LPs before the simplex.
+Most share LPs fail on one envy row of an agent a against a holder b,
+so before any LP ``_must_envy`` skips a component assignment, then a
+connector combo, where b's whole edges are worth more to a than a's best
+case: its own whole edges plus every cut edge (once the connectors are
+fixed, the cut edges it holds an end of), or for an agent that holds no
+component, its best cut edge.  ``RowTest`` then skips most other
+infeasible LPs before the simplex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, product
 from math import lcm
 from typing import Iterable, Sequence
@@ -78,30 +76,6 @@ class NotCycleError(EfgcError):
 
 class NotTreeOrCycleError(EfgcError):
     pass
-
-
-@dataclass(frozen=True)
-class Component:
-    """One connected component of G - F: its vertices and edges."""
-
-    vertices: frozenset[str]
-    edges: tuple[str, ...]
-
-
-def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
-    """Connected components after removing the cut edges, ordered by the
-    smallest vertex index they contain; isolated vertices count."""
-    kept = {eid for eid, _, _ in graph.edges if eid not in cut}
-    root = graph.roots(kept)
-    groups: dict[str, list[str]] = {}
-    for v in graph.vertices:  # in vertex order, so groups come out ordered
-        groups.setdefault(root[v], []).append(v)
-    comps = []
-    for members in groups.values():
-        vs = frozenset(members)
-        es = tuple(eid for eid, u, _ in graph.edges if eid in kept and u in vs)
-        comps.append(Component(vs, es))
-    return comps
 
 
 def _connector_choices(
@@ -198,67 +172,98 @@ def _must_envy(values: Iterable[dict[str, int]], limit: dict[str, int]) -> bool:
     return any(v[a] > limit[a] for v in values for a in limit)
 
 
+def _components(graph: Graph, cut: frozenset[str]) -> tuple[list[int], list[list[str]], dict]:
+    """The components of G - cut, ordered by their smallest vertex: their
+    vertex masks, their edges in position order, and the components at
+    the two ends of each cut edge.  Opened at x (none on a tree, a cut
+    edge on a cycle), G - x is a tree whose subtree masks nest: below a
+    cut edge lies its mask less the smaller cut masks, and above them all
+    every vertex less every cut mask."""
+    masks, end_bits = graph.subtree_masks, graph.end_bits
+    x = None if None in masks else next(iter(cut), None)
+    tops = [below for f, below in masks[x].items() if f in cut] if x in masks else []
+    comps, taken = [], 0
+    for below in sorted(tops, key=int.bit_count):
+        comps.append(below & ~taken)
+        taken |= below
+    comps.append(((1 << len(graph.vertices)) - 1) & ~taken)
+    comps.sort(key=lambda mask: mask & -mask)
+    comp_of = {}  # each vertex bit's component
+    for k, mask in enumerate(comps):
+        while mask:
+            comp_of[mask & -mask] = k
+            mask &= mask - 1
+    edges: list[list[str]] = [[] for _ in comps]
+    for e in graph.edge_ids:
+        if e not in cut:
+            edges[comp_of[end_bits[e][0]]].append(e)
+    return comps, edges, {e: (comp_of[end_bits[e][0]], comp_of[end_bits[e][1]]) for e in cut}
+
+
 def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     """Decide existence of an envy-free assignment in which every
     component of G - cut goes wholly to one agent.
 
     A yes verdict ships a verified assignment; no means no assignment
-    within this restricted scope exists.  Each held set's options are
-    worked out once, on first use; the envy checks and ``RowTest`` skip
-    what they refute (see the module docstring).
+    within this restricted scope exists.  What does not depend on the cut
+    is cached on the instance and its graph, and each held set's options
+    are worked out once per cut, on first use (see the module docstring).
     """
     inst = normalize(instance)
     graph = inst.graph
-    if not (graph.is_tree() or graph.is_cycle()):
+    masks, position, end_bits = graph.subtree_masks, graph.edge_position, graph.end_bits
+    if not masks:
         raise NotTreeOrCycleError("cut-set solving needs a tree or a cycle")
     cut = frozenset(cut)
-    position = {e: i for i, e in enumerate(graph.edge_ids)}
-    unknown = sorted(e for e in cut if e not in position)
-    if unknown:
-        raise UnknownEdgeError(unknown[0])
-    comps = components_without(graph, cut)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp.vertices}
-    comp_mask = [0] * len(comps)  # bit i for vertex i
-    for i, v in enumerate(graph.vertices):
-        comp_mask[comp_of[v]] |= 1 << i
-    # the components at the two ends of each cut edge
-    end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
+    if unknown := cut.difference(position):
+        raise UnknownEdgeError(min(unknown))
+    comp_mask, comp_edges, end_comps = _components(graph, cut)
     vdgc = inst.variant is Variant.VDGC
-    ints = inst.ints
-    best_cut = {a: max((ints[a, e] for e in cut), default=0) for a in inst.agents}
-    all_cut = {a: sum(ints[a, e] for e in cut) for a in inst.agents}
+    ints, agents = inst.ints, inst.agents
+    best_cut, all_cut = {}, {}
+    for a in agents:
+        row = [ints[a, e] for e in cut]
+        best_cut[a], all_cut[a] = max(row, default=0), sum(row)
+    # per held set: each agent's int value of its components' edges, and
+    # its options (connector, edges owned whole, their value to each agent)
+    value_of: dict[tuple[int, ...], dict[str, int]] = {(): dict.fromkeys(agents, 0)}
+    for k, edges in enumerate(comp_edges):
+        value_of[k,] = {a: sum([ints[a, g] for g in edges]) for a in agents}
+    options_of: dict[tuple[int, ...], list[tuple]] = {}
 
-    @cache
-    def value_of(held: tuple[int, ...]) -> dict[str, int]:
-        """Each agent's int value of the held components' edges."""
-        return {a: sum(ints[a, g] for k in held for g in comps[k].edges) for a in inst.agents}
-
-    @cache
-    def options_of(held: tuple[int, ...]) -> list[tuple]:
-        """(connector, edges owned whole, each agent's int value of them)."""
-        own_edges = [e for k in held for e in comps[k].edges]
-        held_mask = sum(comp_mask[k] for k in held)
-        found = []
-        for connector in _connector_choices(graph.subtree_masks, cut, own_edges, held_mask):
-            if vdgc and not all(k in held for e in connector for k in end_comps[e]):
+    def find_options(held: tuple[int, ...]) -> list[tuple]:
+        own_edges = [e for k in held for e in comp_edges[k]]
+        held_mask = sum([comp_mask[k] for k in held])
+        base = value_of[held]
+        found = options_of[held] = []
+        for connector in _connector_choices(masks, cut, own_edges, held_mask):
+            if vdgc and any((end_bits[e][0] | end_bits[e][1]) & ~held_mask for e in connector):
                 continue
             owned = tuple(sorted(own_edges + list(connector), key=position.get))
-            values = {a: v + sum(ints[a, e] for e in connector) for a, v in value_of(held).items()}
+            values = {a: v + sum([ints[a, e] for e in connector]) for a, v in base.items()}
             found.append((connector, owned, values))
         return found
 
-    for comp_assign in orbit_leaders(inst, len(comps)):
-        held: dict[str, list[int]] = {}
+    for comp_assign in orbit_leaders(inst, len(comp_mask)):
+        held: dict[str, tuple[int, ...]] = {}
         for k, agent in enumerate(comp_assign):
-            held.setdefault(agent, []).append(k)
-        holders = [a for a in inst.agents if a in held]
-        floaters = [a for a in inst.agents if a not in held]
-        held_values = [value_of(tuple(held[a])) for a in holders]
+            held[agent] = held.get(agent, ()) + (k,)
+        holders = [a for a in agents if a in held]
+        floaters = [a for a in agents if a not in held]
+        keys = [held[a] for a in holders]
+        held_values = []
+        for h in keys:
+            v = value_of.get(h)
+            if v is None:
+                parts = [value_of[k,] for k in h]
+                v = value_of[h] = {b: sum([p[b] for p in parts]) for b in agents}
+            held_values.append(v)
         limit = {a: best_cut[a] for a in floaters}
         limit |= {a: v[a] + all_cut[a] for a, v in zip(holders, held_values)}
         if _must_envy(held_values, limit):
             continue
-        for combo in product(*(options_of(tuple(held[a])) for a in holders)):
+        choices = [options_of[h] if h in options_of else find_options(h) for h in keys]
+        for combo in product(*choices):
             connectors, owned, values = zip(*combo)
             used = frozenset().union(*connectors)
             if len(used) < sum(map(len, connectors)):
@@ -269,7 +274,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 limit[a] = v[a] + sum(ints[a, e] for e in f_prime if a in end_owners[e])
             if _must_envy(values, limit):
                 continue
-            whole_value = dict.fromkeys(floaters, value_of(())) | dict(zip(holders, values))
+            whole_value = dict.fromkeys(floaters, value_of[()]) | dict(zip(holders, values))
             # an agent placed inside an edge it values at zero must envy
             options = [[e for e in f_prime if ints[a, e] > 0] for a in floaters]
             for placement in product(*options):
@@ -306,19 +311,15 @@ def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[
     return [cut for cut in unions if not any(cut < other for other in unions)]
 
 
-def _first_yes(instance: Instance, cuts: Iterable[frozenset[str]]) -> Verdict:
-    """Try the cut sets in order on the normalized instance; the first
-    yes wins."""
+def _first_yes(instance: Instance, closures: Sequence[frozenset[str]], k: int) -> Verdict:
+    """Try the maximal cuts of ``closures`` and ``k`` in order on the
+    normalized instance; the first yes wins."""
     inst = normalize(instance)
-    for cut in cuts:
+    for cut in _maximal_cuts(closures, k):
         verdict = solve_with_cut_set(inst, cut)
         if verdict.yes:
             return verdict
     return Verdict(False, None)
-
-
-def _edge_closures(graph: Graph) -> list[frozenset[str]]:
-    return [frozenset([e]) for e in graph.edge_ids]
 
 
 def solve_tree_vdgc(instance: Instance) -> Verdict:
@@ -328,24 +329,27 @@ def solve_tree_vdgc(instance: Instance) -> Verdict:
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.VDGC:
         raise ValueError("expects the vertex-disjoint variant")
-    k = len(instance.agents) - 1
-    return _first_yes(instance, _maximal_cuts(_edge_closures(instance.graph), k))
+    edges = [frozenset([e]) for e in instance.graph.edge_ids]
+    return _first_yes(instance, edges, len(instance.agents) - 1)
 
 
 def solve_tree_gc_bounded_degree(instance: Instance) -> Verdict:
     """Shared-vertex division of a tree: at most |A| vertices and edges
     are shared between agents, so cutting around every choice of those
     is exhaustive (a chosen vertex cuts all its edges; polynomial only
-    for bounded degree)."""
+    for bounded degree).  Vertex closures alone give the maximal cuts of
+    vertices and edges, in the same order: every edge lies in the closure
+    of either end, so in a choice of min(k, n) closures an edge closure
+    can give way to an unchosen vertex's without shrinking the union (for
+    k <= |V|; for k > |V| both give E alone), and that choice comes
+    earlier in ``combinations`` order."""
     if not instance.graph.is_tree():
         raise NotTreeError("expects a tree")
     if instance.variant is not Variant.GC:
         raise ValueError("expects the shared-vertex variant")
     graph = instance.graph
-    closures = [frozenset(graph.incident_edges(v)) for v in graph.vertices]
-    return _first_yes(
-        instance, _maximal_cuts(closures + _edge_closures(graph), len(instance.agents))
-    )
+    vertices = [frozenset(graph.incident_edges(v)) for v in graph.vertices]
+    return _first_yes(instance, vertices, len(instance.agents))
 
 
 def solve_cycle(instance: Instance) -> Verdict:
@@ -353,5 +357,5 @@ def solve_cycle(instance: Instance) -> Verdict:
     between agents, so cutting that many edges is exhaustive."""
     if not instance.graph.is_cycle():
         raise NotCycleError("expects a cycle")
-    k = len(instance.agents)
-    return _first_yes(instance, _maximal_cuts(_edge_closures(instance.graph), k))
+    edges = [frozenset([e]) for e in instance.graph.edge_ids]
+    return _first_yes(instance, edges, len(instance.agents))

@@ -130,10 +130,24 @@ class Graph:
         return {eid: (u, v) if index[u] < index[v] else (v, u) for eid, u, v in self.edges}
 
     @cached_property
+    def edge_position(self) -> dict[str, int]:
+        """Each edge's index in ``edges``."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
+
+    @cached_property
+    def end_bits(self) -> dict[str, tuple[int, int]]:
+        """Each edge's vertices at coordinates 0 and 1 as masks, bit i for vertex i."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return {e: (bit[lo], bit[hi]) for e, (lo, hi) in self._coords.items()}
+
+    @cached_property
     def subtree_masks(self) -> dict[str | None, dict[str, int]]:
         """For a tree or a cycle, keyed by x, None on a tree and each edge on
         a cycle: the tree G - x rooted at the first vertex, each of its edges
-        mapped to the mask of the vertices below it (bit i for vertex i)."""
+        mapped to the mask of the vertices below it (bit i for vertex i).
+        Empty for any other graph."""
+        if not (self.is_tree() or self.is_cycle()):
+            return {}
         adjacent: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
         for e, u, v in self.edges:
             adjacent[u].append((e, v))
@@ -210,6 +224,22 @@ class Instance:
     def util(self, agent: str, edge: str) -> Fraction:
         return Fraction(self.ints[agent, edge], self.dens[agent])
 
+    @cached_property
+    def sums_to_one(self) -> bool:
+        """Does every agent's ints row sum to its denominator?"""
+        ints, edges = self.ints, self.graph.edge_ids
+        return all(sum(ints[a, e] for e in edges) == self.dens[a] for a in self.agents)
+
+    @cached_property
+    def prior_twin(self) -> dict[str, str]:
+        """Each agent identical (equal ``ints`` row and ``dens``) to one
+        before it in ``agents``, mapped to the last such one."""
+        last, prior = {}, {}
+        for a in self.agents:
+            key = (self.dens[a], *(self.ints[a, e] for e in self.graph.edge_ids))
+            prior[a], last[key] = last.get(key), a
+        return {a: b for a, b in prior.items() if b is not None}
+
 
 def build_instance(
     vertices: Sequence[str],
@@ -242,13 +272,13 @@ def normalize(instance: Instance) -> Instance:
     becomes ints // g over t // g.  An instance in which every agent's
     ints already sum to its denominator is returned as it is.
     """
-    edges, ints = instance.graph.edge_ids, instance.ints
-    totals = {a: sum(ints[a, e] for e in edges) for a in instance.agents}
-    if all(totals[a] == instance.dens[a] for a in instance.agents):
+    if instance.sums_to_one:
         return instance
+    edges, ints = instance.graph.edge_ids, instance.ints
     scaled: dict[tuple[str, str], int] = {}
     dens: dict[str, int] = {}
-    for a, total in totals.items():
+    for a in instance.agents:
+        total = sum(ints[a, e] for e in edges)
         if total == 0:
             raise AllZeroAgentError(f"agent {a} values every edge at zero")
         g = gcd(*(ints[a, e] for e in edges))
@@ -259,16 +289,13 @@ def normalize(instance: Instance) -> Instance:
 
 def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
     """The sequences of ``length`` agents least, in ``instance.agents``
-    order, among their renamings of identical agents (equal ``ints`` row
-    and ``dens``), in lexicographic order: an agent may come once the one
-    before it in its class has (``product`` when no two are identical).
-    Renaming identical agents maps feasible branches to feasible ones, so
-    the first feasible branch in lexicographic order is among these."""
-    agents, last, before = instance.agents, {}, {}  # before: predecessor in class
-    for a in agents:
-        key = (instance.dens[a], *(instance.ints[a, e] for e in instance.graph.edge_ids))
-        before[a], last[key] = last.get(key), a
-    if len(last) == len(agents):  # no two agents identical
+    order, among their renamings of identical agents (``prior_twin``), in
+    lexicographic order: an agent may come once the one before it in its
+    class has (``product`` when no two are identical).  Renaming identical
+    agents maps feasible branches to feasible ones, so the first feasible
+    branch in lexicographic order is among these."""
+    agents, prior = instance.agents, instance.prior_twin
+    if not prior:
         return product(agents, repeat=length)
 
     def extend(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
@@ -276,7 +303,7 @@ def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
             yield prefix
             return
         for a in agents:
-            if before[a] is None or before[a] in prefix:
+            if a not in prior or prior[a] in prefix:
                 yield from extend(prefix + (a,))
 
     return extend(())

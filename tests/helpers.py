@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -517,6 +517,32 @@ def _links_all(parts: set[str], links) -> bool:
         if (ru := find(u)) != (rv := find(v)):
             parent[ru] = rv
     return len({find(p) for p in parts}) == 1
+
+
+@dataclass(frozen=True)
+class Component:
+    """One connected component of G - F: its vertices and edges."""
+
+    vertices: frozenset[str]
+    edges: tuple[str, ...]
+
+
+def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
+    """Connected components after removing the cut edges, ordered by the
+    smallest vertex index they contain; isolated vertices count.  Found
+    by union-find, the reference for the masks that
+    ``efgc.component_lp.solve_with_cut_set`` reads its components off."""
+    kept = {eid for eid, _, _ in graph.edges if eid not in cut}
+    root = graph.roots(kept)
+    groups: dict[str, list[str]] = {}
+    for v in graph.vertices:  # in vertex order, so groups come out ordered
+        groups.setdefault(root[v], []).append(v)
+    comps = []
+    for members in groups.values():
+        vs = frozenset(members)
+        es = tuple(eid for eid, u, _ in graph.edges if eid in kept and u in vs)
+        comps.append(Component(vs, es))
+    return comps
 
 
 def connector_choices_reference(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
@@ -6,13 +7,14 @@ from itertools import chain, combinations
 import pytest
 
 import efgc.component_lp
+from efgc.cli import emit_assignment
 from efgc.component_lp import (
     NotCycleError,
     NotTreeError,
     NotTreeOrCycleError,
+    _components,
     _connector_choices,
     _maximal_cuts,
-    components_without,
     solve_cycle,
     solve_tree_gc_bounded_degree,
     solve_tree_vdgc,
@@ -31,6 +33,8 @@ from efgc.model import (
 )
 from helpers import (
     GRAPH_SHAPES,
+    Component,
+    components_without,
     connector_choices_reference,
     cycle,
     identical_agents_corpus,
@@ -465,3 +469,104 @@ def test_connector_choices_match_on_the_workload_sizes():
                 assert got == expected, (graph.edges, sorted(cut), sorted(required))
                 triples += 1
     assert triples == 17 * 40 * 6
+
+
+def test_gc_tree_cuts_from_vertex_closures_alone_keep_list_and_order():
+    # each edge closure in a choice can give way to an unchosen end's
+    # closure, which holds it and comes earlier in combinations order
+    rng = random.Random(2222)
+    graphs = list(_enumerator_graphs())
+    graphs += [_random_tree(rng, rng.randint(1, 8)) for _ in range(200)]
+    for graph in graphs:
+        edges, vertices = _edge_and_vertex_closures(graph)
+        for k in range(6):
+            assert _maximal_cuts(vertices, k) == _maximal_cuts(vertices + edges, k), (
+                graph.edges,
+                k,
+            )
+
+
+def _components_by_mask(graph, cut):
+    """``_components`` as reference ``Component``s, with each cut edge's
+    end components."""
+    masks, edges, end_comps = _components(graph, cut)
+    vertex_sets = [
+        frozenset(v for i, v in enumerate(graph.vertices) if mask >> i & 1) for mask in masks
+    ]
+    return [Component(vs, tuple(es)) for vs, es in zip(vertex_sets, edges)], end_comps
+
+
+def _assert_components_match(graph, cut):
+    got, end_comps = _components_by_mask(graph, cut)
+    expected = components_without(graph, cut)
+    assert got == expected, (graph.edges, sorted(cut))
+    for e, ends in end_comps.items():
+        for end, k in zip((0, 1), ends):
+            assert graph.coord_vertex(e, end) in expected[k].vertices
+
+
+def test_components_read_off_masks_match_the_union_find():
+    # vertex sets, edges and order, on every cut of the connector graphs
+    # (the empty cut on a cycle included) and on sampled cuts of random
+    # trees as large as the benchmark runs
+    cuts = 0
+    for graph in _connector_graphs():
+        ids = graph.edge_ids
+        for cut in chain.from_iterable(combinations(ids, r) for r in range(len(ids) + 1)):
+            _assert_components_match(graph, frozenset(cut))
+            cuts += 1
+    rng = random.Random(21)
+    for _ in range(12):
+        graph = _random_tree(rng, rng.randint(8, 10))
+        for _ in range(40):
+            cut = frozenset(e for e in graph.edge_ids if rng.random() < 0.5)
+            _assert_components_match(graph, cut)
+            cuts += 1
+    assert cuts == 546 + 12 * 40
+
+
+def _family_cuts(inst):
+    """The cut sets the instance's tree or cycle wrapper tries."""
+    graph, k = inst.graph, len(inst.agents)
+    edges, vertices = _edge_and_vertex_closures(graph)
+    if graph.is_cycle():
+        return _maximal_cuts(edges, k)
+    if inst.variant is Variant.VDGC:
+        return _maximal_cuts(edges, k - 1)
+    return _maximal_cuts(vertices, k)
+
+
+def _outcome(verdict):
+    return verdict.yes, emit_assignment(verdict.assignment) if verdict.yes else None
+
+
+def test_per_instance_tables_leak_nothing_between_cut_sets():
+    # what is cached on an instance and its graph serves every cut set
+    # alike: a cut solved on a shared instance after all the others gives
+    # what it gives on a fresh instance, and a second pass repeats the first
+    rng = random.Random(2323)
+    seen = Counter()
+    for graph in _tree_or_cycle_shapes():
+        for n_agents in (2, 3):
+            for variant in (Variant.GC, Variant.VDGC):
+                for draw in range(2):
+                    rows = []
+                    while len(rows) < (1 if draw else n_agents):  # draw 1: identical agents
+                        row = {e: rng.randint(0, 2) for e in graph.edge_ids}
+                        if any(row.values()):
+                            rows.append(row)
+                    table = {f"a{i}": dict(rows[i % len(rows)]) for i in range(n_agents)}
+
+                    def fresh():
+                        vertices, edges = list(graph.vertices), list(graph.edges)
+                        return normalize(build_instance(vertices, edges, table, variant))
+
+                    shared = fresh()
+                    cuts = _family_cuts(shared)
+                    first = [_outcome(solve_with_cut_set(shared, cut)) for cut in cuts]
+                    again = [_outcome(solve_with_cut_set(shared, cut)) for cut in cuts]
+                    assert again == first, (graph.edges, table, variant)
+                    for cut, outcome in zip(cuts, first):
+                        assert _outcome(solve_with_cut_set(fresh(), cut)) == outcome
+                        seen[outcome[0]] += 1
+    assert min(seen.values()) > 20, seen

@@ -15,7 +15,6 @@ import efgc.linprog as linprog
 from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
 from efgc.component_lp import (
     _cut_var,
-    components_without,
     solve_cycle,
     solve_tree_gc_bounded_degree,
     solve_tree_vdgc,
@@ -33,6 +32,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from helpers import (
+    components_without,
     force_paper_route,
     random_cycle_instance,
     random_graph_instance,

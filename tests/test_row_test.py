@@ -27,6 +27,7 @@ from efgc.linprog import Feasible, Infeasible, RowTest, lp_feasible, verify_cert
 from efgc.model import Variant, build_instance, normalize
 from helpers import (
     GRAPH_SHAPES,
+    components_without,
     connector_choices_reference,
     count_branch_skips,
     force_paper_route,
@@ -204,7 +205,7 @@ def _share_lp_tree(inst, cut):
     whole-edge values summed afresh from its edges."""
     graph, ints, cut = inst.graph, inst.ints, frozenset(cut)
     position = {e: i for i, e in enumerate(graph.edge_ids)}
-    comps = component_lp.components_without(graph, cut)
+    comps = components_without(graph, cut)
     comp_of = {v: k for k, comp in enumerate(comps) for v in comp.vertices}
     end_comps = {e: tuple(comp_of[graph.coord_vertex(e, end)] for end in (0, 1)) for e in cut}
 
