@@ -21,11 +21,13 @@ ASCII digits ``N`` or ``N/M`` are read as ints, other tokens through
     piece a2 e1 1/2 1 open closed
 
 Commands: ``solve`` (exit 0 yes / 1 no / 2 error), ``verify`` (0 valid /
-1 invalid), ``gen`` (emit a generated instance), ``oracle`` (the same as
-``solve --mode oracle``), ``cells`` (debug: realizable sign vectors of a
-form file over a region file).  ``--mode auto`` picks the specialized
-tree or cycle solver when it applies and the few-edges search otherwise.
-``run`` parses a command's arguments with that command's own parser.
+1 invalid), ``gen`` (emit a generated instance).  ``--mode auto`` picks
+the specialized tree or cycle solver when it applies and the few-edges
+search otherwise; ``few-edges`` forces that search on any graph and
+``oracle`` runs the brute-force reference.  Cell enumeration has no
+command: call ``efgc.cells.enumerate_sign_conditions`` (see
+``demos/arrangement_cells.py``).  ``run`` parses a command's arguments
+with that command's own parser.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from efgc.cells import enumerate_sign_conditions
 from efgc.component_lp import (
     solve_cycle,
     solve_tree_gc_bounded_degree,
@@ -48,7 +49,6 @@ from efgc.generators import (
     gen_star_from_numpart,
     solve_explicit_oracle,
 )
-from efgc.linprog import EQ, GE, LinearForm, LinearSystem
 from efgc.model import (
     Assignment,
     EdgePiece,
@@ -233,75 +233,28 @@ def parse_assignment(text: str) -> Assignment:
     return Assignment({agent: Piece(eps) for agent, eps in pieces.items()})
 
 
-def parse_forms_file(text: str) -> tuple[list[str], list[LinearForm]]:
-    lines = _content_lines(text, "efgc-forms v1")
-    names: list[str] = []
-    forms: list[LinearForm] = []
-    for line_no, line in lines:
-        parts = line.split()
-        if parts[0] == "vars":
-            names = parts[1:]
-        elif parts[0] == "form":
-            forms.append(_parse_terms(parts[1:], names, line_no))
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    return names, forms
-
-
-def parse_region_file(text: str) -> LinearSystem:
-    lines = _content_lines(text, "efgc-region v1")
-    names: list[str] = []
-    system = LinearSystem()
-    for line_no, line in lines:
-        parts = line.split()
-        if parts[0] == "vars":
-            names = parts[1:]
-            for v in names:
-                system.declare(v)
-        elif parts[0] in ("ge", "eq"):
-            form = _parse_terms(parts[1:], names, line_no)
-            system.add(form, GE if parts[0] == "ge" else EQ)
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    return system
-
-
-def _parse_terms(tokens, names, line_no) -> LinearForm:
-    coeffs = {}
-    const = Fraction(0)
-    for token in tokens:
-        if "=" not in token:
-            raise ParseError(line_no, f"expected NAME=VALUE, got {token!r}")
-        name, _, value = token.partition("=")
-        if name == "const":
-            const += Fraction(*_ratio(value, line_no))
-        elif name in names:
-            coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(*_ratio(value, line_no))
-        else:
-            raise ParseError(line_no, f"unknown variable {name!r}")
-    return LinearForm.make(coeffs, const)
-
-
-MODES = ("auto", "few-edges", "tree-vdgc", "tree-gc", "cycle", "oracle")
+MODES = ("auto", "few-edges", "oracle")
 
 
 def select_solver(instance: Instance, mode: str):
-    """Dispatch per the mode flag; auto prefers the specialized solvers."""
+    """Dispatch per the mode flag: auto sends a tree or a cycle to its
+    cut-set solver and any other graph to the few-edges search.  The
+    solvers are module globals read at call time, never a table built at
+    import, so a wrapper put in their place (``perfbench/tracer.py``) runs."""
     if mode == "auto":
         graph = instance.graph
         if graph.is_tree():
-            mode = "tree-vdgc" if instance.variant is Variant.VDGC else "tree-gc"
-        elif graph.is_cycle():
-            mode = "cycle"
-        else:
-            mode = "few-edges"
-    return {
-        "few-edges": solve_few_edges,
-        "tree-vdgc": solve_tree_vdgc,
-        "tree-gc": solve_tree_gc_bounded_degree,
-        "cycle": solve_cycle,
-        "oracle": solve_explicit_oracle,
-    }[mode]
+            if instance.variant is Variant.VDGC:
+                return solve_tree_vdgc
+            return solve_tree_gc_bounded_degree
+        if graph.is_cycle():
+            return solve_cycle
+        return solve_few_edges
+    if mode == "few-edges":
+        return solve_few_edges
+    if mode == "oracle":
+        return solve_explicit_oracle
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _read(path: str) -> str:
@@ -358,20 +311,6 @@ def _gen_command(args) -> int:
     return 0
 
 
-def _cells_command(args) -> int:
-    names, forms = parse_forms_file(_read(args.forms))
-    region = parse_region_file(_read(args.region))
-    for name in names:
-        region.declare(name)
-    witnesses = enumerate_sign_conditions(forms, region)
-    symbols = {-1: "-", 0: "0", 1: "+"}
-    for cw in witnesses:
-        signs = "".join(symbols[s] for s in cw.signs)
-        point = " ".join(f"{v}={cw.point[v]}" for v in sorted(cw.point))
-        print(f"{signs} {point}".rstrip())
-    return 0
-
-
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser with every command as a subcommand, and each command's own."""
@@ -398,16 +337,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     gen.add_argument("--variant", choices=("gc", "vdgc"))
     gen.add_argument("--out")
     gen.set_defaults(func=_gen_command)
-
-    oracle = sub.add_parser("oracle", help="decide via the reference solver")
-    oracle.add_argument("--in", dest="infile", required=True)
-    oracle.add_argument("--out")
-    oracle.set_defaults(func=_solve_command, mode="oracle")
-
-    cells = sub.add_parser("cells", help="enumerate sign vectors (debug)")
-    cells.add_argument("--forms", required=True)
-    cells.add_argument("--region", required=True)
-    cells.set_defaults(func=_cells_command)
     return parser, sub.choices
 
 

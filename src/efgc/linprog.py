@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Sequence
 from efgc.model import InternalError, as_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 EQ = "="
 GE = ">="

@@ -17,7 +17,6 @@ from efgc.linprog import (
     EQ,
     GE,
     GT,
-    ONE,
     ZERO,
     FarkasCertificate,
     Feasible,
@@ -30,6 +29,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from efgc.model import (
+    ONE,
     AllZeroAgentError,
     Assignment,
     EdgePiece,

@@ -19,6 +19,7 @@ from efgc.cli import (
 )
 from efgc.component_lp import solve_cycle, solve_tree_gc_bounded_degree, solve_tree_vdgc
 from efgc.few_edges import solve_few_edges
+from efgc.generators import solve_explicit_oracle
 from efgc.model import Assignment, EdgePiece, Piece, Variant, build_instance, normalize
 
 F = Fraction
@@ -220,6 +221,10 @@ edge e4 v3 v4
 agent a1 e1=1 e2=1 e3=1 e4=1
 """
     assert select_solver(parse_instance(paw), "auto") is solve_few_edges
+    assert select_solver(tree_gc, "few-edges") is solve_few_edges
+    assert select_solver(tree_gc, "oracle") is solve_explicit_oracle
+    with pytest.raises(ValueError, match="unknown mode 'tree-gc'"):
+        select_solver(tree_gc, "tree-gc")
 
 
 def test_solve_star_exits_one_and_prints_no(tmp_path, capsys):
@@ -275,22 +280,8 @@ def test_verify_reports_piece_on_unknown_edge(tmp_path, capsys):
 def test_oracle_command(tmp_path, capsys):
     inst_file = tmp_path / "p3.efgc"
     inst_file.write_text(P3_TEXT)
-    assert run(["oracle", "--in", str(inst_file)]) == 0
+    assert run(["solve", "--in", str(inst_file), "--mode", "oracle"]) == 0
     assert capsys.readouterr().out.startswith("Yes\n")
-
-
-def test_cells_command(tmp_path, capsys):
-    forms = tmp_path / "forms.txt"
-    forms.write_text("efgc-forms v1\nvars x y\nform x=1\nform y=1\n")
-    region = tmp_path / "region.txt"
-    region.write_text(
-        "efgc-region v1\nvars x y\n"
-        "ge x=1 const=1\nge x=-1 const=1\nge y=1 const=1\nge y=-1 const=1\n"
-    )
-    assert run(["cells", "--forms", str(forms), "--region", str(region)]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 9
-    assert lines[0].startswith("--")
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -324,7 +315,7 @@ def invalid(instance, assignment):
 
 for module, mode in (
     (efgc.few_edges, "few-edges"),
-    (efgc.component_lp, "tree-gc"),
+    (efgc.component_lp, "auto"),
     (efgc.generators, "oracle"),
 ):
     original = module.verify_assignment
@@ -444,6 +435,9 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         (["--help"], 0, "usage: efgc "),
         (["solve", "--help"], 0, "usage: efgc solve "),
         (["solve", "--bogus"], 2, "usage: efgc solve "),
+        (["cells"], 2, "usage: efgc "),
+        (["oracle", "--in", "-"], 2, "usage: efgc "),
+        (["solve", "--in", "-", "--mode", "tree-gc"], 2, "usage: efgc solve "),
     ],
 )
 def test_dispatch_exit_codes_and_streams(argv, code, usage, capsys):
@@ -458,5 +452,10 @@ def test_dispatch_exit_codes_and_streams(argv, code, usage, capsys):
 def test_help_names_every_command(capsys):
     assert run(["--help"]) == 0
     text = capsys.readouterr().out
-    for command in ("solve", "verify", "gen", "oracle", "cells"):
-        assert command in text, command
+    listed = re.search(r"\{([a-z,]+)\}", text).group(1).split(",")
+    assert listed == ["solve", "verify", "gen"]
+    # the README's "Command line" block shows the same commands
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines() if line.startswith("efgc ")}
+    assert shown == set(listed)
