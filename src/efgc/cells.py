@@ -125,7 +125,8 @@ def _sweep(
         pairs.append((forms[depth], sign))
         res = strict_feasible(_with_signs(region, pairs))
         if isinstance(res, Feasible):
-            _sweep(forms, region, prefix + (sign,), res.witness, found)
+            point = {v: Fraction(x, res.den) for v, x in res.point.items()}
+            _sweep(forms, region, prefix + (sign,), point, found)
 
 
 def enumerate_sign_conditions(
@@ -144,11 +145,11 @@ def enumerate_sign_conditions(
     if region.has_strict():
         raise ValueError("region must not contain strict constraints")
     seed = {v: Fraction(0) for v in region.variables}
-    if not region.check(seed):
+    if not region.check(1, {}):  # the origin
         base = lp_feasible(region)
         if isinstance(base, Infeasible):
             raise EmptyRegionError("region polytope is empty")
-        seed = base.witness
+        seed = {v: Fraction(x, base.den) for v, x in base.point.items()}
     unique, mapping = _dedupe(forms)
     found: dict[tuple[int, ...], dict] = {}
     _sweep(unique, region, (), seed, found)

@@ -45,7 +45,6 @@ infeasible LPs before the simplex.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
@@ -148,11 +147,10 @@ def _extract_cut_assignment(
     end_owners: dict[str, tuple[str, str]],
     insiders: dict[str, list[str]],
     owned_edges: dict[str, list[str]],
-    witness,
+    result: Feasible,
 ) -> Assignment:
-    """The witness's pieces, in ints over the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in witness.values()))
-    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
+    """The witness's pieces, in ints over its denominator."""
+    den, length = result.den, result.point
     buckets: dict[str, list] = {a: [] for a in instance.agents}
     for agent, edges in owned_edges.items():
         buckets[agent] += [(g, 0, den, True, True) for g in edges]
@@ -288,7 +286,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 if isinstance(result, Feasible):
                     owned_edges = dict(zip(holders, owned))
                     assignment = _extract_cut_assignment(
-                        inst, f_prime, end_owners, insiders, owned_edges, result.witness
+                        inst, f_prime, end_owners, insiders, owned_edges, result
                     )
                     report = verify_assignment(inst, assignment)
                     if not report.valid:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from efgc.cells import (
@@ -377,15 +377,15 @@ def _holders_must_envy(ints, base: BranchGuess) -> bool:
 
 
 def extract_assignment(
-    instance: Instance, guess: BranchGuess, witness: Mapping[str, Fraction]
+    instance: Instance, guess: BranchGuess, result: Feasible
 ) -> tuple[dict[str, Piece], list[Piece]]:
-    """Tile a feasible LP witness into pieces, one ``tile_spans`` per edge.
+    """Tile a feasible LP's witness into pieces, one ``tile_spans`` per edge.
 
     Each edge is laid out left to right as its end-0 holder's interval
     (x0), one inside interval of length d_e per agent pinned to the edge
     (placed or guessed critical), in agent order, then the free inside
     intervals, then its end-1 holder's interval (x1); d_e = 0 where the
-    LP has no d_e, all in ints over the lcm of the witness's denominators.
+    LP has no d_e, all in ints over the witness's denominator.
     The LP's rows fix every length, so no length is re-checked here.
     Returns the pieces of the holders and pinned agents, in agent order,
     and the free intervals in edge order.
@@ -395,8 +395,7 @@ def extract_assignment(
         pinned = _pin_map([guess.pair_critical, guess.vertex_critical])
         if pinned is None:
             raise InternalError("a critical agent is pinned to two edges")
-    den = lcm(*(x.denominator for x in witness.values()))
-    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
+    den, length = result.den, result.point
     buckets: dict[str, list] = {a: [] for a in instance.agents}
     leftovers = []
     for e in instance.graph.edge_ids:
@@ -511,7 +510,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
                 continue
             if not isinstance(result := lp_feasible(system), Feasible):
                 continue
-            partial, leftovers = extract_assignment(inst, guess, result.witness)
+            partial, leftovers = extract_assignment(inst, guess, result)
             if guess.placement is None:
                 assignment = _complete_with_matching(inst, guess, partial, leftovers)
             else:  # everyone is placed, and the LP has every envy row

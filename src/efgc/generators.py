@@ -231,17 +231,17 @@ def _explicit_lp(inst: Instance, ep: dict, inside: dict, n: dict, live: list[str
 
 
 def _explicit_extract(
-    inst: Instance, ep: dict, inside: dict, n: dict, live: list[str], witness
+    inst: Instance, ep: dict, inside: dict, n: dict, live: list[str], result: Feasible
 ) -> Assignment:
-    """Tile every edge in ints over the lcm of the witness's denominators
+    """Tile every edge in ints over the lcm of the witness's denominator
     and the inside counts; an edge nobody values goes to its insiders
     evenly, or to its end-0 holder."""
     insiders_by_edge: dict[str, list[str]] = {}
     for agent in inst.agents:
         if agent in inside:
             insiders_by_edge.setdefault(inside[agent], []).append(agent)
-    den = lcm(*(x.denominator for x in witness.values()), *(k for k in n.values() if k))
-    length = {v: x.numerator * (den // x.denominator) for v, x in witness.items()}
+    den = lcm(result.den, *(k for k in n.values() if k))
+    length = {v: x * (den // result.den) for v, x in result.point.items()}
     buckets: dict[str, list] = {a: [] for a in inst.agents}
     for e in inst.graph.edge_ids:
         if e in live:
@@ -290,7 +290,7 @@ def solve_explicit_oracle(instance: Instance) -> Verdict:
             result = lp_feasible(_explicit_lp(inst, ep, inside, n, live))
             if isinstance(result, Feasible):
                 assignment = _explicit_extract(
-                    inst, ep, inside, n, live, result.witness
+                    inst, ep, inside, n, live, result
                 )
                 report = verify_assignment(inst, assignment)
                 if not report.valid:

@@ -2,19 +2,21 @@
 
 A small dense simplex: two phases, Bland's anti-cycling pivot rule.
 A constraint is stored as ints over one positive denominator, in lowest
-terms: the tableau row as it stands.  Witnesses and certificates are
-``fractions.Fraction``; the tableau in between is fraction-free
-(Bareiss 1968, Edmonds 1967), so the pivot loop does int arithmetic and
-one gcd per changed row, and makes the same pivots as a ``Fraction`` one.
+terms: the tableau row as it stands, and a witness as ints over their
+least common denominator.  Certificates are ``fractions.Fraction``; the
+tableau in between is fraction-free (Bareiss 1968, Edmonds 1967), so the
+pivot loop does int arithmetic and one gcd per changed row, and makes the
+same pivots as a ``Fraction`` one.
 
 A variable bounded by a row ``c*x >= 0`` gets one sign-restricted
 column and the row leaves the tableau; only free variables are split
 as x = p - q.  Everything is exact; a returned witness satisfies every
-constraint under exact re-evaluation, and every infeasibility verdict
-carries a Farkas certificate (a nonnegative combination of constraints
-whose variable coefficients cancel and whose constant is negative), read
-off the final phase-one objective row.  ``RowTest`` refutes a system
-from one row, with no tableau.
+constraint under exact re-evaluation.  An ``Infeasible`` from
+``lp_feasible`` or ``lp_max`` carries a Farkas certificate (a nonnegative
+combination of constraints whose variable coefficients cancel and whose
+constant is negative), read off the final phase-one objective row; one
+from ``strict_feasible`` on a strict system carries None.  ``RowTest``
+refutes a system from one row, with no tableau.
 
 Strict inequalities are decided by slack maximization: each f > 0
 becomes f - t >= 0, the slack t is capped at 1, and t is maximized;
@@ -94,24 +96,10 @@ class LinearForm:
         return not self.coeffs and self.const == 0
 
 
-class _Forms(Sequence):
-    """A system's rows as (LinearForm, relation) pairs, each built on access."""
-
-    def __init__(self, rows: list[tuple]):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> tuple[LinearForm, str]:
-        terms, const, den, rel = self._rows[i]
-        return LinearForm(tuple((v, Fraction(c, den)) for v, c in terms), Fraction(const, den)), rel
-
-
 class LinearSystem:
     """Constraints ``row = 0``, ``row >= 0`` or ``row > 0``, kept in ``rows``
     as (terms, const, den, relation) for (sum c*v + const) / den, in lowest
-    terms with den > 0; ``constraints`` shows them as ``LinearForm``s.
+    terms with den > 0.
 
     Variables referenced by any constraint are declared automatically in
     first-appearance order; the declaration order fixes the simplex
@@ -126,8 +114,9 @@ class LinearSystem:
             self.declare(v)
 
     @property
-    def constraints(self) -> _Forms:
-        return _Forms(self.rows)
+    def constraints(self) -> list[tuple]:
+        # ``rows`` again: perfbench/tracer.py::_inspect_lp reads its length
+        return self.rows
 
     def declare(self, var: str):
         if var not in self._known:
@@ -159,12 +148,10 @@ class LinearSystem:
     def has_strict(self) -> bool:
         return any(row[3] == GT for row in self.rows)
 
-    def check(self, witness: Mapping[str, Fraction]) -> bool:
-        """Evaluate every row in ints over the witness's common denominator."""
-        scale = lcm(*(x.denominator for x in witness.values()))
-        point = {v: x.numerator * (scale // x.denominator) for v, x in witness.items()}
+    def check(self, den: int, point: Mapping[str, int]) -> bool:
+        """Evaluate every row in ints at ``point[v] / den``, absent v as 0."""
         for terms, const, _, rel in self.rows:
-            value = const * scale
+            value = const * den
             for v, c in terms:
                 value += c * point.get(v, 0)
             if value < 0 or (rel == EQ and value) or (rel == GT and not value):
@@ -199,9 +186,11 @@ def verify_certificate(system: LinearSystem, cert: FarkasCertificate) -> bool:
     return total < 0 and not any(combo.values())
 
 
+# Feasible and Optimal give v the value point[v] / den, and gcd(den, *point.values()) == 1.
 @dataclass(frozen=True)
 class Feasible:
-    witness: dict[str, Fraction]
+    den: int
+    point: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -212,7 +201,8 @@ class Infeasible:
 @dataclass(frozen=True)
 class Optimal:
     value: Fraction
-    witness: dict[str, Fraction]
+    den: int
+    point: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -306,11 +296,12 @@ class _Tableau:
     def value(self) -> Fraction:
         return Fraction(-self.obj[self.n_cols], self.den)
 
-    def basic_solution(self) -> list[Fraction]:
-        z = [ZERO] * self.n_cols
+    def basic_solution(self) -> tuple[int, list[int]]:  # column j is z[j] / den
+        den = lcm(*(row[b] for b, row in zip(self.basis, self.rows)))
+        z = [0] * self.n_cols
         for b, row in zip(self.basis, self.rows):
-            z[b] = Fraction(row[self.n_cols], row[b])
-        return z
+            z[b] = row[-1] * (den // row[b])
+        return den, z
 
 
 def _prepare(system: LinearSystem):
@@ -416,15 +407,17 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
         del tab.rows[i]
         del tab.basis[i]
 
-    def witness() -> dict[str, Fraction]:
-        z = tab.basic_solution()
-        point = {v: z[j] - z[neg[j]] if j in neg else z[j] for j, v in enumerate(variables)}
-        if not system.check(point):
+    def witness() -> tuple[int, dict[str, int]]:
+        den, z = tab.basic_solution()
+        values = [z[j] - z[neg[j]] if j in neg else z[j] for j in range(len(variables))]
+        *values, den = _primitive(values + [den])
+        point = dict(zip(variables, values))
+        if not system.check(den, point):
             raise InternalError("LP witness failed re-evaluation")
-        return point
+        return den, point
 
     if objective is None:
-        return Feasible(witness())
+        return Feasible(*witness())
 
     costs2: list = [0] * tab.n_cols
     for v, c in objective.coeffs:
@@ -435,8 +428,7 @@ def _solve(system: LinearSystem, objective: LinearForm | None):
     tab.set_objective(costs2)
     if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
         return Unbounded()
-    point = witness()
-    return Optimal(objective.evaluate(point), point)
+    return Optimal(tab.value() + objective.const, *witness())
 
 
 def lp_feasible(system: LinearSystem) -> Feasible | Infeasible:
@@ -533,8 +525,9 @@ def strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
         raise InternalError("the capped slack came out unbounded")
     if result.value <= 0:
         return Infeasible(None)
-    point = dict(result.witness)
-    point.pop(_SLACK, None)
-    if not system.check(point):
+    point = {v: x for v, x in result.point.items() if v != _SLACK}
+    *values, den = _primitive([*point.values(), result.den])
+    point = dict(zip(point, values))
+    if not system.check(den, point):
         raise InternalError("strict LP witness failed re-evaluation")
-    return Feasible(point)
+    return Feasible(den, point)

@@ -64,6 +64,27 @@ def tile_edge(
     ]
 
 
+def forms_of(system: LinearSystem) -> list[tuple[LinearForm, str]]:
+    """The system's rows as (LinearForm, relation) pairs: row (terms,
+    const, den, rel) is the form sum (c/den)*v + const/den."""
+    return [
+        (LinearForm(tuple((v, Fraction(c, den)) for v, c in terms), Fraction(const, den)), rel)
+        for terms, const, den, rel in system.rows
+    ]
+
+
+def as_fractions(result) -> dict[str, Fraction]:
+    """The point of a ``Feasible`` or ``Optimal``, v at point[v] / den."""
+    return {v: Fraction(x, result.den) for v, x in result.point.items()}
+
+
+def lowest_terms(point: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """A rational point as (den, ints) over the lcm of its denominators,
+    the least common denominator."""
+    den = lcm(*(x.denominator for x in point.values()))
+    return den, {v: x.numerator * (den // x.denominator) for v, x in point.items()}
+
+
 def dominant(values) -> bool:
     """Whether one value exceeds half the total of the multiset."""
     return 2 * max(values) > sum(values)
@@ -714,7 +735,7 @@ def row_certificate(system: LinearSystem, i: int) -> FarkasCertificate:
     row's largest value over that simplex, a variable absent from the row
     counting 0), and each variable's first sign bound takes up what is
     left on it."""
-    forms = list(system.constraints)
+    forms = forms_of(system)
     row = dict(forms[i][0].coeffs)
     bound = {}
     for k, (form, rel) in enumerate(forms):
@@ -749,10 +770,11 @@ def _fraction_prepare(system: LinearSystem):
     column and the q column of each free one.
     """
     variables = system.variables
+    forms = forms_of(system)
     col = {v: j for j, v in enumerate(variables)}
     bound: dict[int, int] = {}
     kept: list[int] = []
-    for i, (form, rel) in enumerate(system.constraints):
+    for i, (form, rel) in enumerate(forms):
         if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
             bound.setdefault(col[form.coeffs[0][0]], i)
         else:
@@ -760,10 +782,10 @@ def _fraction_prepare(system: LinearSystem):
     free = [j for j in range(len(variables)) if j not in bound]
     neg = {j: len(variables) + k for k, j in enumerate(free)}
     slack = len(variables) + len(free)
-    n_real = slack + sum(system.constraints[i][1] == GE for i in kept)
+    n_real = slack + sum(forms[i][1] == GE for i in kept)
     rows, rhs, flips = [], [], []
     for i in kept:
-        form, rel = system.constraints[i]
+        form, rel = forms[i]
         flip = -ONE if form.const > 0 else ONE
         row = [ZERO] * n_real
         for v, c in form.coeffs:
@@ -790,12 +812,12 @@ def _fraction_farkas(tab: FractionTableau, system: LinearSystem, flips, kept, bo
     and the bound row c*x >= 0 of a restricted x takes -obj[x] / c >= 0,
     which cancels what is left on x.  Repeated bounds get zero.
     """
-    obj = tab.obj
-    mults = [ZERO] * len(system.constraints)
+    obj, forms = tab.obj, forms_of(system)
+    mults = [ZERO] * len(forms)
     for k, i in enumerate(kept):
         mults[i] = Fraction(obj[tab.n_real + k] + 1) * flips[k]
     for j, i in bound.items():
-        mults[i] = -Fraction(obj[j]) / system.constraints[i][0].coeffs[0][1]
+        mults[i] = -Fraction(obj[j]) / forms[i][0].coeffs[0][1]
     cert = FarkasCertificate(tuple(mults))
     if not verify_certificate(system, cert):
         raise InternalError("Farkas certificate failed re-verification")
@@ -803,7 +825,8 @@ def _fraction_farkas(tab: FractionTableau, system: LinearSystem, flips, kept, bo
 
 
 def fraction_solve(system: LinearSystem, objective: LinearForm | None):
-    """``lp_feasible`` (objective None) or ``lp_max`` on the Fraction tableau."""
+    """``lp_feasible`` (objective None) or ``lp_max`` on the Fraction tableau;
+    the witness is turned into ints over its least denominator at return."""
     if system.has_strict():
         raise ValueError("strict constraints require strict_feasible")
     tab, flips, kept, bound, neg = _fraction_prepare(system)
@@ -835,12 +858,12 @@ def fraction_solve(system: LinearSystem, objective: LinearForm | None):
     def witness() -> dict[str, Fraction]:
         z = tab.basic_solution()
         point = {v: z[j] - z[neg[j]] if j in neg else z[j] for j, v in enumerate(variables)}
-        if not system.check(point):
+        if not system.check(*lowest_terms(point)):
             raise InternalError("LP witness failed re-evaluation")
         return point
 
     if objective is None:
-        return Feasible(witness())
+        return Feasible(*lowest_terms(witness()))
 
     costs2 = [ZERO] * tab.n_cols
     for v, c in objective.coeffs:
@@ -852,7 +875,7 @@ def fraction_solve(system: LinearSystem, objective: LinearForm | None):
     if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
         return Unbounded()
     point = witness()
-    return Optimal(objective.evaluate(point), point)
+    return Optimal(objective.evaluate(point), *lowest_terms(point))
 
 
 def fraction_strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
@@ -862,15 +885,15 @@ def fraction_strict_feasible(system: LinearSystem) -> Feasible | Infeasible:
         return fraction_solve(system, None)
     relaxed = LinearSystem(system.variables)
     t = LinearForm.var("__slack")
-    for form, rel in system.constraints:
+    for form, rel in forms_of(system):
         relaxed.add(form - t if rel == GT else form, GE if rel == GT else rel)
     relaxed.add(LinearForm.constant(1) - t, GE)
     result = fraction_solve(relaxed, t)
     if not isinstance(result, Optimal) or result.value <= 0:
         return Infeasible(None)
-    point = dict(result.witness)
+    point = as_fractions(result)
     point.pop("__slack")
-    return Feasible(point)
+    return Feasible(*lowest_terms(point))
 
 
 # The model lookups the references below were written against, as functions.

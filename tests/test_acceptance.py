@@ -37,6 +37,7 @@ from efgc.linprog import (
 )
 from efgc.model import normalize, verify_assignment
 from helpers import (
+    as_fractions,
     criterion_4_instances,
     dominant,
     numpart_family_solvable,
@@ -270,15 +271,15 @@ def test_criterion_7_lp_exactness():
         result = lp_feasible(system)
         if isinstance(result, Feasible):
             feasible += 1
-            assert system.check(result.witness)
+            assert system.check(result.den, result.point)
         else:
             infeasible += 1
             assert verify_certificate(system, result.certificate)
         objective = LinearForm.make({v: Fraction(rng.randint(-2, 2)) for v in names})
         outcome = lp_max(system, objective)
         if isinstance(outcome, Optimal):
-            assert system.check(outcome.witness)
-            assert objective.evaluate(outcome.witness) == outcome.value
+            assert system.check(outcome.den, outcome.point)
+            assert objective.evaluate(as_fractions(outcome)) == outcome.value
         elif isinstance(outcome, Infeasible):
             assert verify_certificate(system, outcome.certificate)
     elapsed = time.perf_counter() - start

@@ -39,15 +39,18 @@ from efgc.linprog import (
 from efgc.model import build_instance, normalize, verify_assignment
 from helpers import (
     GRAPH_SHAPES,
+    as_fractions,
     count_branch_skips,
     criterion_4_instances,
     cycle,
     extract_assignment_reference,
     force_paper_route,
+    forms_of,
     holder_region_reference,
     identical_agents_corpus,
     initial_branches_reference,
     least_in_orbit,
+    lowest_terms,
     mixed_classes_corpus,
     path,
     random_cycle_instance,
@@ -140,8 +143,8 @@ def test_build_lp_single_edge_forces_halves():
     )
     res = lp_feasible(build_lp(inst, guess))
     assert isinstance(res, Feasible)
-    assert res.witness[endpoint_var("e1", 0)] == F(1, 2)
-    assert res.witness[endpoint_var("e1", 1)] == F(1, 2)
+    assert as_fractions(res)[endpoint_var("e1", 0)] == F(1, 2)
+    assert as_fractions(res)[endpoint_var("e1", 1)] == F(1, 2)
 
 
 def test_build_lp_star_unbalanced_split_infeasible():
@@ -230,7 +233,7 @@ def test_inside_length_rows_left_out_are_implied(monkeypatch):
     for inst, guess in _built_guesses(monkeypatch, _small_instances()):
         system = build_lp(inst, guess)
         full = system.copy()
-        present = set(full.constraints)
+        present = set(forms_of(full))
         pieces = guessed_pieces(guess.endpoint_agent)
         added = []
         for e in inst.graph.edge_ids:
@@ -267,9 +270,9 @@ def test_sample_region_matches_written_out_bounds(monkeypatch):
         holders = _holder_order(inst, guess.a_v)
         for (forms, region), holder in zip(_holder_blocks(inst, guess), holders):
             reference = holder_region_reference(pieces[holder])
-            for form, _ in reference.constraints:
+            for form, _ in forms_of(reference):
                 assert _implies(region, form)
-            for form, _ in region.constraints:
+            for form, _ in forms_of(region):
                 assert _implies(reference, form)
             got = [cw.signs for cw in enumerate_sign_conditions(forms, region)]
             want = [cw.signs for cw in enumerate_sign_conditions(forms, reference)]
@@ -283,7 +286,7 @@ def extract(inst, guess, x0, delta, x1):
     for e in x0:
         witness[endpoint_var(e, 0)], witness[endpoint_var(e, 1)] = x0[e], x1[e]
         witness[delta_var(e)] = delta[e]
-    return extract_assignment(normalize(inst), guess, witness)
+    return extract_assignment(normalize(inst), guess, Feasible(*lowest_terms(witness)))
 
 
 def test_extract_halves_no_leftovers():
@@ -384,11 +387,12 @@ def test_extract_cold_edge_has_its_end_intervals_alone():
         placement={"d": "e1"},
     )
     result = lp_feasible(build_lp(inst, guess))
-    assert isinstance(result, Feasible) and delta_var("e2") not in result.witness
-    partial, leftovers = extract_assignment(inst, guess, result.witness)
+    assert isinstance(result, Feasible) and delta_var("e2") not in result.point
+    partial, leftovers = extract_assignment(inst, guess, result)
     assert leftovers == [] and set(partial) == set("abcd")
     cold = [(a, ep) for a, piece in partial.items() for ep in piece.edge_pieces if ep.edge == "e2"]
-    x0, x1 = result.witness[endpoint_var("e2", 0)], result.witness[endpoint_var("e2", 1)]
+    point = as_fractions(result)
+    x0, x1 = point[endpoint_var("e2", 0)], point[endpoint_var("e2", 1)]
     assert [(a, ep.lo, ep.hi) for a, ep in cold] == [("b", 0, x0), ("c", x0, x0 + x1)]
     assert x0 + x1 == 1
 
@@ -404,9 +408,9 @@ def test_extraction_matches_the_reference(monkeypatch):
     calls = {"explicit": 0, "paper": 0}
     original = few_edges.extract_assignment
 
-    def checked(inst, guess, witness):
-        got = original(inst, guess, witness)
-        assert got == extract_assignment_reference(inst, guess, witness), (inst, guess)
+    def checked(inst, guess, result):
+        got = original(inst, guess, result)
+        assert got == extract_assignment_reference(inst, guess, as_fractions(result)), (inst, guess)
         calls["paper" if guess.placement is None else "explicit"] += 1
         return got
 

@@ -1,16 +1,19 @@
-"""LP rows stored as ints over one positive denominator.
+"""LP rows and witnesses stored as ints over one positive denominator.
 
 The solvers build their rows straight from each agent's int utilities;
 these tests hold those rows to rows built from the normalized
 ``Fraction`` utilities, check that the certificate check weighs each row
-by its denominator, and that the row test reads a row the same however
-it was built.
+by its denominator, that the row test reads a row the same however
+it was built, and that a witness's pieces are those of its ``Fraction``
+lengths tiled over their lcm.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 
 import efgc.component_lp as component_lp
 import efgc.few_edges as few_edges
+import efgc.generators as generators
 import efgc.linprog as linprog
 from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
 from efgc.component_lp import (
@@ -24,6 +27,7 @@ from efgc.linprog import (
     EQ,
     GE,
     FarkasCertificate,
+    Feasible,
     Infeasible,
     LinearForm,
     LinearSystem,
@@ -32,8 +36,11 @@ from efgc.linprog import (
     verify_certificate,
 )
 from helpers import (
+    as_fractions,
     components_without,
     force_paper_route,
+    forms_of,
+    lowest_terms,
     random_cycle_instance,
     random_graph_instance,
     random_path_instance,
@@ -70,7 +77,7 @@ def test_rows_are_kept_in_lowest_terms():
         ((("x", 1),), 0, 1, GE),
         ((), 0, 1, EQ),
     ]
-    form, rel = system.constraints[0]
+    form, rel = forms_of(system)[0]
     assert form == LinearForm.make({"x": F(3, 5), "y": F(-2, 5)}, F(1, 5)) and rel == GE
 
 
@@ -165,7 +172,7 @@ def test_cut_lp_rows_equal_rows_from_fraction_utilities(monkeypatch):
         calls.append((inst, list(f_prime), dict(end_owners), dict(insiders), whole, system))
         return system
 
-    def extracting(inst, f_prime, end_owners, insiders, owned_edges, witness):
+    def extracting(inst, f_prime, end_owners, insiders, owned_edges, result):
         # the last LP built is the feasible one: its whole values are those
         # of the edges each holder owns
         nonlocal owned_checked
@@ -174,7 +181,7 @@ def test_cut_lp_rows_equal_rows_from_fraction_utilities(monkeypatch):
             for a in inst.agents:
                 assert whole[b, a] == sum((inst.util(a, g) for g in edges), F(0))
         owned_checked += 1
-        return extract(inst, f_prime, end_owners, insiders, owned_edges, witness)
+        return extract(inst, f_prime, end_owners, insiders, owned_edges, result)
 
     monkeypatch.setattr(component_lp, "_build_cut_lp", recording)
     monkeypatch.setattr(component_lp, "_extract_cut_assignment", extracting)
@@ -193,7 +200,7 @@ def test_cut_lp_rows_equal_rows_from_fraction_utilities(monkeypatch):
             assert whole == _vdgc_whole_value_reference(inst, f_prime, end_owners)
             vdgc_checked += 1
         reference = _cut_lp_reference(inst, f_prime, end_owners, insiders, whole)
-        assert list(system.constraints) == [(form, rel) for form, rel, _ in reference]
+        assert forms_of(system) == [(form, rel) for form, rel, _ in reference]
         dens = inst.dens
         reduced += sum(row[2] < dens[a] for row, (_, _, a) in zip(system.rows, reference) if a)
     assert reduced and vdgc_checked > 100  # some rows needed the gcd to reach lowest terms
@@ -279,7 +286,60 @@ def test_few_edges_rows_equal_rows_from_fraction_utilities(monkeypatch):
             system, reference = build_lp(inst, guess), _build_lp_reference(inst, guess)
             assert system.variables == reference.variables
             assert system.rows == reference.rows
-            assert list(system.constraints) == list(reference.constraints)
+            assert forms_of(system) == forms_of(reference)
             # a denominator that no agent has comes from a reduced row
             reduced += sum(row[2] not in inst.dens.values() for row in system.rows)
         assert reduced
+
+
+def _spans(pieces) -> list:
+    return [(key, piece.den, piece.spans) for key, piece in pieces]
+
+
+def test_witness_pieces_equal_those_tiled_over_the_lcm(monkeypatch):
+    """Every extraction on the few-edges and cut-set corpora gives pieces
+    with the ``den`` and ``spans`` of the same extraction from the
+    witness's ``Fraction`` lengths over their lcm: the same pieces, not
+    just pieces that ``Piece.__eq__`` (which compares edge pieces as
+    ``Fraction``s) calls equal."""
+    checked, above_one = Counter(), Counter()
+
+    def check(module, name, pieces_of):
+        original = getattr(module, name)
+
+        def extracting(*args):
+            *rest, result = args
+            got = original(*args)
+            # the witness as the extractors once read it: its Fraction lengths over their lcm
+            want = original(*rest, Feasible(*lowest_terms(as_fractions(result))))
+            assert _spans(pieces_of(got)) == _spans(pieces_of(want))
+            checked[name] += 1
+            above_one[name] += result.den > 1
+            return got
+
+        monkeypatch.setattr(module, name, extracting)
+
+    check(few_edges, "extract_assignment", lambda got: [*got[0].items(), *enumerate(got[1])])
+    check(component_lp, "_extract_cut_assignment", lambda got: got.items())
+    check(generators, "_explicit_extract", lambda got: got.items())
+    rng = random.Random(7070)  # the corpus of test_extraction_matches_the_reference
+    corpus = [
+        random_graph_instance(rng, rng.randint(1, 3), rng.randint(2, 4), variant)
+        for variant in ("gc", "vdgc") * 12
+    ]
+    for inst in corpus:
+        solve_few_edges(inst)
+        generators.solve_explicit_oracle(inst)
+    with monkeypatch.context() as patch:
+        force_paper_route(patch)
+        for inst in corpus:
+            solve_few_edges(inst)
+    rng = random.Random(1313)  # the corpus of test_cut_lp_rows_equal_rows_from_fraction_utilities
+    for _ in range(12):
+        for variant in ("gc", "vdgc"):
+            n_edges, n_agents = rng.randint(1, 3), rng.randint(2, 4)
+            tree = random_tree_instance(rng, n_edges, n_agents, variant)
+            (solve_tree_vdgc if variant == "vdgc" else solve_tree_gc_bounded_degree)(tree)
+            solve_tree_vdgc(random_path_instance(rng, n_edges, n_agents, "vdgc"))
+            solve_cycle(random_cycle_instance(rng, rng.randint(3, 4), n_agents, variant))
+    assert min(above_one[name] for name in checked) > 5 and len(checked) == 3, (checked, above_one)

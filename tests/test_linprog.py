@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from efgc.model import InternalError
-from helpers import fraction_solve, fraction_strict_feasible, row_certificate
+from helpers import as_fractions, forms_of, fraction_solve, fraction_strict_feasible, row_certificate
 
 F = Fraction
 ONE = F(1)
@@ -40,7 +41,7 @@ def system(*constraints) -> LinearSystem:
 def test_feasible_point_equality():
     res = lp_feasible(system((x, GE), (x - one, EQ)))
     assert isinstance(res, Feasible)
-    assert res.witness["x"] == 1
+    assert as_fractions(res)["x"] == 1
 
 
 def test_infeasible_with_certificate():
@@ -67,13 +68,13 @@ def test_max_balanced_midpoint():
     res = lp_max(sys_, t)
     assert isinstance(res, Optimal)
     assert res.value == F(1, 2)
-    assert res.witness["x"] == F(1, 2)
+    assert as_fractions(res)["x"] == F(1, 2)
 
 
 def test_strict_capped_slack():
     res = strict_feasible(system((x, GT), (one - x, GE)))
     assert isinstance(res, Feasible)
-    assert res.witness["x"] == 1  # the slack maxes out at the cap
+    assert as_fractions(res)["x"] == 1  # the slack maxes out at the cap
 
 
 def test_strict_infeasible():
@@ -84,7 +85,7 @@ def test_strict_infeasible():
 def test_strict_without_strict_constraints():
     res = strict_feasible(system((x, EQ)))
     assert isinstance(res, Feasible)
-    assert res.witness["x"] == 0
+    assert as_fractions(res)["x"] == 0
 
 
 def test_strict_rejected_by_plain_solvers():
@@ -95,14 +96,14 @@ def test_strict_rejected_by_plain_solvers():
 def test_empty_system_is_feasible():
     res = lp_feasible(LinearSystem(["x"]))
     assert isinstance(res, Feasible)
-    assert res.witness == {"x": 0}
+    assert as_fractions(res) == {"x": 0}
 
 
 def test_equality_only_negative_rhs():
     # x = -3 is representable with free variables
     res = lp_feasible(system((x + LinearForm.constant(3), EQ)))
     assert isinstance(res, Feasible)
-    assert res.witness["x"] == -3
+    assert as_fractions(res)["x"] == -3
 
 
 def _random_system(rng: random.Random, n_vars=4, n_cons=8) -> LinearSystem:
@@ -124,7 +125,8 @@ def test_random_suite_witnesses_and_certificates():
         res = lp_feasible(sys_)
         if isinstance(res, Feasible):
             feasible += 1
-            assert sys_.check(res.witness)
+            assert sys_.check(res.den, res.point)
+            assert res.den > 0 and gcd(res.den, *res.point.values()) == 1
         else:
             infeasible += 1
             assert verify_certificate(sys_, res.certificate)
@@ -139,7 +141,7 @@ def test_deterministic_resolution():
         second = lp_feasible(sys_.copy())
         assert type(first) is type(second)
         if isinstance(first, Feasible):
-            assert first.witness == second.witness
+            assert as_fractions(first) == as_fractions(second)
         else:
             assert first.certificate == second.certificate
 
@@ -213,10 +215,10 @@ def test_sign_bounds_agree_with_general_rows():
             assert best[0].value == best[1].value
         for sys_, res in zip((plain, twin, plain, twin), decided + best):
             if isinstance(res, (Feasible, Optimal)):
-                assert sys_.check(res.witness)
+                assert sys_.check(res.den, res.point)
             if isinstance(res, Infeasible):
                 assert verify_certificate(sys_, res.certificate)
-                for mult, (form, rel) in zip(res.certificate.multipliers, sys_.constraints):
+                for mult, (form, rel) in zip(res.certificate.multipliers, forms_of(sys_)):
                     if rel == GE and len(form.coeffs) == 1 and not form.const:
                         assert mult >= 0
     assert min(seen.values()) >= 5, seen
@@ -367,7 +369,7 @@ def test_row_test_refutes_exactly_the_rows_with_a_negative_maximum():
         frame.rows = sys_.rows[:base]
         want = None
         for i in range(base, len(sys_.rows)):
-            best = lp_max(frame, sys_.constraints[i][0])
+            best = lp_max(frame, forms_of(sys_)[i][0])
             if isinstance(best, Optimal) and best.value < 0:
                 want = i
                 break
