@@ -7,7 +7,7 @@ with exact rational cut points on every random draw.
 import random
 from fractions import Fraction
 
-from efgc import build_instance, normalize, piece_utility, solve_few_edges, verify_assignment
+from efgc import build_instance, piece_utility, solve_few_edges, verify_assignment
 
 rng = random.Random(7)
 
@@ -26,12 +26,11 @@ for trial in range(3):
     for row in utilities.values():  # nobody may value everything at zero
         if all(v == 0 for v in row.values()):
             row["e1"] = Fraction(1)
-    inst = build_instance(vertices, edges, utilities, "gc")
+    inst = build_instance(vertices, edges, utilities, "gc")  # scales each row to sum to 1
     verdict = solve_few_edges(inst)
-    norm = normalize(inst)
-    assert verdict.yes and verify_assignment(norm, verdict.assignment).valid
+    assert verdict.yes and verify_assignment(inst, verdict.assignment).valid
     print(f"path with {n_edges} edges, {n_agents} agents:")
     for agent, piece in verdict.assignment.items():
         spans = ", ".join(f"{ep.edge}[{ep.lo},{ep.hi}]" for ep in piece.edge_pieces)
-        print(f"  {agent}: {spans}  (own value {piece_utility(agent, piece, norm)})")
+        print(f"  {agent}: {spans}  (own value {piece_utility(agent, piece, inst)})")
     print()

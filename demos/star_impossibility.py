@@ -8,7 +8,6 @@ total, though, and a division appears.
 """
 from efgc import (
     build_instance,
-    normalize,
     piece_utility,
     solve_explicit_oracle,
     solve_few_edges,
@@ -34,6 +33,8 @@ for name, solver in [
 
 # one dominant leaf changes the verdict: the agent without the center
 # can take a leaf-side sliver of e3 worth exactly half the total
+# (build_instance scales each agent's values to sum to 1, so values
+# print as shares of the whole)
 lopsided = build_instance(
     ["c", "l1", "l2", "l3"],
     [("e1", "c", "l1"), ("e2", "c", "l2"), ("e3", "c", "l3")],
@@ -42,10 +43,9 @@ lopsided = build_instance(
 )
 verdict = solve_few_edges(lopsided)
 print("\nsame star with leaf values 1,1,3 ->", "Yes" if verdict.yes else "No")
-norm = normalize(lopsided)
-assert verify_assignment(norm, verdict.assignment).valid
+assert verify_assignment(lopsided, verdict.assignment).valid
 for agent, piece in verdict.assignment.items():
     intervals = ", ".join(
         f"{ep.edge}[{ep.lo},{ep.hi}]" for ep in piece.edge_pieces
     )
-    print(f"  {agent} gets {intervals} worth {piece_utility(agent, piece, norm)}")
+    print(f"  {agent} gets {intervals} worth {piece_utility(agent, piece, lopsided)}")

@@ -30,7 +30,6 @@ from efgc.model import (
     VerificationReport,
     build_instance,
     is_connected_piece,
-    normalize,
     piece_utility,
     verify_assignment,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "gen_matching_plus_two",
     "gen_star_from_numpart",
     "is_connected_piece",
-    "normalize",
     "numpart_dp",
     "piece_utility",
     "solve_cycle",

@@ -11,7 +11,7 @@ Instance files (UTF-8, line oriented, ``#`` starts a comment)::
     agent a2 e1=0 e2=1
 
 A utility is any non-negative token that ``fractions.Fraction`` reads
-(``3``, ``2/4``, ``0.5``, ``1e3``); utilities are normalized on load,
+(``3``, ``2/4``, ``0.5``, ``1e3``); utilities are scaled to sum to one on load,
 omitted edges count as zero, and an edge may appear once per agent.
 ASCII digits ``N`` or ``N/M`` are read as ints, other tokens through
 ``Fraction``.  Assignment files hold one ``piece`` line per edge interval::
@@ -35,7 +35,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from efgc.component_lp import (
     solve_cycle,
@@ -50,6 +50,7 @@ from efgc.generators import (
     solve_explicit_oracle,
 )
 from efgc.model import (
+    AllZeroAgentError,
     Assignment,
     EdgePiece,
     EfgcError,
@@ -58,6 +59,7 @@ from efgc.model import (
     Piece,
     Variant,
     Verdict,
+    normal_row,
     verify_assignment,
 )
 
@@ -100,8 +102,8 @@ def _ratio(token: str, line_no: int) -> tuple[int, int]:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse and fully validate an instance file; normalizes utilities in
-    ints, as ``normalize(build_instance(...))`` would, building one instance."""
+    """Parse and fully validate an instance file; each agent's int pairs go
+    through ``model.normal_row`` with no ``Fraction``, building one instance."""
     lines = _content_lines(text, "efgc-instance v1")
     variant = None
     vertices: list[str] = []
@@ -166,14 +168,11 @@ def parse_instance(text: str) -> Instance:
     dens: dict[str, int] = {}
     for agent in agents:
         row = utilities[agent]
-        den = lcm(*(d for _, d in row.values()))
-        scaled = [n * (den // d) for n, d in (row.get(e, (0, 1)) for e in graph.edge_ids)]
-        total = sum(scaled)
-        if not total:
-            raise ValidationError(f"agent {agent} values every edge at zero")
-        g = gcd(*scaled)
-        dens[agent] = total // g
-        ints.update(((agent, e), u // g) for e, u in zip(graph.edge_ids, scaled))
+        try:
+            scaled, dens[agent] = normal_row(agent, [row.get(e, (0, 1)) for e in graph.edge_ids])
+        except AllZeroAgentError as exc:
+            raise ValidationError(str(exc)) from None
+        ints.update(zip(((agent, e) for e in graph.edge_ids), scaled))
     return Instance(graph, tuple(agents), ints, dens, variant)
 
 

@@ -9,14 +9,14 @@ edge hosts each agent that owns no component, and solve an exact LP for
 the share lengths on the remaining cut edges.
 
 What does not depend on F is worked out once per instance and cached on
-it and its graph: normalization, the tree-or-cycle check with the
-subtree masks, edge positions and end bits, and the classes of identical
-agents.  Per cut set, the components of G - F are read off the subtree
-masks (``_components``), each with one value per agent, and a held set,
-the components one agent holds, has its options worked out once, on
-first use: its value (the sum of its components'), its minimal
-connectors (read off its own edges plus F by ``_connector_choices``),
-the edges it then owns whole, and every agent's value of those edges.
+it and its graph: the tree-or-cycle check with the subtree masks, edge
+positions and end bits, and the classes of identical agents.  Per cut
+set, the components of G - F are read off the subtree masks
+(``_components``), each with one value per agent, and a held set, the
+components one agent holds, has its options worked out once, on first
+use: its value (the sum of its components'), its minimal connectors
+(read off its own edges plus F by ``_connector_choices``), the edges it
+then owns whole, and every agent's value of those edges.
 
 Under vdgc a connector is kept exactly when both ends of each of its
 edges lie in its held components: every vertex lies in exactly one
@@ -58,7 +58,6 @@ from efgc.model import (
     UnknownEdgeError,
     Variant,
     Verdict,
-    normalize,
     orbit_leaders,
     tile_spans,
     verify_assignment,
@@ -207,8 +206,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     is cached on the instance and its graph, and each held set's options
     are worked out once per cut, on first use (see the module docstring).
     """
-    inst = normalize(instance)
-    graph = inst.graph
+    graph = instance.graph
     masks, position, end_bits = graph.subtree_masks, graph.edge_position, graph.end_bits
     if not masks:
         raise NotTreeOrCycleError("cut-set solving needs a tree or a cycle")
@@ -216,8 +214,8 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     if unknown := cut.difference(position):
         raise UnknownEdgeError(min(unknown))
     comp_mask, comp_edges, end_comps = _components(graph, cut)
-    vdgc = inst.variant is Variant.VDGC
-    ints, agents = inst.ints, inst.agents
+    vdgc = instance.variant is Variant.VDGC
+    ints, agents = instance.ints, instance.agents
     best_cut, all_cut = {}, {}
     for a in agents:
         row = [ints[a, e] for e in cut]
@@ -242,7 +240,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
             found.append((connector, owned, values))
         return found
 
-    for comp_assign in orbit_leaders(inst, len(comp_mask)):
+    for comp_assign in orbit_leaders(instance, len(comp_mask)):
         held: dict[str, tuple[int, ...]] = {}
         for k, agent in enumerate(comp_assign):
             held[agent] = held.get(agent, ()) + (k,)
@@ -279,16 +277,16 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 insiders: dict[str, list[str]] = {}
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
-                system = _build_cut_lp(inst, f_prime, end_owners, insiders, whole_value)
+                system = _build_cut_lp(instance, f_prime, end_owners, insiders, whole_value)
                 if RowTest(system.rows).refuting_row(system.rows) is not None:
                     continue
                 result = lp_feasible(system)
                 if isinstance(result, Feasible):
                     owned_edges = dict(zip(holders, owned))
                     assignment = _extract_cut_assignment(
-                        inst, f_prime, end_owners, insiders, owned_edges, result
+                        instance, f_prime, end_owners, insiders, owned_edges, result
                     )
-                    report = verify_assignment(inst, assignment)
+                    report = verify_assignment(instance, assignment)
                     if not report.valid:
                         raise InternalError(
                             f"witness failed verification: {report.failures}"
@@ -311,10 +309,9 @@ def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[
 
 def _first_yes(instance: Instance, closures: Sequence[frozenset[str]], k: int) -> Verdict:
     """Try the maximal cuts of ``closures`` and ``k`` in order on the
-    normalized instance; the first yes wins."""
-    inst = normalize(instance)
+    instance; the first yes wins."""
     for cut in _maximal_cuts(closures, k):
-        verdict = solve_with_cut_set(inst, cut)
+        verdict = solve_with_cut_set(instance, cut)
         if verdict.yes:
             return verdict
     return Verdict(False, None)

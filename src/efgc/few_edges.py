@@ -63,7 +63,6 @@ from efgc.model import (
     Piece,
     Variant,
     Verdict,
-    normalize,
     orbit_leaders,
     piece_utility,
     tile_spans,
@@ -494,29 +493,28 @@ def solve_few_edges(instance: Instance) -> Verdict:
     whose leftover pieces admit a perfect compatibility matching, yields
     the witness.  The verdict is deterministic.
     """
-    inst = normalize(instance)
-    for base in enumerate_initial_branches(inst):
-        if _holders_must_envy(inst.ints, base):
+    for base in enumerate_initial_branches(instance):
+        if _holders_must_envy(instance.ints, base):
             continue
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
-            outsiders = [a for a in inst.agents if a not in base.a_v]
-            placements = _placements(inst, outsiders, dict(base.n))
+            outsiders = [a for a in instance.agents if a not in base.a_v]
+            placements = _placements(instance, outsiders, dict(base.n))
             guesses = (replace(base, placement=p) for p in placements)
         else:
-            guesses = _paper_guesses(inst, base)
+            guesses = _paper_guesses(instance, base)
         for guess in guesses:
-            system = build_lp(inst, guess)
+            system = build_lp(instance, guess)
             if RowTest(system.rows).refuting_row(system.rows) is not None:
                 continue
             if not isinstance(result := lp_feasible(system), Feasible):
                 continue
-            partial, leftovers = extract_assignment(inst, guess, result)
+            partial, leftovers = extract_assignment(instance, guess, result)
             if guess.placement is None:
-                assignment = _complete_with_matching(inst, guess, partial, leftovers)
+                assignment = _complete_with_matching(instance, guess, partial, leftovers)
             else:  # everyone is placed, and the LP has every envy row
                 assignment = Assignment(partial)
             if assignment is not None:
-                report = verify_assignment(inst, assignment)
+                report = verify_assignment(instance, assignment)
                 if not report.valid:
                     raise InternalError(f"witness failed verification: {report.failures}")
                 return Verdict(True, assignment)

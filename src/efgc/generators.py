@@ -37,7 +37,6 @@ from efgc.model import (
     Variant,
     Verdict,
     build_instance,
-    normalize,
     tile_spans,
     verify_assignment,
 )
@@ -48,7 +47,7 @@ class EmptyInputError(EfgcError):
 
 
 class ZeroSumError(EfgcError):
-    """The value multiset sums to zero, so utilities cannot normalize."""
+    """The value multiset sums to zero, so no agent's row can sum to one."""
 
 
 class ScaleExceededWarning(UserWarning):
@@ -95,7 +94,7 @@ def gen_star_from_numpart(values: Sequence[int]) -> Instance:
         agent: {f"e{i+1}": v for i, v in enumerate(values)}
         for agent in ("a1", "a2")
     }
-    return normalize(build_instance(vertices, edges, table, Variant.GC))
+    return build_instance(vertices, edges, table, Variant.GC)
 
 
 def gen_matching_plus_two(values: Sequence[int]) -> Instance:
@@ -118,7 +117,7 @@ def gen_matching_plus_two(values: Sequence[int]) -> Instance:
         agent: {f"m{i+1}": v for i, v in enumerate(values)}
         for agent in ("a1", "a2")
     }
-    return normalize(build_instance(vertices, edges, table, Variant.VDGC))
+    return build_instance(vertices, edges, table, Variant.VDGC)
 
 
 def gen_ladder_tw2(values: Sequence[int], variant: Variant | str = Variant.GC) -> Instance:
@@ -146,7 +145,7 @@ def gen_ladder_tw2(values: Sequence[int], variant: Variant | str = Variant.GC) -
         agent: {f"cd{i+1}": v for i, v in enumerate(values)}
         for agent in ("ag1", "ag2")
     }
-    return normalize(build_instance(vertices, edges, table, variant))
+    return build_instance(vertices, edges, table, variant)
 
 
 def blowup_gc_to_vdgc(instance: Instance) -> Instance:
@@ -260,9 +259,8 @@ def solve_explicit_oracle(instance: Instance) -> Verdict:
     Intended for small instances; beyond four edges or four agents it
     still runs but emits a warning.
     """
-    inst = normalize(instance)
-    graph = inst.graph
-    if len(graph.edges) > 4 or len(inst.agents) > 4:
+    graph = instance.graph
+    if len(graph.edges) > 4 or len(instance.agents) > 4:
         warnings.warn(
             "oracle called beyond its intended size (<= 4 edges, <= 4 agents)",
             ScaleExceededWarning,
@@ -271,28 +269,28 @@ def solve_explicit_oracle(instance: Instance) -> Verdict:
     live = [
         e
         for e in graph.edge_ids
-        if any(inst.ints[a, e] > 0 for a in inst.agents)
+        if any(instance.ints[a, e] > 0 for a in instance.agents)
     ]
-    for ep in _endpoint_functions(inst):
+    for ep in _endpoint_functions(instance):
         holders = set(ep.values())
-        outsiders = [a for a in inst.agents if a not in holders]
+        outsiders = [a for a in instance.agents if a not in holders]
         # an agent placed inside an edge it values at zero always envies
         options = [
-            [e for e in graph.edge_ids if inst.ints[a, e] > 0] for a in outsiders
+            [e for e in graph.edge_ids if instance.ints[a, e] > 0] for a in outsiders
         ]
         for placement in product(*options):
             inside = dict(zip(outsiders, placement))
             n = {e: 0 for e in graph.edge_ids}
             for e in inside.values():
                 n[e] += 1
-            if not check_connected_guesses(inst, ep, n):
+            if not check_connected_guesses(instance, ep, n):
                 continue
-            result = lp_feasible(_explicit_lp(inst, ep, inside, n, live))
+            result = lp_feasible(_explicit_lp(instance, ep, inside, n, live))
             if isinstance(result, Feasible):
                 assignment = _explicit_extract(
-                    inst, ep, inside, n, live, result
+                    instance, ep, inside, n, live, result
                 )
-                report = verify_assignment(inst, assignment)
+                report = verify_assignment(instance, assignment)
                 if not report.valid:
                     raise InternalError(
                         f"witness failed verification: {report.failures}"

@@ -7,8 +7,9 @@ Two problem variants exist: GC, where several pieces may touch the same
 vertex, and VDGC, where every vertex may belong to at most one piece.
 
 All arithmetic is exact.  An instance stores each agent's utilities once,
-as ints over one denominator per agent (``Instance.ints`` and
-``Instance.dens``); ``Instance.util`` reads one as a ``fractions.Fraction``.
+as ints over one denominator per agent that they sum to (``Instance.ints``
+and ``Instance.dens``), set where the instance is built (``normal_row``);
+``Instance.util`` reads one as a ``fractions.Fraction``.
 Cut points are Fractions on an ``EdgePiece`` and ints over one
 denominator in a ``Piece``'s ``spans``, which is what the solvers build
 and the verifier reads: comparing ints over a common denominator is the
@@ -37,7 +38,7 @@ class EfgcError(Exception):
 
 
 class AllZeroAgentError(EfgcError):
-    """An agent values every edge at zero, so it cannot be normalized."""
+    """An agent values every edge at zero, so its row cannot sum to one."""
 
 
 class UnknownEdgeError(EfgcError):
@@ -194,8 +195,9 @@ class Instance:
     """A division problem: a graph, agents, and per-edge utilities.
 
     Agent a values edge e at ``ints[a, e] / dens[a]``: each agent's
-    utilities are non-negative ints over one positive denominator, in
-    lowest terms (the gcd of the denominator and the ints is 1).
+    utilities are non-negative ints over the positive denominator they
+    sum to, in lowest terms (the gcd of the ints is 1).  Scaling an agent's
+    utilities changes no envy comparison, so this one normal form loses nothing.
     """
 
     graph: Graph
@@ -220,15 +222,11 @@ class Instance:
                 raise ValueError(f"denominator of {a} is not positive")
             if gcd(self.dens[a], *row) != 1:
                 raise ValueError(f"utilities of {a} are not in lowest terms")
+            if sum(row) != self.dens[a]:
+                raise ValueError(f"utilities of {a} do not sum to its denominator")
 
     def util(self, agent: str, edge: str) -> Fraction:
         return Fraction(self.ints[agent, edge], self.dens[agent])
-
-    @cached_property
-    def sums_to_one(self) -> bool:
-        """Does every agent's ints row sum to its denominator?"""
-        ints, edges = self.ints, self.graph.edge_ids
-        return all(sum(ints[a, e] for e in edges) == self.dens[a] for a in self.agents)
 
     @cached_property
     def prior_twin(self) -> dict[str, str]:
@@ -241,6 +239,20 @@ class Instance:
         return {a: b for a, b in prior.items() if b is not None}
 
 
+def normal_row(agent: str, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """An agent's utilities, given as (numerator, denominator) pairs, as
+    ints over the denominator they sum to, in lowest terms: over the lcm
+    of the denominators the row is ints s with total t, and with g their
+    gcd it becomes s // g over t // g (t = 0 raises ``AllZeroAgentError``)."""
+    den = lcm(*(d for _, d in pairs))
+    scaled = [n * (den // d) for n, d in pairs]
+    total = sum(scaled)
+    if not total:
+        raise AllZeroAgentError(f"agent {agent} values every edge at zero")
+    g = gcd(*scaled)
+    return [u // g for u in scaled], total // g
+
+
 def build_instance(
     vertices: Sequence[str],
     edges: Sequence[tuple[str, str, str]],
@@ -248,43 +260,20 @@ def build_instance(
     variant: Variant | str = Variant.GC,
 ) -> Instance:
     """Convenience constructor; missing utilities default to zero.  Each
-    agent's values become ints over the lcm of their denominators."""
+    agent's values are scaled to sum to one (``normal_row``); a utility on
+    an edge the graph lacks raises ``UnknownEdgeError``."""
     graph = Graph(tuple(vertices), tuple(edges))
     if isinstance(variant, str):
         variant = Variant(variant)
     ints: dict[tuple[str, str], int] = {}
     dens: dict[str, int] = {}
     for agent, per_edge in utilities.items():
+        if unknown := set(per_edge).difference(graph.edge_position):
+            raise UnknownEdgeError(f"unknown edge {min(unknown)!r} in the utilities of {agent}")
         row = [as_rational(per_edge.get(e, 0)) for e in graph.edge_ids]
-        dens[agent] = den = lcm(*(u.denominator for u in row))
-        ints.update(
-            ((agent, e), u.numerator * (den // u.denominator)) for e, u in zip(graph.edge_ids, row)
-        )
+        scaled, dens[agent] = normal_row(agent, [(u.numerator, u.denominator) for u in row])
+        ints.update(zip(((agent, e) for e in graph.edge_ids), scaled))
     return Instance(graph, tuple(utilities), ints, dens, variant)
-
-
-def normalize(instance: Instance) -> Instance:
-    """Scale every agent's utilities so they sum to exactly one.
-
-    Scaling an agent's utility function by a positive constant never
-    changes which assignments are envy-free, so the answer is preserved.
-    With t the sum of an agent's ints and g their gcd, the agent's row
-    becomes ints // g over t // g.  An instance in which every agent's
-    ints already sum to its denominator is returned as it is.
-    """
-    if instance.sums_to_one:
-        return instance
-    edges, ints = instance.graph.edge_ids, instance.ints
-    scaled: dict[tuple[str, str], int] = {}
-    dens: dict[str, int] = {}
-    for a in instance.agents:
-        total = sum(ints[a, e] for e in edges)
-        if total == 0:
-            raise AllZeroAgentError(f"agent {a} values every edge at zero")
-        g = gcd(*(ints[a, e] for e in edges))
-        dens[a] = total // g
-        scaled.update(((a, e), ints[a, e] // g) for e in edges)
-    return Instance(instance.graph, instance.agents, scaled, dens, instance.variant)
 
 
 def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:

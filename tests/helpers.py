@@ -341,8 +341,8 @@ def identical_agents_corpus() -> tuple[tuple[Instance, bool], ...]:
 def mixed_classes_corpus() -> tuple[tuple[Instance, bool], ...]:
     """Every graph shape of at most 4 edges, both variants, with agents
     a1, a2, a3 where a3 values every edge twice as much as a1 and a2 has
-    another row: a1 and a3 are identical only after ``normalize``, and
-    their class is split by a2 in agent order.  Three seeded random row
+    another row: ``build_instance`` scales a1 and a3 to one row, so they
+    are identical, and their class is split by a2 in agent order.  Three seeded random row
     pairs with zeros per shape, each with the oracle's verdict."""
     rng = random.Random(1919)
     corpus = []
@@ -353,8 +353,8 @@ def mixed_classes_corpus() -> tuple[tuple[Instance, bool], ...]:
                 while True:
                     r, s = ({e: rng.randint(0, 5) for e in edge_ids} for _ in range(2))
                     total_r, total_s = sum(r.values()), sum(s.values())
-                    # neither row is all zero, and a2 differs from a1 after
-                    # normalize wherever there are two edges to tell them apart
+                    # neither row is all zero, and a2 differs from a1 once
+                    # scaled wherever there are two edges to tell them apart
                     if total_r and total_s and (
                         len(edge_ids) == 1 or any(r[e] * total_s != s[e] * total_r for e in edge_ids)
                     ):
@@ -439,9 +439,10 @@ def shared_rows(inst: Instance, base: BranchGuess) -> int:
 def fraction_normalize(
     table: Mapping[tuple[str, str], Fraction], agents: Sequence[str], edges: Sequence[str]
 ) -> dict[tuple[str, str], Fraction]:
-    """``normalize`` on a ``Fraction`` table by (agent, edge), the way it
-    worked when an instance stored one: every value divided by its
-    agent's total; a table whose totals are all one comes back as it is."""
+    """The normal form of a ``Fraction`` table by (agent, edge), computed
+    by division as the reference for ``build_instance``: every value
+    divided by its agent's total; a table whose totals are all one comes
+    back as it is."""
     totals = {a: sum((table[a, e] for e in edges), F(0)) for a in agents}
     if all(total == 1 for total in totals.values()):
         return dict(table)

@@ -35,7 +35,7 @@ from efgc.linprog import (
     lp_max,
     verify_certificate,
 )
-from efgc.model import normalize, verify_assignment
+from efgc.model import verify_assignment
 from helpers import (
     as_fractions,
     criterion_4_instances,
@@ -54,7 +54,7 @@ WITNESSES: list = []  # (instance, assignment) pairs from criteria 1-5
 
 def _record(instance, verdict):
     if verdict.yes:
-        WITNESSES.append((normalize(instance), verdict.assignment))
+        WITNESSES.append((instance, verdict.assignment))
     return verdict
 
 
@@ -98,7 +98,7 @@ def test_criterion_2_path_existence():
         )
         verdict = _record(inst, solve_few_edges(inst))
         assert verdict.yes, f"path instance {i} unexpectedly unsolvable: {inst}"
-        report = verify_assignment(normalize(inst), verdict.assignment)
+        report = verify_assignment(inst, verdict.assignment)
         assert report.valid, report.failures
     elapsed = time.perf_counter() - start
     _report(2, "path existence", elapsed < 600, f"50/50 Yes, verified, {elapsed:.1f}s")
@@ -137,7 +137,7 @@ def test_criterion_3_reduction_equivalence():
                 if verdict.yes != expected:
                     mismatches.append((family, values, verdict.yes, expected))
                 elif verdict.yes and not verify_assignment(
-                    normalize(inst), verdict.assignment
+                    inst, verdict.assignment
                 ).valid:
                     invalid.append((family, values))
     elapsed = time.perf_counter() - start
@@ -166,7 +166,7 @@ def test_criterion_4_oracle_equivalence():
         assert fe.yes == oracle.yes, f"instance {i}: few-edges {fe.yes}, oracle {oracle.yes}: {inst}"
         if fe.yes:
             yes_count += 1
-            assert verify_assignment(normalize(inst), fe.assignment).valid
+            assert verify_assignment(inst, fe.assignment).valid
     elapsed = time.perf_counter() - start
     _report(
         4,
@@ -303,7 +303,7 @@ def test_criterion_8_single_interval_lengths():
             inst = random_path_instance(rng, rng.randint(1, 3), rng.randint(1, 3), "gc")
             verdict = solve_few_edges(inst)
             if verdict.yes:
-                pool.append((normalize(inst), verdict.assignment))
+                pool.append((inst, verdict.assignment))
     checked = 0
     for inst, assignment in pool:
         assert singleton_interval_lengths_agree(assignment), assignment

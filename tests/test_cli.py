@@ -20,7 +20,7 @@ from efgc.cli import (
 from efgc.component_lp import solve_cycle, solve_tree_gc_bounded_degree, solve_tree_vdgc
 from efgc.few_edges import solve_few_edges
 from efgc.generators import solve_explicit_oracle
-from efgc.model import Assignment, EdgePiece, Piece, Variant, build_instance, normalize
+from efgc.model import Assignment, EdgePiece, Piece, Variant, build_instance
 
 F = Fraction
 
@@ -105,6 +105,12 @@ agent a1 e1=1 e2=1
         parse_instance(P3_TEXT.replace("agent a2 e1=0 e2=1", "agent a2 e1=0 e2=0"))
 
 
+def test_all_zero_agent_is_a_validation_error_naming_it():
+    text = P3_TEXT.replace("agent a2 e1=0 e2=1", "agent a2 e1=0/3")
+    with pytest.raises(ValidationError, match="^agent a2 values every edge at zero$"):
+        parse_instance(text)
+
+
 def _token_text(token: str) -> str:
     return P3_TEXT.replace("agent a1 e1=1 e2=0", f"agent a1 e1={token} e2=1")
 
@@ -118,7 +124,7 @@ def test_utility_tokens_fraction_reads_are_accepted(token, value):
         [("e1", "v1", "v2"), ("e2", "v2", "v3")],
         {"a1": {"e1": value, "e2": 1}, "a2": {"e2": 1}},
     )
-    assert parse_instance(_token_text(token)) == normalize(raw)
+    assert parse_instance(_token_text(token)) == raw
 
 
 @pytest.mark.parametrize(
@@ -158,7 +164,7 @@ def test_utility_token_reads_as_fraction_does(token):
         [("e1", "v1", "v2"), ("e2", "v2", "v3")],
         {"a1": {"e1": value, "e2": 1}, "a2": {"e2": 1}},
     )
-    assert parse_instance(_token_text(token)) == normalize(raw)
+    assert parse_instance(_token_text(token)) == raw
 
 
 def test_repeated_utility_term_is_rejected_in_either_order():

@@ -27,7 +27,6 @@ from efgc.model import (
     Variant,
     Verdict,
     build_instance,
-    normalize,
     piece_utility,
     verify_assignment,
 )
@@ -65,10 +64,9 @@ def test_cut_set_on_path_splits_cut_edge():
     inst = path(2, {"a1": [1, 0], "a2": [0, 1]})
     verdict = solve_with_cut_set(inst, ["e2"])
     assert verdict.yes
-    norm = normalize(inst)
-    assert verify_assignment(norm, verdict.assignment).valid
+    assert verify_assignment(inst, verdict.assignment).valid
     # the branch hands the whole first edge to a1
-    assert piece_utility("a1", piece_of(verdict.assignment, "a1"), norm) == 1
+    assert piece_utility("a1", piece_of(verdict.assignment, "a1"), inst) == 1
 
 
 def test_cut_set_star_small_cuts_say_no():
@@ -109,7 +107,7 @@ def test_tree_vdgc_examples():
     split = star(3, {"a1": [F(1, 2), F(1, 2), 0], "a2": [0, 0, 1]}, "vdgc")
     verdict = solve_tree_vdgc(split)
     assert verdict.yes
-    assert verify_assignment(normalize(split), verdict.assignment).valid
+    assert verify_assignment(split, verdict.assignment).valid
 
 
 def test_tree_vdgc_guards():
@@ -156,7 +154,7 @@ def test_every_yes_ships_verified_assignment():
         inst = random_tree_instance(rng, rng.randint(1, 4), rng.randint(1, 3), "vdgc")
         verdict = solve_tree_vdgc(inst)
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
 
 
 def test_tree_vdgc_agrees_with_oracle():
@@ -179,7 +177,7 @@ def test_tree_vdgc_agrees_with_oracle():
     )
     verdict = solve_tree_vdgc(inst)
     assert verdict.yes
-    assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert verify_assignment(inst, verdict.assignment).valid
     assert solve_explicit_oracle(inst).yes
 
 
@@ -190,7 +188,7 @@ def test_tree_gc_agrees_with_oracle():
         verdict = solve_tree_gc_bounded_degree(inst)
         assert verdict.yes == solve_explicit_oracle(inst).yes
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
 
 
 def _tree_or_cycle_agree(corpus) -> int:
@@ -210,7 +208,7 @@ def _tree_or_cycle_agree(corpus) -> int:
         verdict = solver(inst)
         assert verdict.yes == expected, (solver.__name__, graph.edges, inst.variant)
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
         checked += 1
     return checked
 
@@ -222,7 +220,8 @@ def test_identical_agents_agree_with_oracle():
 
 
 def test_mixed_classes_agree_with_oracle():
-    # a1 and a3 are identical after normalize, a2 sits between them
+    # a3's raw row is twice a1's, so the built instance makes them
+    # identical; a2 sits between them
     assert _tree_or_cycle_agree(mixed_classes_corpus()) == 54  # every shape but the paw
 
 
@@ -308,7 +307,7 @@ def test_maximal_cut_sets_agree_with_oracle():
                     expected = solve_explicit_oracle(inst).yes
                     assert verdict.yes == expected, (graph.edges, table, variant)
                     if verdict.yes:
-                        assert verify_assignment(normalize(inst), verdict.assignment).valid
+                        assert verify_assignment(inst, verdict.assignment).valid
                     counts[expected] += 1
     assert counts[False] >= 10, counts  # seed 8080: 344 Yes, 16 No
 
@@ -559,7 +558,7 @@ def test_per_instance_tables_leak_nothing_between_cut_sets():
 
                     def fresh():
                         vertices, edges = list(graph.vertices), list(graph.edges)
-                        return normalize(build_instance(vertices, edges, table, variant))
+                        return build_instance(vertices, edges, table, variant)
 
                     shared = fresh()
                     cuts = _family_cuts(shared)

@@ -36,7 +36,7 @@ from efgc.linprog import (
     lp_max,
     verify_certificate,
 )
-from efgc.model import build_instance, normalize, verify_assignment
+from efgc.model import build_instance, verify_assignment
 from helpers import (
     GRAPH_SHAPES,
     as_fractions,
@@ -68,7 +68,7 @@ F = Fraction
 
 
 def branches(inst):
-    return list(enumerate_initial_branches(normalize(inst)))
+    return list(enumerate_initial_branches(inst))
 
 
 def test_single_edge_one_agent_single_branch():
@@ -81,16 +81,6 @@ def test_single_edge_one_agent_single_branch():
 
 def _single_edge_shapes(got):
     return {(g.endpoint_agent[("e1", 0)], g.endpoint_agent[("e1", 1)], g.n["e1"]) for g in got}
-
-
-def test_single_edge_two_agents_branches():
-    # after normalize any two agents on one edge are identical, so a and b
-    # are told apart here only as the raw instance gives them: a's int 1,
-    # b's int 2, each over denominator 1
-    got = list(enumerate_initial_branches(single_edge({"a": 1, "b": 2})))
-    # both mixed-endpoint branches survive; same-agent endpoints with one
-    # agent inside fail the connectedness check (the piece would split)
-    assert _single_edge_shapes(got) == {("a", "b", 0), ("b", "a", 0)}
 
 
 def test_single_edge_identical_agents_one_branch():
@@ -121,7 +111,7 @@ def test_initial_branches_match_reference():
             agents = [f"a{i}" for i in range(1, n_agents + 1)]
             for variant in ("gc", "vdgc"):
                 table = {a: {e[0]: 1 for e in edges} for a in agents}
-                inst = normalize(build_instance(vertices, edges, table, variant))
+                inst = build_instance(vertices, edges, table, variant)
                 want = [
                     b for b in initial_branches_reference(inst)
                     if least_in_orbit([agents], agents, [b.endpoint_agent[s] for s in slots])
@@ -130,14 +120,14 @@ def test_initial_branches_match_reference():
                 if len(edges) > 1:  # a_i values the j-th edge, from 0, at (i + 1)^j
                     table = {a: {e[0]: (i + 2) ** j for j, e in enumerate(edges)}
                              for i, a in enumerate(agents)}
-                    inst = normalize(build_instance(vertices, edges, table, variant))
+                    inst = build_instance(vertices, edges, table, variant)
                     assert branches(inst) == initial_branches_reference(inst), (
                         edges, n_agents, variant,
                     )
 
 
 def test_build_lp_single_edge_forces_halves():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     guess = BranchGuess(
         {("e1", 0): "a", ("e1", 1): "b"}, frozenset(["a", "b"]), {"e1": 0}
     )
@@ -148,7 +138,7 @@ def test_build_lp_single_edge_forces_halves():
 
 
 def test_build_lp_star_unbalanced_split_infeasible():
-    inst = normalize(star3_identical())
+    inst = star3_identical()
     guess = BranchGuess(
         {
             ("e1", 0): "a1",
@@ -168,7 +158,7 @@ def test_build_lp_star_unbalanced_split_infeasible():
 
 
 def test_build_lp_no_inside_agents_has_no_delta_constraints():
-    inst = normalize(path(2, {"a1": [1, 0], "a2": [0, 1]}))
+    inst = path(2, {"a1": [1, 0], "a2": [0, 1]})
     guess = BranchGuess(
         {("e1", 0): "a1", ("e1", 1): "a1", ("e2", 0): "a2", ("e2", 1): "a2"},
         frozenset(["a1", "a2"]),
@@ -286,7 +276,7 @@ def extract(inst, guess, x0, delta, x1):
     for e in x0:
         witness[endpoint_var(e, 0)], witness[endpoint_var(e, 1)] = x0[e], x1[e]
         witness[delta_var(e)] = delta[e]
-    return extract_assignment(normalize(inst), guess, Feasible(*lowest_terms(witness)))
+    return extract_assignment(inst, guess, Feasible(*lowest_terms(witness)))
 
 
 def test_extract_halves_no_leftovers():
@@ -379,7 +369,7 @@ def test_extract_pins_critical_agents_in_agent_order():
 def test_extract_cold_edge_has_its_end_intervals_alone():
     """An explicit placement whose LP has no d_e on the edge with nobody
     inside: that edge is tiled by its two holders' intervals."""
-    inst = normalize(path(2, {"a": [1, 0], "b": [1, 1], "c": [0, 1], "d": [1, 0]}))
+    inst = path(2, {"a": [1, 0], "b": [1, 1], "c": [0, 1], "d": [1, 0]})
     guess = BranchGuess(
         {("e1", 0): "a", ("e1", 1): "b", ("e2", 0): "b", ("e2", 1): "c"},
         frozenset("abc"),
@@ -432,7 +422,7 @@ def test_solve_star_identical_is_no():
 def test_solve_path_complementary_is_yes():
     verdict = solve_few_edges(path(2, {"a1": [1, 0], "a2": [0, 1]}))
     assert verdict.yes
-    inst = normalize(path(2, {"a1": [1, 0], "a2": [0, 1]}))
+    inst = path(2, {"a1": [1, 0], "a2": [0, 1]})
     assert verify_assignment(inst, verdict.assignment).valid
 
 
@@ -440,7 +430,7 @@ def test_solve_triangle_two_identical_is_yes():
     inst = cycle(3, {"a": [1, 1, 1], "b": [1, 1, 1]})
     verdict = solve_few_edges(inst)
     assert verdict.yes
-    assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert verify_assignment(inst, verdict.assignment).valid
 
 
 def test_witnesses_have_equal_inside_lengths():
@@ -485,7 +475,7 @@ def test_identical_agents_agree_with_oracle(monkeypatch):
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
     assert skips  # some branches were skipped before any LP
 
 
@@ -494,11 +484,12 @@ def _agree_on_mixed_classes():
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, inst.variant)
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
 
 
 def test_mixed_classes_agree_with_oracle():
-    # a1 and a3 are identical after normalize, a2 sits between them
+    # a3's raw row is twice a1's, so the built instance makes them
+    # identical; a2 sits between them
     _agree_on_mixed_classes()
 
 
@@ -560,7 +551,7 @@ def test_paper_route_agrees_with_oracle_on_identical_agents(monkeypatch):
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, len(inst.agents), inst.variant)
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
     assert opened and skips
 
 
@@ -570,7 +561,7 @@ def test_paper_route_agrees_with_oracle_on_random_graphs(monkeypatch):
         verdict = solve_few_edges(inst)
         assert verdict.yes == solve_explicit_oracle(inst).yes, inst
         if verdict.yes:
-            assert verify_assignment(normalize(inst), verdict.assignment).valid
+            assert verify_assignment(inst, verdict.assignment).valid
     assert opened and skips
 
 
@@ -602,8 +593,7 @@ def test_explicit_lp_matches_the_oracle_lp():
         table = random_utilities(rng, agents, ["e1", "e2", "e3"])
         corpus.append((build_instance(*triangle, table, variant), 2))
     verdicts = {Feasible: 0, Infeasible: 0}
-    for raw, min_hot in corpus:
-        inst = normalize(raw)
+    for inst, min_hot in corpus:
         edges = inst.graph.edge_ids
         live = [e for e in edges if any(inst.util(a, e) > 0 for a in inst.agents)]
         for base in enumerate_initial_branches(inst):
@@ -632,4 +622,4 @@ def test_path2_eight_identical_agents_is_yes():
     inst = path(2, {f"a{i}": [1, 1] for i in range(1, 9)})
     verdict = solve_few_edges(inst)
     assert verdict.yes
-    assert verify_assignment(normalize(inst), verdict.assignment).valid
+    assert verify_assignment(inst, verdict.assignment).valid

@@ -19,7 +19,7 @@ from efgc.generators import (
     numpart_dp,
     solve_explicit_oracle,
 )
-from efgc.model import Variant, normalize, verify_assignment
+from efgc.model import Variant, verify_assignment
 from helpers import (
     dominant,
     numpart_family_solvable,
@@ -149,9 +149,9 @@ def test_blowup_counts():
     assert len(s.graph.edges) == 15
     assert s.variant is Variant.VDGC
     # original edge utilities survive, clique edges are worthless
-    norm = normalize(star3_identical())
-    blown = blowup_gc_to_vdgc(norm)
-    assert blown.util("a1", "e1") == norm.util("a1", "e1")
+    inst = star3_identical()
+    blown = blowup_gc_to_vdgc(inst)
+    assert blown.util("a1", "e1") == inst.util("a1", "e1")
     clique_edges = [e for e in blown.graph.edge_ids if e.startswith("q_")]
     assert all(blown.util("a1", e) == 0 for e in clique_edges)
 
@@ -166,7 +166,7 @@ def test_oracle_examples():
     split = solve_explicit_oracle(path(2, {"a1": [1, 0], "a2": [0, 1]}))
     assert split.yes
     assert verify_assignment(
-        normalize(path(2, {"a1": [1, 0], "a2": [0, 1]})), split.assignment
+        path(2, {"a1": [1, 0], "a2": [0, 1]}), split.assignment
     ).valid
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from efgc.matching import Bigraph, compatibility_graph, is_perfect, max_bipartite_matching
-from efgc.model import EdgePiece, Piece, normalize
+from efgc.model import EdgePiece, Piece
 from helpers import single_edge
 
 F = Fraction
@@ -65,7 +65,7 @@ def test_matches_brute_force_on_random_graphs():
 
 
 def test_compatibility_equal_halves():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     halves = [
         Piece([EdgePiece("e1", 0, F(1, 2))]),
         Piece([EdgePiece("e1", F(1, 2), 1, False, True)]),
@@ -75,7 +75,7 @@ def test_compatibility_equal_halves():
 
 
 def test_compatibility_rejects_dominated_piece():
-    inst = normalize(single_edge({"a": 1}))
+    inst = single_edge({"a": 1})
     small = Piece([EdgePiece("e1", 0, F(1, 4))])
     large = Piece([EdgePiece("e1", F(1, 4), 1, False, True)])
     g = compatibility_graph(inst, [small, large], ["a"], [small])
@@ -83,7 +83,7 @@ def test_compatibility_rejects_dominated_piece():
 
 
 def test_compatibility_uniform_leftovers_all_or_nothing():
-    inst = normalize(single_edge({"a": 3, "b": 5}))
+    inst = single_edge({"a": 3, "b": 5})
     thirds = [
         Piece([EdgePiece("e1", 0, F(1, 3))]),
         Piece([EdgePiece("e1", F(1, 3), F(2, 3), False, True)]),

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from efgc.cli import select_solver
+from efgc.cli import emit_assignment, emit_instance, parse_instance, run, select_solver
 from efgc.model import (
     AllZeroAgentError,
     Assignment,
@@ -18,13 +18,13 @@ from efgc.model import (
     Variant,
     build_instance,
     is_connected_piece,
-    normalize,
     orbit_leaders,
     piece_utility,
     verify_assignment,
 )
 from helpers import (
     contains,
+    cycle,
     fraction_int_utilities,
     fraction_normalize,
     is_connected_piece_reference,
@@ -47,30 +47,38 @@ F = Fraction
 
 
 def test_normalize_scales_by_total():
+    # build_instance scales each agent's values by their total
     inst = star(3, {"a": [1, 2, 3]})
-    norm = normalize(inst)
-    assert norm.util("a", "e1") == F(1, 6)
-    assert norm.util("a", "e2") == F(2, 6)
-    assert norm.util("a", "e3") == F(3, 6)
+    assert inst.util("a", "e1") == F(1, 6)
+    assert inst.util("a", "e2") == F(2, 6)
+    assert inst.util("a", "e3") == F(3, 6)
+    assert (inst.ints, inst.dens) == ({("a", "e1"): 1, ("a", "e2"): 2, ("a", "e3"): 3}, {"a": 6})
 
 
 def test_normalize_identity_when_already_normalized():
-    inst = path(2, {"a": [F(1, 2), F(1, 2)]})
-    assert normalize(inst) is inst
+    # a row that sums to one is kept as given; a row that does not is
+    # scaled, so both build the same instance, and building again from an
+    # instance's own values changes nothing
+    given = {"a": [F(1, 2), F(1, 2)], "b": [F(1, 3), F(2, 3)]}
+    inst = path(2, given)
+    assert {a: [inst.util(a, e) for e in inst.graph.edge_ids] for a in inst.agents} == given
+    assert inst.dens == {"a": 2, "b": 3}
     raw = path(2, {"a": [1, 1], "b": [F(1, 3), F(2, 3)]})
-    assert sum(raw.util("a", e) for e in raw.graph.edge_ids) != 1
-    norm = normalize(raw)
-    sums_to_one = all(sum(norm.util(a, e) for e in norm.graph.edge_ids) == 1 for a in norm.agents)
-    assert norm is not raw and sums_to_one and normalize(norm) is norm
+    assert sum(raw.util("a", e) for e in raw.graph.edge_ids) == 1
+    assert raw == inst == path(2, {"a": [7, 7], "b": [2, 4]})
+    again = {a: [inst.util(a, e) for e in inst.graph.edge_ids] for a in inst.agents}
+    assert path(2, again) == inst
 
 
 def test_normalize_rejects_all_zero_agent():
-    inst = path(2, {"a": [0, 0]})
-    with pytest.raises(AllZeroAgentError):
-        normalize(inst)
+    with pytest.raises(AllZeroAgentError, match="^agent a values every edge at zero$"):
+        path(2, {"a": [0, 0]})
     # next to an agent whose values already sum to one
-    with pytest.raises(AllZeroAgentError):
-        normalize(path(2, {"a": [F(1, 2), F(1, 2)], "b": [0, 0]}))
+    with pytest.raises(AllZeroAgentError, match="^agent b values every edge at zero$"):
+        path(2, {"a": [F(1, 2), F(1, 2)], "b": [0, 0]})
+    # no utility given at all: every edge defaults to zero
+    with pytest.raises(AllZeroAgentError, match="^agent b values every edge at zero$"):
+        path(2, {"a": [1, 1], "b": []})
 
 
 @pytest.mark.parametrize(
@@ -83,8 +91,7 @@ def test_normalize_rejects_all_zero_agent():
     ],
 )
 def test_orbit_leaders_one_least_member_per_orbit(rows, classes):
-    raw = path(2, rows)
-    inst = normalize(raw)
+    inst = path(2, rows)
     agents = inst.agents
 
     def orbit(seq):
@@ -101,8 +108,10 @@ def test_orbit_leaders_one_least_member_per_orbit(rows, classes):
         assert all(least_in_orbit(classes, agents, seq) for seq in got)
         if len(classes) == len(agents):
             assert got == every
-        # identity is read off ints and dens: a raw 2·r row is not r's
-        assert list(orbit_leaders(raw, length)) == (every if rows["a3"] != rows["a1"] else got)
+        # identity is read off the built rows, so scaling each agent's
+        # input row by its own factor changes no class
+        scaled = path(2, {a: [(k + 2) * u for u in row] for k, (a, row) in enumerate(rows.items())})
+        assert list(orbit_leaders(scaled, length)) == got
 
 
 def _seeded_rows(rng: random.Random, edges, seen: Counter) -> dict[str, dict[str, Fraction]]:
@@ -131,9 +140,10 @@ def _seeded_rows(rng: random.Random, edges, seen: Counter) -> dict[str, dict[str
 
 
 def test_int_normalize_matches_the_fraction_reference():
-    """``build_instance`` and ``normalize`` give each agent the ints and
-    denominator, and ``util`` the values, that the ``Fraction`` table of
-    the same input gives, normalized by division and put over the lcm."""
+    """``build_instance`` gives each agent the ints and denominator, and
+    ``util`` the values, that the ``Fraction`` table of the same input
+    gives, normalized by division and put over the lcm; a table that
+    already sums to one is kept as given."""
     rng = random.Random(1818)
     edges = ["e1", "e2", "e3"]
     seen = Counter()
@@ -141,15 +151,56 @@ def test_int_normalize_matches_the_fraction_reference():
         rows = _seeded_rows(rng, edges, seen)
         inst = path(3, {a: [row[e] for e in edges] for a, row in rows.items()})
         table = {(a, e): rows[a][e] for a in rows for e in edges}
-        assert (inst.ints, inst.dens) == fraction_int_utilities(table, inst.agents, edges)
         want = fraction_normalize(table, inst.agents, edges)
-        norm = normalize(inst)
-        assert (norm.ints, norm.dens) == fraction_int_utilities(want, inst.agents, edges)
-        assert {key: norm.util(*key) for key in want} == want
+        assert (inst.ints, inst.dens) == fraction_int_utilities(want, inst.agents, edges)
+        assert {key: inst.util(*key) for key in want} == want
         already = all(sum(row.values()) == 1 for row in rows.values())
-        assert (norm is inst) == already
+        if already:
+            assert (inst.ints, inst.dens) == fraction_int_utilities(table, inst.agents, edges)
         seen["instance sums to one"] += already
     assert min(seen.values()) > 5, seen
+
+
+def _solve_text(inst, mode: str) -> str:
+    """What ``efgc solve`` prints for ``inst`` under ``mode``."""
+    verdict = select_solver(inst, mode)(inst)
+    return "Yes\n" + emit_assignment(verdict.assignment) if verdict.yes else "No\n"
+
+
+def test_one_normal_form_whatever_the_entry_point(tmp_path, capsys):
+    """Seeded rows built as given, scaled by 2 and by 7/3, read from their
+    raw text and read back from the built instance's text give one
+    instance, equal ``ints`` and ``dens`` included, and ``efgc solve``
+    prints the same text for each under ``auto`` and ``oracle``."""
+    rng = random.Random(2525)
+    edges = ["e1", "e2", "e3"]
+    seen = Counter()
+    uniform = {a: dict.fromkeys(edges, F(1)) for a in ("a1", "a2")}
+    cases = [(star, "gc", uniform), (star, "vdgc", uniform)]  # No; the seeded rows are mostly Yes
+    for i in range(18):
+        shape, variant = (path, star, cycle)[i % 3], ("gc", "vdgc")[i // 3 % 2]
+        cases.append((shape, variant, _seeded_rows(rng, edges, seen)))
+    for i, (shape, variant, rows) in enumerate(cases):
+        built = [
+            shape(3, {a: [row[e] * k for e in edges] for a, row in rows.items()}, variant)
+            for k in (1, 2, F(7, 3))
+        ]
+        agent_lines = (f"agent {a} " + " ".join(f"{e}={row[e]}" for e in edges) for a, row in rows.items())
+        raw_text = emit_instance(built[0]).split("agent ", 1)[0] + "\n".join(agent_lines) + "\n"
+        entries = built + [parse_instance(raw_text), parse_instance(emit_instance(built[0]))]
+        for inst in entries:
+            assert (inst.ints, inst.dens) == (built[0].ints, built[0].dens)
+            assert inst == built[0]
+        text_file = tmp_path / f"{i}.efgc"
+        text_file.write_text(raw_text, encoding="utf-8")
+        for mode in ("auto", "oracle"):
+            code = run(["solve", "--in", str(text_file), "--mode", mode])
+            printed = capsys.readouterr().out
+            assert code == (0 if printed.startswith("Yes\n") else 1)
+            for inst in built:
+                assert _solve_text(inst, mode) == printed, (rows, shape.__name__, variant, mode)
+            seen[printed.split("\n", 1)[0]] += 1
+    assert seen["Yes"] and seen["No"] and seen["sums to one"] and seen["p/q"], seen
 
 
 _E1, _E2 = ("a", "e1"), ("a", "e2")
@@ -165,8 +216,13 @@ _E1, _E2 = ("a", "e1"), ("a", "e2")
         ({_E1: 1, _E2: 2}, {}, "not positive"),
         ({_E1: 2, _E2: 4}, {"a": 6}, "lowest terms"),
         ({_E1: 0, _E2: 0}, {"a": 2}, "lowest terms"),
+        ({_E1: 1, _E2: 1}, {"a": 3}, "do not sum to its denominator"),
+        ({_E1: 0, _E2: 0}, {"a": 1}, "do not sum to its denominator"),
     ],
-    ids=["missing", "negative", "zero-den", "negative-den", "no-den", "common-factor", "zeros-over-2"],
+    ids=[
+        "missing", "negative", "zero-den", "negative-den", "no-den",
+        "common-factor", "zeros-over-2", "short-of-den", "zeros-over-1",
+    ],
 )
 def test_instance_rejects_a_bad_int_row(ints, dens, message):
     graph = path(2, {"a": [1, 2]}).graph
@@ -205,13 +261,13 @@ def test_coordinates_follow_vertex_order():
 
 
 def test_piece_utility_half_edge():
-    inst = normalize(path(2, {"a": [1, 1]}))
+    inst = path(2, {"a": [1, 1]})
     piece = Piece([EdgePiece("e1", 0, 1)])
     assert piece_utility("a", piece, inst) == F(1, 2)
 
 
 def test_piece_utility_whole_graph_is_one():
-    inst = normalize(star(3, {"a": [2, 5, 3]}))
+    inst = star(3, {"a": [2, 5, 3]})
     whole = Piece([EdgePiece(e, 0, 1) for e in inst.graph.edge_ids])
     assert piece_utility("a", whole, inst) == 1
 
@@ -322,7 +378,7 @@ def test_zero_length_piece_claims_vertex_and_connects():
 
 
 def test_verify_valid_halves():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     asg = Assignment(
         {
             "a": Piece([EdgePiece("e1", 0, F(1, 2))]),
@@ -333,7 +389,7 @@ def test_verify_valid_halves():
 
 
 def test_verify_reports_envy_on_star_split():
-    inst = normalize(star3_identical())
+    inst = star3_identical()
     asg = Assignment(
         {
             "a1": Piece([EdgePiece("e1", 0, 1), EdgePiece("e2", 0, 1)]),
@@ -346,7 +402,7 @@ def test_verify_reports_envy_on_star_split():
 
 
 def test_verify_reports_vertex_conflict_in_vdgc():
-    inst = normalize(path(2, {"a1": [1, 0], "a2": [0, 1]}, variant="vdgc"))
+    inst = path(2, {"a1": [1, 0], "a2": [0, 1]}, variant="vdgc")
     # both agents keep the shared vertex v2 (coordinate 1 of e1, 0 of e2)
     asg = Assignment(
         {
@@ -358,12 +414,12 @@ def test_verify_reports_vertex_conflict_in_vdgc():
     assert not report.valid
     assert {f.kind for f in report.failures} == {"vertex-disjointness"}
     # under GC the very same assignment is fine
-    gc = normalize(path(2, {"a1": [1, 0], "a2": [0, 1]}))
+    gc = path(2, {"a1": [1, 0], "a2": [0, 1]})
     assert verify_assignment(gc, asg).valid
 
 
 def test_verify_reports_gap_and_overlap():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     gap = Assignment(
         {
             "a": Piece([EdgePiece("e1", 0, F(1, 4))]),
@@ -381,7 +437,7 @@ def test_verify_reports_gap_and_overlap():
 
 
 def test_verify_reports_uncovered_point():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     asg = Assignment(
         {
             "a": Piece([EdgePiece("e1", 0, F(1, 2), True, False)]),
@@ -393,7 +449,7 @@ def test_verify_reports_uncovered_point():
 
 
 def test_verify_reports_disconnected_piece():
-    inst = normalize(path(2, {"a1": [1, 1], "a2": [1, 1]}))
+    inst = path(2, {"a1": [1, 1], "a2": [1, 1]})
     asg = Assignment(
         {
             "a1": Piece(
@@ -412,7 +468,7 @@ def test_verify_reports_disconnected_piece():
 
 
 def test_verify_reports_piece_on_unknown_edge():
-    inst = normalize(single_edge({"a": 1, "b": 1}))
+    inst = single_edge({"a": 1, "b": 1})
     for stray in (
         [EdgePiece("e9", 0, 1)],
         [EdgePiece("e1", F(1, 2), 1, False, True), EdgePiece("e9", 0, 1)],
@@ -482,15 +538,26 @@ def test_tile_edge_rejects_bad_total():
 
 
 def test_build_instance_defaults_missing_utilities_to_zero():
-    inst = path(2, {"a": [1, 1], "b": [1, 1]})
+    inst = path(2, {"a": [1, 2], "b": [1, 0]})
     inst2 = build_instance(
         ["v1", "v2", "v3"],
         [("e1", "v1", "v2"), ("e2", "v2", "v3")],
-        {"a": {"e1": 1, "e2": 1}, "b": {"e1": 1}},
+        {"a": {"e1": 1, "e2": 2}, "b": {"e1": 1}},
         Variant.GC,
     )
+    assert inst2 == inst
     assert inst2.util("b", "e2") == 0
-    assert inst.util("b", "e2") == 1
+    assert inst2.util("b", "e1") == 1
+    assert inst2.util("a", "e2") == F(2, 3)
+
+
+def test_build_instance_rejects_a_utility_on_an_unknown_edge():
+    vertices, edges = ["v1", "v2", "v3"], [("e1", "v1", "v2"), ("e2", "v2", "v3")]
+    with pytest.raises(UnknownEdgeError, match="unknown edge 'e3'"):
+        build_instance(vertices, edges, {"a": {"e1": 1, "e3": 5}})
+    # also where the known values alone would build an instance
+    with pytest.raises(UnknownEdgeError, match="unknown edge 'e3'"):
+        build_instance(vertices, edges, {"a": {"e1": 1, "e2": 1}, "b": {"e3": 0, "e2": 1}})
 
 
 def _witness_corpus():
@@ -503,7 +570,7 @@ def _witness_corpus():
         for variant in ("gc", "vdgc"):
             for make in makers + (random_graph_instance,) * (n_agents < 4):
                 for _ in range(4):
-                    inst = normalize(make(rng, rng.randint(3, 4 if n_agents < 4 else 3), n_agents, variant))
+                    inst = make(rng, rng.randint(3, 4 if n_agents < 4 else 3), n_agents, variant)
                     verdict = select_solver(inst, "auto")(inst)
                     if verdict.yes:
                         corpus.append((inst, verdict.assignment))

@@ -24,7 +24,7 @@ from efgc.component_lp import (
 )
 from efgc.few_edges import build_lp, enumerate_initial_branches, solve_few_edges
 from efgc.linprog import Feasible, Infeasible, RowTest, lp_feasible, verify_certificate
-from efgc.model import Variant, build_instance, normalize
+from efgc.model import Variant, build_instance
 from helpers import (
     GRAPH_SHAPES,
     components_without,
@@ -104,7 +104,7 @@ def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
     rows has the verdict of the full test on each LP; when one of them
     refutes, no LP of the branch is feasible."""
     rng = random.Random(2323)
-    corpus = [normalize(inst) for inst in _few_edges_corpus(rng, 12, 3)]
+    corpus = _few_edges_corpus(rng, 12, 3)
     skipped = {False: 0, True: 0}
     for paper in (False, True):
         for inst in corpus:
@@ -165,7 +165,7 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
                 build_instance(*GRAPH_SHAPES[4][-1], random_utilities(rng, AGENTS3, EDGES4), variant)
                 for variant in ("gc", "vdgc") for _ in range(2)
             ]
-            for inst in map(normalize, _few_edges_corpus(rng, 16, 3 if paper else 4) + nos + paws):
+            for inst in _few_edges_corpus(rng, 16, 3 if paper else 4) + nos + paws:
                 ints, refuted = inst.ints, []
                 for base in enumerate_initial_branches(inst):
                     shared, lps = shared_rows(inst, base), [replace(base, placement={})]
@@ -324,7 +324,7 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
                 random_tree_instance(rng, rng.choice([3, 4]), n_agents, variant),
                 random_cycle_instance(rng, rng.randint(3, 4), n_agents, variant),
             ]
-            for inst in map(normalize, corpus):
+            for inst in corpus:
                 for cut in _cut_sets(inst):
                     tree = _share_lp_tree(inst, cut)
                     del events[:]  # building the tree recorded its LPs too
