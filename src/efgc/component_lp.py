@@ -3,15 +3,15 @@
 Fix a set F of cut edges.  Its scope is the assignments in which every
 connected component of G - F goes wholly to one agent, and within it
 the rest is searchable: branch over the component assignment (one per
-orbit of identical agents, see ``orbit_leaders``), connect each agent's
-components with a minimal set of edges from F, branch over which cut
-edge hosts each agent that owns no component, and solve an exact LP for
-the share lengths on the remaining cut edges.
+orbit of identical agents, walked depth first with dead prefixes cut),
+connect each agent's components with a minimal set of edges from F,
+branch over which cut edge hosts each agent that owns no component, and
+solve an exact LP for the share lengths on the remaining cut edges.
 
 What does not depend on F is worked out once per instance and cached on
 it and its graph: the tree-or-cycle check with the subtree masks, edge
-positions and end bits, and the classes of identical agents.  Per cut
-set, the components of G - F are read off the subtree masks
+positions, end bits and edge bits, and the classes of identical agents.
+Per cut set, the components of G - F are read off the subtree masks
 (``_components``), each with one value per agent, and a held set, the
 components one agent holds, has its options worked out once, on first
 use: its value (the sum of its components'), its minimal connectors
@@ -34,6 +34,33 @@ F <= F' implies scope(F) <= scope(F'), since every component of G - F'
 lies inside one of G - F, and every cut of at most k items lies inside
 a cut of exactly min(k, n).
 
+The walk (``_assignments``) gives the components out in index order and
+tries the agents in ``instance.agents`` order; an agent may take a
+component once its ``prior_twin`` holds one, so of each orbit of
+identical agents it meets the least assignment, in lexicographic order
+(renaming identical agents maps a feasible branch to a feasible one, so
+the first feasible branch is among these).  It cuts a prefix
+that no completion can take to an LP, by three tests that stay true as
+the prefix grows, so the first Yes and its witness are those of trying
+every orbit leader.  On a tree a held set R has one minimal connector,
+the cut edges of its subtree (the edges with vertices of R on both
+sides), which must lie in R's own edges plus F (``_connector_choices``),
+and a subtree only grows with R:
+
+- (a) on a tree, two holders' subtrees share a cut edge: both connectors
+  would need it;
+- (b) on a tree, two holders' subtrees share an edge of a component:
+  once that component is given out, the edge lies outside the own edges
+  and F of a holder other than its taker, which leaves that holder no
+  connector;
+- (c) an envy cap: with lb_b holder b's components' edges, plus on a
+  tree the cut edges of its subtree (its connector owns them whole), an
+  agent x and a holder b other than x have lb_b[x] > dens[x] - the sum of
+  lb_c[x] over the holders c other than x.  Holders' whole edges are
+  disjoint and hold their lb, so the right side bounds x's own share,
+  and lb only grows.  On a cycle lb is the components' values alone, so
+  at a leaf (c) is the holder limit below.
+
 Most share LPs fail on one envy row of an agent a against a holder b,
 so before any LP ``_must_envy`` skips a component assignment, then a
 connector combo, where b's whole edges are worth more to a than a's best
@@ -45,7 +72,7 @@ infeasible LPs before the simplex.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
 from efgc.model import (
@@ -58,7 +85,6 @@ from efgc.model import (
     UnknownEdgeError,
     Variant,
     Verdict,
-    orbit_leaders,
     tile_spans,
     verify_assignment,
 )
@@ -197,14 +223,99 @@ def _components(graph: Graph, cut: frozenset[str]) -> tuple[list[int], list[list
     return comps, edges, {e: (comp_of[end_bits[e][0]], comp_of[end_bits[e][1]]) for e in cut}
 
 
+def _assignments(
+    instance: Instance,
+    cut: frozenset[str],
+    comp_mask: list[int],
+    comp_edges: list[list[str]],
+    comp_value: list[dict[str, int]],
+) -> Iterator[tuple[str, ...]]:
+    """The component assignments, as each component's agent, that no dead
+    prefix cuts, walked depth first in lexicographic order of
+    ``instance.agents`` (see the module docstring for the cuts).
+
+    Rows of ints with one entry per agent x are kept: each holder's bound
+    lb, top (the most any holder's lb is worth to x) and cap (the most
+    x's own share can be worth: dens[x] less the other holders' lb).  A
+    row is packed into one int of w-bit fields, x's at bit w·x, each
+    entry below 2**(w - 1): a sum of rows is one addition, and with the
+    top (guard) bit of every field of u set, u - v keeps a field's guard
+    bit iff v is no more than u there."""
+    agents, ints, graph = instance.agents, instance.ints, instance.graph
+    n, last = len(agents), len(comp_mask)
+    prior = instance.prior_twin
+    twin = [agents.index(prior[a]) if a in prior else -1 for a in agents]
+    w = max(instance.dens.values()).bit_length() + 1
+    shift = [(a, w * x) for x, a in enumerate(agents)]
+    guard = sum([1 << (s + w - 1) for _, s in shift])
+    values = [sum([v[a] << s for a, s in shift]) for v in comp_value]
+    tree = graph.subtree_bits
+    if tree:
+        bits = graph.edge_bits
+        comp_bits = [sum([bits[e] for e in edges]) for edges in comp_edges]
+        cut_value = {bits[e]: sum([ints[a, e] << s for a, s in shift]) for e in cut}
+    # per agent: the vertices it holds, its subtree's edges and its lb
+    held, subtree, lb = [0] * n, [0] * n, [0] * n
+    union, top, cap = 0, 0, sum([instance.dens[a] << s for a, s in shift])
+    assign = [""] * last
+    saved: list[tuple] = []  # per component given out, the state before
+    tried = [0]  # per depth, how many agents were tried there
+    while tried:
+        k, i = len(saved), tried[-1]
+        if k == last or i == n:
+            if k == last:
+                yield tuple(assign)
+            tried.pop()
+            if saved:
+                i, held[i], subtree[i], lb[i], union, top, cap = saved.pop()
+            continue
+        tried[-1] = i + 1
+        if twin[i] >= 0 and not held[twin[i]]:
+            continue  # the orbit rule
+        mask, edges, old = held[i] | comp_mask[k], subtree[i], lb[i]
+        new = old + values[k]
+        if tree and held[i]:  # the subtree now links two or more components
+            edges |= comp_bits[k]
+            for below, bit in tree:
+                if not edges & bit and 0 != mask & below != mask:
+                    edges |= bit
+                    new += cut_value.get(bit, 0)
+            if edges & (union ^ subtree[i]):
+                continue  # (a) or (b): it meets another holder's subtree
+        elif tree:
+            edges = comp_bits[k]
+            if edges & union:
+                continue  # (b): another holder's subtree crosses it
+        # (c): every other agent's cap falls by what lb_i gained, and top
+        # takes the larger of top and lb_i in each field, where the guard
+        # bit of top - lb_i survives
+        gain = new - old
+        grown_cap = cap - gain + (gain & ((1 << w) - 1) << w * i)
+        larger = ((top | guard) - new) & guard
+        larger |= larger - (larger >> (w - 1))
+        grown_top = top & larger | new & ~larger
+        if ((grown_cap | guard) - grown_top) & guard != guard:
+            continue
+        saved.append((i, held[i], subtree[i], old, union, top, cap))
+        held[i], subtree[i], lb[i] = mask, edges, new
+        union, top, cap = union | edges, grown_top, grown_cap
+        assign[k] = agents[i]
+        tried.append(0)
+
+
 def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     """Decide existence of an envy-free assignment in which every
     component of G - cut goes wholly to one agent.
 
     A yes verdict ships a verified assignment; no means no assignment
     within this restricted scope exists.  What does not depend on the cut
-    is cached on the instance and its graph, and each held set's options
-    are worked out once per cut, on first use (see the module docstring).
+    is cached on the instance and its graph.  The component assignments
+    are walked depth first, one per orbit of identical agents, and a
+    prefix is cut when two holders' subtrees share an edge on a tree, or
+    when some holder's bound is worth more to an agent than the most that
+    agent's own share can be (see the module docstring).  Each assignment
+    the walk reaches then goes through the envy checks, and each held
+    set's options are worked out once per cut, on first use.
     """
     graph = instance.graph
     masks, position, end_bits = graph.subtree_masks, graph.edge_position, graph.end_bits
@@ -240,7 +351,8 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
             found.append((connector, owned, values))
         return found
 
-    for comp_assign in orbit_leaders(instance, len(comp_mask)):
+    singles = [value_of[k,] for k in range(len(comp_mask))]
+    for comp_assign in _assignments(instance, cut, comp_mask, comp_edges, singles):
         held: dict[str, tuple[int, ...]] = {}
         for k, agent in enumerate(comp_assign):
             held[agent] = held.get(agent, ()) + (k,)

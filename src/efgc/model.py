@@ -170,6 +170,20 @@ class Graph:
                 mask[v] |= mask[w]
         return tables
 
+    @cached_property
+    def edge_bits(self) -> dict[str, int]:
+        """Each edge's bit, 1 << its index in ``edges``."""
+        return {e: 1 << i for i, e in enumerate(self.edge_ids)}
+
+    @cached_property
+    def subtree_bits(self) -> tuple[tuple[int, int], ...]:
+        """On a tree, each edge's ``subtree_masks`` mask paired with its
+        bit (``edge_bits``); empty for any other graph."""
+        if not self.is_tree():
+            return ()
+        below = self.subtree_masks[None]
+        return tuple((below[e], bit) for e, bit in self.edge_bits.items())
+
     def coord_vertex(self, edge: str, coord: int) -> str:
         """The vertex sitting at coordinate ``coord`` (0 or 1) of ``edge``."""
         try:
@@ -230,11 +244,11 @@ class Instance:
 
     @cached_property
     def prior_twin(self) -> dict[str, str]:
-        """Each agent identical (equal ``ints`` row and ``dens``) to one
-        before it in ``agents``, mapped to the last such one."""
+        """Each agent identical (equal ``ints`` row, which fixes ``dens``,
+        their sum) to one before it in ``agents``, mapped to the last such one."""
         last, prior = {}, {}
         for a in self.agents:
-            key = (self.dens[a], *(self.ints[a, e] for e in self.graph.edge_ids))
+            key = tuple([self.ints[a, e] for e in self.graph.edge_ids])
             prior[a], last[key] = last.get(key), a
         return {a: b for a, b in prior.items() if b is not None}
 
@@ -282,20 +296,31 @@ def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
     lexicographic order: an agent may come once the one before it in its
     class has (``product`` when no two are identical).  Renaming identical
     agents maps feasible branches to feasible ones, so the first feasible
-    branch in lexicographic order is among these."""
+    branch in lexicographic order is among these.  The walk is depth
+    first with one list as the prefix, so each sequence is yielded once,
+    straight from the loop."""
     agents, prior = instance.agents, instance.prior_twin
     if not prior:
         return product(agents, repeat=length)
 
-    def extend(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for a in agents:
-            if a not in prior or prior[a] in prefix:
-                yield from extend(prefix + (a,))
+    def walk() -> Iterator[tuple[str, ...]]:
+        prefix: list[str] = []
+        tried = [0]  # tried[j]: the agents tried so far at position j
+        while tried:
+            if len(prefix) == length:
+                yield tuple(prefix)
+            elif tried[-1] < len(agents):
+                a = agents[tried[-1]]
+                tried[-1] += 1
+                if a not in prior or prior[a] in prefix:
+                    prefix.append(a)
+                    tried.append(0)
+                continue
+            tried.pop()
+            if prefix:
+                prefix.pop()
 
-    return extend(())
+    return walk()
 
 
 @dataclass(frozen=True)

@@ -567,6 +567,41 @@ def components_without(graph: Graph, cut: frozenset[str]) -> list[Component]:
     return comps
 
 
+def dead_prefix_reference(instance: Instance, cut: frozenset[str], prefix: Sequence[str]) -> bool:
+    """Is the prefix of a component assignment (the agents of the first
+    components of ``components_without``) dead, the slow way?  On a tree,
+    a held set's subtree is the edges with its vertices on both sides, and
+    the prefix is dead when two holders' subtrees share an edge.  A
+    holder's bound lb is its components' edges, plus on a tree the cut
+    edges in its subtree, and the prefix is dead when for an agent x and a
+    holder b other than x, lb_b is worth more to x than x's denominator
+    less every other holder's lb.  Kept as the reference for the prefix
+    cuts of ``efgc.component_lp._assignments``."""
+    graph, ints, dens = instance.graph, instance.ints, instance.dens
+    held: dict[str, list[Component]] = {}
+    for comp, agent in zip(components_without(graph, cut), prefix):
+        held.setdefault(agent, []).append(comp)
+    subtree, lb = {}, {}
+    for agent, comps in held.items():
+        vertices = frozenset().union(*(c.vertices for c in comps))
+        subtree[agent] = set()
+        if graph.is_tree():
+            for e in graph.edge_ids:
+                side = graph.roots(set(graph.edge_ids) - {e})
+                if len({side[v] for v in vertices}) == 2:
+                    subtree[agent].add(e)
+        edges = [e for c in comps for e in c.edges] + sorted(subtree[agent] & cut)
+        lb[agent] = {x: sum(ints[x, e] for e in edges) for x in instance.agents}
+    if any(subtree[a] & subtree[b] for a, b in combinations(held, 2)):
+        return True
+    return any(
+        lb[b][x] > dens[x] - sum(lb[c][x] for c in held if c != x)
+        for x in instance.agents
+        for b in held
+        if b != x
+    )
+
+
 def connector_choices_reference(
     graph: Graph, cut: frozenset[str], own_edges: Sequence[str], required: frozenset[str]
 ) -> list[frozenset[str]]:

@@ -12,6 +12,7 @@ from efgc.component_lp import (
     NotCycleError,
     NotTreeError,
     NotTreeOrCycleError,
+    _assignments,
     _components,
     _connector_choices,
     _maximal_cuts,
@@ -20,13 +21,14 @@ from efgc.component_lp import (
     solve_tree_vdgc,
     solve_with_cut_set,
 )
-from efgc.generators import solve_explicit_oracle
+from efgc.generators import gen_star_from_numpart, solve_explicit_oracle
 from efgc.model import (
     Graph,
     UnknownEdgeError,
     Variant,
     Verdict,
     build_instance,
+    orbit_leaders,
     piece_utility,
     verify_assignment,
 )
@@ -36,6 +38,7 @@ from helpers import (
     components_without,
     connector_choices_reference,
     cycle,
+    dead_prefix_reference,
     identical_agents_corpus,
     mixed_classes_corpus,
     path,
@@ -569,3 +572,90 @@ def test_per_instance_tables_leak_nothing_between_cut_sets():
                         assert _outcome(solve_with_cut_set(fresh(), cut)) == outcome
                         seen[outcome[0]] += 1
     assert min(seen.values()) > 20, seen
+
+
+def _walked(monkeypatch, inst, cut, walk):
+    """The component assignments that ``solve_with_cut_set`` reaches with
+    ``walk`` in place of its walk, and those among them at which an LP
+    reaches the simplex; every LP is taken as infeasible, so the search
+    runs to its end."""
+    reached, solved = [], []
+
+    def walking(*args):
+        for leaf in walk(*args):
+            reached.append(leaf)
+            yield leaf
+
+    def solving(system):
+        if solved[-1:] != reached[-1:]:
+            solved.append(reached[-1])
+
+    monkeypatch.setattr(efgc.component_lp, "_assignments", walking)
+    monkeypatch.setattr(efgc.component_lp, "lp_feasible", solving)
+    assert not solve_with_cut_set(inst, cut).yes
+    return reached, solved
+
+
+def test_walk_reaches_every_orbit_leader_that_reaches_an_lp(monkeypatch):
+    # every tree and cycle shape of at most 4 edges, in its own vertex order
+    # and with its leaves first (so that a component between two others
+    # can come last), every cut of it, 2-3 agents, both variants, distinct
+    # and identical agents: the walk reaches the orbit leaders with no dead
+    # prefix (by the reference), in order, and among them every one at
+    # which an LP reaches the simplex when all orbit leaders are tried
+    rng = random.Random(9090)
+    seen = Counter()
+
+    def leaders(instance, cut, comp_mask, *tables):
+        return orbit_leaders(instance, len(comp_mask))
+
+    graphs = []
+    for graph in _tree_or_cycle_shapes():
+        degree = Counter(v for _, u, w in graph.edges for v in (u, w))
+        leaves_first = sorted(graph.vertices, key=lambda v: degree[v] > 1)
+        graphs += dict.fromkeys([graph, Graph(tuple(leaves_first), graph.edges)])
+    for graph in graphs:
+        for n_agents in (2, 3):
+            for variant in (Variant.GC, Variant.VDGC):
+                for identical in (False, True):
+                    rows = []
+                    while len(rows) < (1 if identical else n_agents):
+                        row = {e: rng.randint(0, 3) for e in graph.edge_ids}
+                        if any(row.values()):
+                            rows.append(row)
+                    table = {f"a{i}": dict(rows[i % len(rows)]) for i in range(n_agents)}
+                    inst = build_instance(list(graph.vertices), list(graph.edges), table, variant)
+                    for size in range(len(graph.edges) + 1):
+                        for cut in combinations(graph.edge_ids, size):
+                            every, at_lp = _walked(monkeypatch, inst, cut, leaders)
+                            reached, solved = _walked(monkeypatch, inst, cut, _assignments)
+                            rest = iter(every)
+                            assert all(leaf in rest for leaf in reached), (table, cut)
+                            live = [
+                                leaf for leaf in every
+                                if not any(
+                                    dead_prefix_reference(inst, frozenset(cut), leaf[:j])
+                                    for j in range(1, len(leaf) + 1)
+                                )
+                            ]
+                            assert reached == live, (table, cut)
+                            assert solved == at_lp, (table, cut)
+                            seen[identical, "cut"] += len(reached) < len(every)
+                            seen[identical, "lp"] += bool(at_lp)
+    assert min(seen.values()) > 50, seen
+
+
+def test_numpart_no_star_needs_no_connector(monkeypatch):
+    # five values with an even sum but no equal-sum split, and none above
+    # half the sum:
+    # the envy cap refutes every component assignment before any held
+    # set's connectors are worked out
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _connector_choices(*args)
+
+    monkeypatch.setattr(efgc.component_lp, "_connector_choices", counting)
+    assert not solve_tree_gc_bounded_degree(gen_star_from_numpart([3, 3, 3, 5, 6])).yes
+    assert not calls

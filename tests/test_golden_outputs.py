@@ -12,13 +12,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from efgc import cli
-from perfbench.workloads import build_corpus
+from perfbench.workloads import build_corpus, instance_text, random_utilities, shape
 
 DIGESTS = {
     ("general_random", 1): "df8723ff05f9c363da512d5d14b1ce77b850e7fa97d2ea375e32420d52e1fc94",
@@ -53,6 +54,21 @@ def solve_digest(corpus: list[dict]) -> str:
 @pytest.mark.parametrize("workload, seed", sorted(DIGESTS))
 def test_solve_output_matches_recorded_digest(workload, seed):
     assert solve_digest(build_corpus(workload, seed)) == DIGESTS[workload, seed]
+
+
+# one five-agent gc path of 8 edges with random utilities from
+# ``random.Random(5)``, solved under ``--mode auto``: its first cut set cuts
+# every edge, so the cut-set search gives out 9 single-vertex components
+# among 5 agents before its first Yes; recorded when the request took
+# seconds
+HEAVY_DIGEST = "16d7bb1849f933e196f16c230a2cb0616354285ca5066bd87e2d2208d7705d5e"
+
+
+def test_heavy_path_output_matches_recorded_digest():
+    graph = shape("path8")
+    utilities = random_utilities(random.Random(5), 5, [e for e, _, _ in graph[1]])
+    request = {"text": instance_text(graph, utilities, "gc"), "mode": "auto"}
+    assert solve_digest([request]) == HEAVY_DIGEST
 
 
 # ``efgc verify`` on the seed-1 Yes witnesses and on three broken copies

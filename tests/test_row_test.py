@@ -199,10 +199,10 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
 
 def _share_lp_tree(inst, cut):
     """The share LPs of ``solve_with_cut_set`` with no envy check before
-    them, grouped by component assignment (with whether some agent holds
-    no component), then by connector combo, in search order; each
-    holder's connectors from the subset-search reference and its
-    whole-edge values summed afresh from its edges."""
+    them, grouped by component assignment (with the assignment and
+    whether some agent holds no component), then by connector combo, in
+    search order; each holder's connectors from the subset-search
+    reference and its whole-edge values summed afresh from its edges."""
     graph, ints, cut = inst.graph, inst.ints, frozenset(cut)
     position = {e: i for i, e in enumerate(graph.edge_ids)}
     comps = components_without(graph, cut)
@@ -240,7 +240,7 @@ def _share_lp_tree(inst, cut):
                     insiders.setdefault(e, []).append(agent)
                 lps.append(component_lp._build_cut_lp(inst, f_prime, end_owners, insiders, whole_value))
             combos.append(lps)
-        tree.append((bool(floaters), combos))
+        tree.append((comp_assign, bool(floaters), combos))
     return tree
 
 
@@ -252,12 +252,26 @@ def _all_infeasible(systems, seen):
 
 
 def _match(tree, events, seen):
-    """Walk the search's events, ("envy", skipped) per check and ("lp",
-    system) per built LP, along the unpruned tree: every LP under a skip
-    is infeasible, every other LP is built, and the search stops at the
-    first feasible one."""
+    """Walk the search's events, ("leaf", assignment) per component
+    assignment the walk reaches, ("envy", skipped) per check and ("lp",
+    system) per built LP, along the unpruned tree: every LP under an
+    assignment the walk never reaches or under a skip is infeasible,
+    every other LP is built, and the search stops at the first feasible
+    one.  An assignment the walk never reaches was cut at its shortest
+    prefix that no reached one shares."""
+    reached = {leaf for kind, leaf in events if kind == "leaf"}
+    alive = {leaf[:j] for leaf in reached for j in range(len(leaf) + 1)}
+    dead = set()
     events = iter(events)
-    for floaters, combos in tree:
+    for comp_assign, floaters, combos in tree:
+        if comp_assign not in reached:
+            prefixes = (comp_assign[:j] for j in range(len(comp_assign) + 1))
+            prefix = next(p for p in prefixes if p not in alive)
+            seen["prefix cut"] += prefix not in dead and len(prefix) < len(comp_assign)
+            dead.add(prefix)
+            _all_infeasible([system for lps in combos for system in lps], seen)
+            continue
+        assert next(events) == ("leaf", comp_assign)
         kind, skipped = next(events)  # the component assignment's check
         assert kind == "envy"
         seen["with floaters"] += floaters and skipped
@@ -296,14 +310,21 @@ def _cut_sets(inst):
 
 def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
     """On seeded paths, stars, spiders and cycles of both variants with up
-    to 4 agents, every share LP of every component assignment or connector
-    combo that ``solve_with_cut_set`` skips before building it is
-    infeasible, with a verified certificate, and every LP it does not skip
-    is built, in order; each check skips more than 50 times, also where
-    some agent holds no component."""
+    to 4 agents, every share LP of every component assignment that the
+    walk cuts or the search skips, and of every connector combo skipped,
+    before building it is infeasible, with a verified certificate, and
+    every LP it does not skip is built, in order; each check skips more
+    than 50 times, also where some agent holds no component, and the walk
+    cuts more than 50 prefixes short of a whole assignment."""
     rng = random.Random(1818)
     events = []
+    real_walk = component_lp._assignments
     real_check, real_build = component_lp._must_envy, component_lp._build_cut_lp
+
+    def walk(*args):
+        for leaf in real_walk(*args):
+            events.append(("leaf", leaf))
+            yield leaf
 
     def check(values, limit):
         events.append(("envy", real_check(values, limit)))
@@ -313,6 +334,7 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
         events.append(("lp", real_build(*args)))
         return events[-1][1]
 
+    monkeypatch.setattr(component_lp, "_assignments", walk)
     monkeypatch.setattr(component_lp, "_must_envy", check)
     monkeypatch.setattr(component_lp, "_build_cut_lp", build)
     seen = Counter()
@@ -323,6 +345,7 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
                 random_path_instance(rng, rng.randint(1, 3), n_agents, variant),
                 random_tree_instance(rng, rng.choice([3, 4]), n_agents, variant),
                 random_cycle_instance(rng, rng.randint(3, 4), n_agents, variant),
+                random_cycle_instance(rng, rng.randint(3, 4), 3, variant),
             ]
             for inst in corpus:
                 for cut in _cut_sets(inst):
@@ -330,4 +353,4 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
                     del events[:]  # building the tree recorded its LPs too
                     solve_with_cut_set(inst, cut)
                     _match(tree, events, seen)
-    assert min(seen["assignment"], seen["combo"], seen["with floaters"]) > 50, seen
+    assert min(seen["assignment"], seen["combo"], seen["with floaters"], seen["prefix cut"]) > 50, seen
