@@ -13,6 +13,8 @@ Instance files (UTF-8, line oriented, ``#`` starts a comment)::
 A utility is any non-negative token that ``fractions.Fraction`` reads
 (``3``, ``2/4``, ``0.5``, ``1e3``); utilities are scaled to sum to one on load,
 omitted edges count as zero, and an edge may appear once per agent.
+An ``EDGE=VALUE`` term is split at its last ``=``: a value never holds
+one, so an edge id may (``p=q=1`` values edge ``p=q``).
 ASCII digits ``N`` or ``N/M`` are read as ints, other tokens through
 ``Fraction``.  Assignment files hold one ``piece`` line per edge interval::
 
@@ -145,7 +147,7 @@ def parse_instance(text: str) -> Instance:
             for term in parts[2:]:
                 if "=" not in term:
                     raise ParseError(line_no, f"expected EDGE=VALUE, got {term!r}")
-                edge, _, value = term.partition("=")
+                edge, _, value = term.rpartition("=")
                 if edge not in edge_ids:
                     raise ParseError(line_no, f"unknown edge {edge!r}")
                 if edge in row:

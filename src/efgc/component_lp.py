@@ -58,16 +58,21 @@ and a subtree only grows with R:
   agent x and a holder b other than x have lb_b[x] > dens[x] - the sum of
   lb_c[x] over the holders c other than x.  Holders' whole edges are
   disjoint and hold their lb, so the right side bounds x's own share,
-  and lb only grows.  On a cycle lb is the components' values alone, so
-  at a leaf (c) is the holder limit below.
+  and lb only grows.
 
-Most share LPs fail on one envy row of an agent a against a holder b,
-so before any LP ``_must_envy`` skips a component assignment, then a
-connector combo, where b's whole edges are worth more to a than a's best
-case: its own whole edges plus every cut edge (once the connectors are
-fixed, the cut edges it holds an end of), or for an agent that holds no
-component, its best cut edge.  ``RowTest`` then skips most other
-infeasible LPs before the simplex.
+Before the LPs of a connector combo, ``_must_envy`` skips it when some
+holder b's whole edges are worth more to an agent a than a's share can
+be: a's whole edges plus the cut edges it holds an end of, or for an
+agent holding no component, its best cut edge.  ``RowTest`` then skips
+most other infeasible LPs.  A check of the bare assignment first would
+skip no more.  With v a held set's components' value and all_cut[a] a's
+value of the whole cut, its holder limit v_a[a] + all_cut[a] never fires
+at a reached leaf: every component is given out, so (c) gives v_b[a] <=
+lb_b[a] <= dens[a] - the sum of lb_c[a] over the holders c other than a
+<= v_a[a] + all_cut[a].  And the combo check skips all it would: a
+connector only adds edges, so a combo's values are at least v, its
+holder limits at most v_a[a] + all_cut[a], and an agent holding no
+component keeps its best cut edge as its limit.
 """
 from __future__ import annotations
 
@@ -130,7 +135,8 @@ def _connector_choices(
 
 
 def _cut_var(edge: str, agent: str) -> str:
-    return f"y_{edge}__{agent}"
+    """A name no other pair gets: the length fixes where the edge id ends."""
+    return f"y{len(edge)}_{edge}_{agent}"
 
 
 def _build_cut_lp(
@@ -191,7 +197,8 @@ def _extract_cut_assignment(
 
 def _must_envy(values: Iterable[dict[str, int]], limit: dict[str, int]) -> bool:
     """Is some holder's whole-edge value v[a] to an agent a above limit[a],
-    the most a's own share can be worth to a (a negative envy row)?"""
+    the most a's own share can be worth to a under one connector combo
+    (a negative envy row)?"""
     return any(v[a] > limit[a] for v in values for a in limit)
 
 
@@ -313,9 +320,10 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     are walked depth first, one per orbit of identical agents, and a
     prefix is cut when two holders' subtrees share an edge on a tree, or
     when some holder's bound is worth more to an agent than the most that
-    agent's own share can be (see the module docstring).  Each assignment
-    the walk reaches then goes through the envy checks, and each held
-    set's options are worked out once per cut, on first use.
+    agent's own share can be (see the module docstring).  At each
+    assignment the walk reaches, each held set's options are worked out
+    once per cut, on first use, and each connector combo goes through the
+    envy check before its LPs.
     """
     graph = instance.graph
     masks, position, end_bits = graph.subtree_masks, graph.edge_position, graph.end_bits
@@ -327,21 +335,15 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     comp_mask, comp_edges, end_comps = _components(graph, cut)
     vdgc = instance.variant is Variant.VDGC
     ints, agents = instance.ints, instance.agents
-    best_cut, all_cut = {}, {}
-    for a in agents:
-        row = [ints[a, e] for e in cut]
-        best_cut[a], all_cut[a] = max(row, default=0), sum(row)
-    # per held set: each agent's int value of its components' edges, and
-    # its options (connector, edges owned whole, their value to each agent)
-    value_of: dict[tuple[int, ...], dict[str, int]] = {(): dict.fromkeys(agents, 0)}
-    for k, edges in enumerate(comp_edges):
-        value_of[k,] = {a: sum([ints[a, g] for g in edges]) for a in agents}
+    best_cut = {a: max([ints[a, e] for e in cut], default=0) for a in agents}
+    comp_value = [{a: sum([ints[a, g] for g in edges]) for a in agents} for edges in comp_edges]
+    # per held set: (connector, edges owned whole, their value to each agent)
     options_of: dict[tuple[int, ...], list[tuple]] = {}
 
     def find_options(held: tuple[int, ...]) -> list[tuple]:
         own_edges = [e for k in held for e in comp_edges[k]]
         held_mask = sum([comp_mask[k] for k in held])
-        base = value_of[held]
+        base = {a: sum([comp_value[k][a] for k in held]) for a in agents}
         found = options_of[held] = []
         for connector in _connector_choices(masks, cut, own_edges, held_mask):
             if vdgc and any((end_bits[e][0] | end_bits[e][1]) & ~held_mask for e in connector):
@@ -351,25 +353,15 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
             found.append((connector, owned, values))
         return found
 
-    singles = [value_of[k,] for k in range(len(comp_mask))]
-    for comp_assign in _assignments(instance, cut, comp_mask, comp_edges, singles):
+    zero = dict.fromkeys(agents, 0)
+    for comp_assign in _assignments(instance, cut, comp_mask, comp_edges, comp_value):
         held: dict[str, tuple[int, ...]] = {}
         for k, agent in enumerate(comp_assign):
             held[agent] = held.get(agent, ()) + (k,)
         holders = [a for a in agents if a in held]
         floaters = [a for a in agents if a not in held]
         keys = [held[a] for a in holders]
-        held_values = []
-        for h in keys:
-            v = value_of.get(h)
-            if v is None:
-                parts = [value_of[k,] for k in h]
-                v = value_of[h] = {b: sum([p[b] for p in parts]) for b in agents}
-            held_values.append(v)
         limit = {a: best_cut[a] for a in floaters}
-        limit |= {a: v[a] + all_cut[a] for a, v in zip(holders, held_values)}
-        if _must_envy(held_values, limit):
-            continue
         choices = [options_of[h] if h in options_of else find_options(h) for h in keys]
         for combo in product(*choices):
             connectors, owned, values = zip(*combo)
@@ -382,7 +374,7 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 limit[a] = v[a] + sum(ints[a, e] for e in f_prime if a in end_owners[e])
             if _must_envy(values, limit):
                 continue
-            whole_value = dict.fromkeys(floaters, value_of[()]) | dict(zip(holders, values))
+            whole_value = dict.fromkeys(floaters, zero) | dict(zip(holders, values))
             # an agent placed inside an edge it values at zero must envy
             options = [[e for e in f_prime if ints[a, e] > 0] for a in floaters]
             for placement in product(*options):

@@ -84,6 +84,17 @@ def test_parse_instance_roundtrip():
     assert again.graph == inst.graph
 
 
+def test_edge_ids_holding_equals_signs_round_trip():
+    # a term is split at its last "=", since a value never holds one
+    edges = [("p=q", "u", "v"), ("=r", "v", "w"), ("s=", "w", "x")]
+    table = {"a1": {"p=q": 1, "=r": 2, "s=": 3}, "a2": {"p=q": F(1, 2), "s=": 1}}
+    inst = build_instance(["u", "v", "w", "x"], edges, table, Variant.GC)
+    text = emit_instance(inst)
+    assert "agent a1 p=q=1/6 =r=1/3 s==1/2" in text
+    assert parse_instance(text) == inst
+    assert emit_instance(parse_instance(text)) == text
+
+
 def test_parse_instance_errors():
     with pytest.raises(ParseError):
         parse_instance(P3_TEXT.replace("edge e2 v2 v3", "edge e1 v2 v3"))

@@ -7,7 +7,14 @@ from itertools import chain, combinations
 import pytest
 
 import efgc.component_lp
-from efgc.cli import emit_assignment
+from efgc.cli import (
+    emit_assignment,
+    emit_instance,
+    parse_assignment,
+    parse_instance,
+    run,
+    select_solver,
+)
 from efgc.component_lp import (
     NotCycleError,
     NotTreeError,
@@ -596,13 +603,27 @@ def _walked(monkeypatch, inst, cut, walk):
     return reached, solved
 
 
+def _within_holder_limits(inst, cut, leaf):
+    """Is no holder b's components' value to another holder a above a's
+    own components' value plus a's value of the whole cut?"""
+    value = {}
+    for comp, agent in zip(components_without(inst.graph, cut), leaf):
+        row = value.setdefault(agent, Counter())
+        for x in inst.agents:
+            row[x] += sum(inst.ints[x, e] for e in comp.edges)
+    all_cut = {a: sum(inst.ints[a, e] for e in cut) for a in inst.agents}
+    return all(value[b][a] <= value[a][a] + all_cut[a] for a in value for b in value)
+
+
 def test_walk_reaches_every_orbit_leader_that_reaches_an_lp(monkeypatch):
     # every tree and cycle shape of at most 4 edges, in its own vertex order
     # and with its leaves first (so that a component between two others
     # can come last), every cut of it, 2-3 agents, both variants, distinct
     # and identical agents: the walk reaches the orbit leaders with no dead
     # prefix (by the reference), in order, and among them every one at
-    # which an LP reaches the simplex when all orbit leaders are tried
+    # which an LP reaches the simplex when all orbit leaders are tried; at
+    # every leaf it reaches, the holders' components keep within the
+    # holder limits that its envy cap implies
     rng = random.Random(9090)
     seen = Counter()
 
@@ -640,6 +661,9 @@ def test_walk_reaches_every_orbit_leader_that_reaches_an_lp(monkeypatch):
                             ]
                             assert reached == live, (table, cut)
                             assert solved == at_lp, (table, cut)
+                            for leaf in reached:
+                                assert _within_holder_limits(inst, frozenset(cut), leaf)
+                                seen[identical, "holders"] += len(set(leaf)) > 1
                             seen[identical, "cut"] += len(reached) < len(every)
                             seen[identical, "lp"] += bool(at_lp)
     assert min(seen.values()) > 50, seen
@@ -659,3 +683,55 @@ def test_numpart_no_star_needs_no_connector(monkeypatch):
     monkeypatch.setattr(efgc.component_lp, "_connector_choices", counting)
     assert not solve_tree_gc_bounded_degree(gen_star_from_numpart([3, 3, 3, 5, 6])).yes
     assert not calls
+
+
+# edge x with agent a__b and edge x__a with agent b: joined by "__", each
+# pair reads x__a__b, so the pairs' cut variables need names that keep apart
+COLLIDING = """efgc-instance v1
+variant gc
+vertices v0 v1 v2
+edge x v0 v1
+edge x__a v1 v2
+agent a__b x=1
+agent b x=3 x__a=3
+agent c x=1 x__a=1
+"""
+
+
+def test_cut_lp_variables_of_colliding_ids_stay_apart(tmp_path, capsys):
+    path = tmp_path / "colliding.txt"
+    path.write_text(COLLIDING)
+    assert run(["solve", "--in", str(path), "--mode", "auto"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Yes\n")
+    assert verify_assignment(parse_instance(COLLIDING), parse_assignment(out[4:])).valid
+
+
+def _double_underscored(inst):
+    """The instance with its edges named x, x__a, x__a__a, ... and its
+    agents a, a__a, a__a__a, ..., in the same order: edge x with agent
+    a__a and edge x__a with agent a would share a name joined by __."""
+    edge = {e: "x" + "__a" * i for i, e in enumerate(inst.graph.edge_ids)}
+    agent = {a: "__".join("a" * (j + 1)) for j, a in enumerate(inst.agents)}
+    edges = [(edge[e], u, v) for e, u, v in inst.graph.edges]
+    table = {agent[a]: {edge[e]: inst.util(a, e) for e in edge} for a in inst.agents}
+    return build_instance(list(inst.graph.vertices), edges, table, inst.variant)
+
+
+def test_double_underscored_ids_keep_every_auto_verdict():
+    rng = random.Random(2727)
+    seen = Counter()
+    for _ in range(40):
+        for variant in (Variant.GC, Variant.VDGC):
+            n_agents = rng.randint(2, 3)
+            values = [rng.randint(1, 6) for _ in range(rng.randint(3, 5))]
+            for inst in (
+                random_tree_instance(rng, rng.randint(2, 4), n_agents, variant),
+                random_cycle_instance(rng, rng.randint(3, 4), n_agents, variant),
+                replace(gen_star_from_numpart(values), variant=variant),
+            ):
+                renamed = _double_underscored(inst)
+                verdict = select_solver(inst, "auto")(inst).yes
+                assert select_solver(renamed, "auto")(renamed).yes == verdict, emit_instance(inst)
+                seen[verdict] += 1
+    assert seen[True] > 20 and seen[False] > 20, seen

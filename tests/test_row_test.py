@@ -253,11 +253,11 @@ def _all_infeasible(systems, seen):
 
 def _match(tree, events, seen):
     """Walk the search's events, ("leaf", assignment) per component
-    assignment the walk reaches, ("envy", skipped) per check and ("lp",
-    system) per built LP, along the unpruned tree: every LP under an
-    assignment the walk never reaches or under a skip is infeasible,
-    every other LP is built, and the search stops at the first feasible
-    one.  An assignment the walk never reaches was cut at its shortest
+    assignment the walk reaches, ("envy", skipped) per connector combo
+    check and ("lp", system) per built LP, along the unpruned tree: every
+    LP under an assignment the walk never reaches or under a skip is
+    infeasible, every other LP is built, and the search stops at the first
+    feasible one.  An assignment the walk never reaches was cut at its shortest
     prefix that no reached one shares."""
     reached = {leaf for kind, leaf in events if kind == "leaf"}
     alive = {leaf[:j] for leaf in reached for j in range(len(leaf) + 1)}
@@ -272,13 +272,6 @@ def _match(tree, events, seen):
             _all_infeasible([system for lps in combos for system in lps], seen)
             continue
         assert next(events) == ("leaf", comp_assign)
-        kind, skipped = next(events)  # the component assignment's check
-        assert kind == "envy"
-        seen["with floaters"] += floaters and skipped
-        if skipped:
-            seen["assignment"] += 1
-            _all_infeasible([system for lps in combos for system in lps], seen)
-            continue
         for lps in combos:
             kind, skipped = next(events)  # the connector combo's check
             assert kind == "envy"
@@ -311,10 +304,10 @@ def _cut_sets(inst):
 def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
     """On seeded paths, stars, spiders and cycles of both variants with up
     to 4 agents, every share LP of every component assignment that the
-    walk cuts or the search skips, and of every connector combo skipped,
-    before building it is infeasible, with a verified certificate, and
-    every LP it does not skip is built, in order; each check skips more
-    than 50 times, also where some agent holds no component, and the walk
+    walk cuts, and of every connector combo skipped before building it, is
+    infeasible, with a verified certificate, and every LP it does not skip
+    is built, in order; the combo check skips more than 50 times, also
+    more than 50 times where some agent holds no component, and the walk
     cuts more than 50 prefixes short of a whole assignment."""
     rng = random.Random(1818)
     events = []
@@ -353,4 +346,4 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
                     del events[:]  # building the tree recorded its LPs too
                     solve_with_cut_set(inst, cut)
                     _match(tree, events, seen)
-    assert min(seen["assignment"], seen["combo"], seen["with floaters"], seen["prefix cut"]) > 50, seen
+    assert min(seen["combo"], seen["with floaters"], seen["prefix cut"]) > 50, seen
