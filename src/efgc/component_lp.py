@@ -61,25 +61,27 @@ and a subtree only grows with R:
   and lb only grows.
 
 Before the LPs of a connector combo, ``_must_envy`` skips it when some
-holder b's whole edges are worth more to an agent a than a's share can
-be: a's whole edges plus the cut edges it holds an end of, or for an
-agent holding no component, its best cut edge.  ``RowTest`` then skips
-most other infeasible LPs.  A check of the bare assignment first would
-skip no more.  With v a held set's components' value and all_cut[a] a's
-value of the whole cut, its holder limit v_a[a] + all_cut[a] never fires
-at a reached leaf: every component is given out, so (c) gives v_b[a] <=
-lb_b[a] <= dens[a] - the sum of lb_c[a] over the holders c other than a
-<= v_a[a] + all_cut[a].  And the combo check skips all it would: a
-connector only adds edges, so a combo's values are at least v, its
-holder limits at most v_a[a] + all_cut[a], and an agent holding no
-component keeps its best cut edge as its limit.
+holder b's whole edges are worth more to a holder a than a's share can
+be: a's whole edges plus the cut edges it holds an end of.  A floater
+a, an agent holding no component, is offered a cut edge e only when
+0 < ints[a, e] and no holder's whole edges are worth more to a than e:
+its share lies inside e, so its envy row against that holder could not
+hold.  Every LP built goes straight to the simplex.  A check of the bare
+assignment first would skip no more.  With v a held set's components'
+value and all_cut[a] a's value of the whole cut, its holder limit
+v_a[a] + all_cut[a] never fires at a reached leaf: every component is
+given out, so (c) gives v_b[a] <= lb_b[a] <= dens[a] - the sum of
+lb_c[a] over the holders c other than a <= v_a[a] + all_cut[a].  And
+the combo check and the edge filter skip all it would: a connector only
+adds edges, so a combo's values are at least v, its holder limits at
+most v_a[a] + all_cut[a], and a floater's edge is in the cut.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
+from efgc.linprog import EQ, GE, Feasible, LinearSystem, lp_feasible
 from efgc.model import (
     Assignment,
     EfgcError,
@@ -196,7 +198,7 @@ def _extract_cut_assignment(
 
 
 def _must_envy(values: Iterable[dict[str, int]], limit: dict[str, int]) -> bool:
-    """Is some holder's whole-edge value v[a] to an agent a above limit[a],
+    """Is some holder's whole-edge value v[a] to a holder a above limit[a],
     the most a's own share can be worth to a under one connector combo
     (a negative envy row)?"""
     return any(v[a] > limit[a] for v in values for a in limit)
@@ -335,7 +337,6 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
     comp_mask, comp_edges, end_comps = _components(graph, cut)
     vdgc = instance.variant is Variant.VDGC
     ints, agents = instance.ints, instance.agents
-    best_cut = {a: max([ints[a, e] for e in cut], default=0) for a in agents}
     comp_value = [{a: sum([ints[a, g] for g in edges]) for a in agents} for edges in comp_edges]
     # per held set: (connector, edges owned whole, their value to each agent)
     options_of: dict[tuple[int, ...], list[tuple]] = {}
@@ -361,7 +362,6 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
         holders = [a for a in agents if a in held]
         floaters = [a for a in agents if a not in held]
         keys = [held[a] for a in holders]
-        limit = {a: best_cut[a] for a in floaters}
         choices = [options_of[h] if h in options_of else find_options(h) for h in keys]
         for combo in product(*choices):
             connectors, owned, values = zip(*combo)
@@ -370,21 +370,26 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
                 continue  # two holders want the same connector edge
             f_prime = sorted(cut - used, key=position.get)
             end_owners = {e: tuple(comp_assign[k] for k in end_comps[e]) for e in f_prime}
-            for a, v in zip(holders, values):
-                limit[a] = v[a] + sum(ints[a, e] for e in f_prime if a in end_owners[e])
+            limit = {
+                a: v[a] + sum(ints[a, e] for e in f_prime if a in end_owners[e])
+                for a, v in zip(holders, values)
+            }
             if _must_envy(values, limit):
                 continue
             whole_value = dict.fromkeys(floaters, zero) | dict(zip(holders, values))
-            # an agent placed inside an edge it values at zero must envy
-            options = [[e for e in f_prime if ints[a, e] > 0] for a in floaters]
+            # a floater inside e holds at most e: it must envy a holder whose
+            # whole edges are worth more to it, and anyone if e is worth 0
+            most = {a: max([v[a] for v in values]) for a in floaters}
+            options = [
+                [e for e in f_prime if ints[a, e] > 0 and ints[a, e] >= most[a]] for a in floaters
+            ]
             for placement in product(*options):
                 insiders: dict[str, list[str]] = {}
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
-                system = _build_cut_lp(instance, f_prime, end_owners, insiders, whole_value)
-                if RowTest(system.rows).refuting_row(system.rows) is not None:
-                    continue
-                result = lp_feasible(system)
+                result = lp_feasible(
+                    _build_cut_lp(instance, f_prime, end_owners, insiders, whole_value)
+                )
                 if isinstance(result, Feasible):
                     owned_edges = dict(zip(holders, owned))
                     assignment = _extract_cut_assignment(

@@ -32,8 +32,10 @@ Sample points are enumerated per holder: holders' length variables are
 disjoint, so the joint cells are the product of the per-holder ones.
 
 An initial branch in which some holder must envy another whatever the
-lengths is skipped before any LP (``_holders_must_envy``); ``RowTest``
-then skips most other infeasible LPs, and only those, before the simplex.
+lengths is skipped before any LP (``_holders_must_envy``), and so is a
+placement that makes an outsider envy a holder whatever the lengths
+(``_placements``); both tests are in ints, and every LP built goes
+straight to the simplex.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
@@ -54,7 +56,7 @@ from efgc.cells import (
     holdings_value_form,
     ordering_forms,
 )
-from efgc.linprog import EQ, GE, Feasible, LinearSystem, RowTest, lp_feasible
+from efgc.linprog import EQ, GE, Feasible, LinearSystem, lp_feasible
 from efgc.matching import compatibility_graph, is_perfect, max_bipartite_matching
 from efgc.model import (
     Assignment,
@@ -187,20 +189,47 @@ def _explicit_is_no_larger(counts: Iterable[int], holders: int) -> bool:
     return factorial(m) // prod(map(factorial, hot)) <= max(1, m) ** (h * (h - 1) + h * holders)
 
 
-def _placements(instance: Instance, outsiders: Sequence[str], left: dict) -> Iterator[dict]:
-    """Every map of ``outsiders`` to edges they value above 0 that puts
-    left[e] of them on edge e, in lexicographic order (agents in turn,
-    edges in the order of ``left``, which serves as scratch space)."""
-    if not outsiders:
-        yield {}
-        return
-    agent = outsiders[0]
-    for e, k in left.items():
-        if k and instance.ints[agent, e] > 0:
-            left[e] = k - 1
-            for rest in _placements(instance, outsiders[1:], left):
-                yield {agent: e, **rest}
-            left[e] = k
+def _placements(instance: Instance, base: BranchGuess) -> Iterator[dict]:
+    """Every map of the outsiders to edges that puts n[e] of them on edge
+    e, in lexicographic order (agents in turn, edges in graph order),
+    less those that make an outsider b envy whatever the lengths.  A
+    holder's outright edges (both ends its, nobody inside) lose nothing
+    to any length, and on e, b's piece d_e is at most 1/n[e] of e, so b's
+    envy row against a holder has maximum ints[b, e]/n[e] less the
+    holder's outright edges' value to b.  With top[b] the most that one
+    holder's outright edges are worth to b, b is offered e only when
+    ints[b, e] > 0 and ints[b, e] >= n[e]*top[b].  b's rows against the
+    other inside pieces never go negative, nor do the holders' against
+    b's, and the holders' rows against each other are
+    ``_holders_must_envy``'s."""
+    ints, ep, n = instance.ints, base.endpoint_agent, base.n
+    outsiders = [a for a in instance.agents if a not in base.a_v]
+    outright: dict[str, list[str]] = {}
+    for e, k in n.items():
+        if not k and ep[e, 0] == ep[e, 1]:
+            outright.setdefault(ep[e, 0], []).append(e)
+    top = {
+        b: max([sum([ints[b, e] for e in edges]) for edges in outright.values()], default=0)
+        for b in outsiders
+    }
+    offers = [
+        [e for e, k in n.items() if k and ints[b, e] > 0 and ints[b, e] >= k * top[b]]
+        for b in outsiders
+    ]
+    left = dict(n)
+
+    def place(i: int) -> Iterator[dict]:
+        if i == len(outsiders):
+            yield {}
+            return
+        for e in offers[i]:
+            if left[e]:
+                left[e] -= 1
+                for rest in place(i + 1):
+                    yield {outsiders[i]: e, **rest}
+                left[e] += 1
+
+    return place(0)
 
 
 def _pin_map(guess_maps: Sequence[Mapping]) -> dict[str, str] | None:
@@ -366,7 +395,8 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
 def _holders_must_envy(ints, base: BranchGuess) -> bool:
     """Does a holder a value the edges where it holds an end below those a
     holder b owns outright (both ends, nobody inside)?  That is the maximum
-    of a's envy row against b in every LP of the branch (``RowTest``'s)."""
+    of a's envy row against b over the tiling simplices in every LP of the
+    branch, so a's row is negative whatever the lengths."""
     ep, n = base.endpoint_agent, base.n
     return any(
         sum(ints[a, e] for e in n if a in (ep[e, 0], ep[e, 1]))
@@ -497,16 +527,11 @@ def solve_few_edges(instance: Instance) -> Verdict:
         if _holders_must_envy(instance.ints, base):
             continue
         if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
-            outsiders = [a for a in instance.agents if a not in base.a_v]
-            placements = _placements(instance, outsiders, dict(base.n))
-            guesses = (replace(base, placement=p) for p in placements)
+            guesses = (replace(base, placement=p) for p in _placements(instance, base))
         else:
             guesses = _paper_guesses(instance, base)
         for guess in guesses:
-            system = build_lp(instance, guess)
-            if RowTest(system.rows).refuting_row(system.rows) is not None:
-                continue
-            if not isinstance(result := lp_feasible(system), Feasible):
+            if not isinstance(result := lp_feasible(build_lp(instance, guess)), Feasible):
                 continue
             partial, leftovers = extract_assignment(instance, guess, result)
             if guess.placement is None:

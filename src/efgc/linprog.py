@@ -15,8 +15,7 @@ constraint under exact re-evaluation.  An ``Infeasible`` from
 ``lp_feasible`` or ``lp_max`` carries a Farkas certificate (a nonnegative
 combination of constraints whose variable coefficients cancel and whose
 constant is negative), read off the final phase-one objective row; one
-from ``strict_feasible`` on a strict system carries None.  ``RowTest``
-refutes a system from one row, with no tableau.
+from ``strict_feasible`` on a strict system carries None.
 
 Strict inequalities are decided by slack maximization: each f > 0
 becomes f - t >= 0, the slack t is capped at 1, and t is maximized;
@@ -439,62 +438,6 @@ def lp_feasible(system: LinearSystem) -> Feasible | Infeasible:
 def lp_max(system: LinearSystem, objective: LinearForm) -> Optimal | Unbounded | Infeasible:
     """Maximize an affine objective over = and >= constraints."""
     return _solve(system, objective)
-
-
-class RowTest:
-    """Refute a system from one ``>=`` row, in ints, before the simplex.
-
-    A tiling row sum a_v*x_v = C, all a_v > 0 and C > 0, over sign-bounded
-    variables is a simplex.  Over the product of the simplices and x >= 0,
-    a ``>=`` row sum c_v*x_v + k has maximum k + C*max_v(c_v/a_v) per
-    simplex it touches, a variable absent from the row counting 0, and
-    none if a variable outside every simplex has c_v > 0 or no sign bound.
-    A negative maximum refutes the system: the row, -max/C times each
-    touched tiling row and the sign bounds form a Farkas certificate.  A
-    strict system, or a variable in two tiling rows, declines the test.
-    """
-
-    def __init__(self, rows: Sequence[tuple]):
-        bounded = {t[0][0] for t, k, _, rel in rows
-                   if rel == GE and not k and len(t) == 1 and t[0][1] > 0}
-        simplex: dict[str, tuple] | None = {}  # variable -> (tiling row, a_v, C, row length)
-        for i, (terms, const, _, rel) in enumerate(rows):
-            tiling = rel == EQ and const < 0 and all(c > 0 and v in bounded for v, c in terms)
-            if rel == GT or tiling and any(v in simplex for v, _ in terms):
-                simplex = None
-                break
-            if tiling:
-                simplex.update((v, (i, a, -const, len(terms))) for v, a in terms)
-        self._bounded, self._simplex = bounded, simplex
-
-    def refuting_row(self, rows: Sequence[tuple], start: int = 0) -> int | None:
-        """The index of the first ``>=`` row of ``rows[start:]`` whose
-        maximum is negative, or None; the sum is one int fraction num/den."""
-        simplex, bounded = self._simplex, self._bounded
-        for i in range(start, len(rows)) if simplex is not None else ():
-            terms, const, _, rel = rows[i]
-            if rel != GE:
-                continue
-            best: dict[int, list] = {}  # tiling row -> [c_v, a_v, C, row length, seen]
-            for v, c in terms:
-                hit = simplex.get(v)
-                if hit is None:
-                    if c > 0 or v not in bounded:
-                        break  # no maximum
-                elif (top := best.get(hit[0])) is None:
-                    best[hit[0]] = [c, hit[1], hit[2], hit[3], 1]
-                else:
-                    if c * top[1] > top[0] * hit[1]:
-                        top[0], top[1] = c, hit[1]
-                    top[4] += 1
-            else:
-                num, den = const, 1
-                for c, a, total, size, seen in best.values():
-                    if c > 0 or seen == size:  # else an absent variable's 0 is larger
-                        num, den = num * a + total * c * den, den * a
-                if num < 0:
-                    return i
-        return None
 
 
 _SLACK = "__slack"

@@ -65,6 +65,16 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _check_ids(kind: str, ids: list[str]):
+    """Each id must be one token of the instance text: not empty, with no
+    whitespace and no ``#`` (which starts a comment).  Joined by spaces,
+    such ids split back into themselves."""
+    text = " ".join(ids)
+    if text.split() != ids or "#" in text:
+        bad = next(name for name in ids if name.split() != [name] or "#" in name)
+        raise ValueError(f"{kind} id {bad!r} is empty or holds whitespace or '#'")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A connected simple graph with a fixed global vertex ordering.
@@ -79,6 +89,8 @@ class Graph:
     edges: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
+        _check_ids("vertex", list(self.vertices))
+        _check_ids("edge", [e[0] for e in self.edges])
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex identifiers")
         if not self.edges:
@@ -221,6 +233,7 @@ class Instance:
     variant: Variant
 
     def __post_init__(self):
+        _check_ids("agent", list(self.agents))
         if not self.agents:
             raise ValueError("at least one agent is required")
         if len(set(self.agents)) != len(self.agents):

@@ -764,29 +764,75 @@ class FractionTableau:
         return z
 
 
-def row_certificate(system: LinearSystem, i: int) -> FarkasCertificate:
-    """The Farkas certificate of a row that ``RowTest`` refutes, built in
-    ``Fraction``s from the system's forms: multiplier 1 on row i, -max/C
-    on each tiling row sum a_v*x_v = C that it touches (max being the
-    row's largest value over that simplex, a variable absent from the row
-    counting 0), and each variable's first sign bound takes up what is
-    left on it."""
-    forms = forms_of(system)
-    row = dict(forms[i][0].coeffs)
+def _simplices(forms) -> tuple[dict[str, int], list[tuple[int, dict, Fraction]]]:
+    """The first sign bound row of each variable, and the tiling rows
+    sum a_v*x_v = C (all a_v > 0, C > 0, over sign-bounded variables) as
+    (row index, coefficients, C); no variable lies in two of them."""
     bound = {}
     for k, (form, rel) in enumerate(forms):
         if rel == GE and not form.const and len(form.coeffs) == 1 and form.coeffs[0][1] > 0:
             bound.setdefault(form.coeffs[0][0], k)
+    tilings = []
+    for k, (form, rel) in enumerate(forms):
+        coeffs = dict(form.coeffs)
+        if rel == EQ and form.const < 0 and all(a > 0 and v in bound for v, a in coeffs.items()):
+            tilings.append((k, coeffs, -form.const))
+    seen = [v for _, coeffs, _ in tilings for v in coeffs]
+    assert len(seen) == len(set(seen)), "a variable in two tiling rows"
+    return bound, tilings
+
+
+def _simplex_tops(row: dict, tilings) -> list[tuple[int, dict, Fraction]]:
+    """Per tiling row that ``row`` touches: its index, its coefficients
+    and the row's largest value over its simplex, C*max(c_v/a_v), a
+    variable absent from the row counting 0."""
+    return [
+        (k, coeffs, total * max(row.get(v, ZERO) / a for v, a in coeffs.items()))
+        for k, coeffs, total in tilings if row.keys() & coeffs
+    ]
+
+
+def row_maxima(system: LinearSystem) -> list[Fraction | None]:
+    """Each ``>=`` row's maximum over the system's sign bounds and tiling
+    simplices, in ``Fraction``s: its constant plus its largest value over
+    each simplex it touches; None for another relation, or when a
+    variable outside every simplex has a positive coefficient or no sign
+    bound (the row then has no maximum there).  A negative maximum
+    refutes the system (``row_certificate``)."""
+    forms = forms_of(system)
+    bound, tilings = _simplices(forms)
+    covered = {v for _, coeffs, _ in tilings for v in coeffs}
+    maxima = []
+    for form, rel in forms:
+        row = dict(form.coeffs)
+        if rel != GE or any(v not in covered and (c > 0 or v not in bound) for v, c in row.items()):
+            maxima.append(None)
+        else:
+            maxima.append(form.const + sum(top for _, _, top in _simplex_tops(row, tilings)))
+    return maxima
+
+
+def negative_row(system: LinearSystem) -> int | None:
+    """The first row whose maximum (``row_maxima``) is negative, or None."""
+    return next((i for i, m in enumerate(row_maxima(system)) if m is not None and m < 0), None)
+
+
+def row_certificate(system: LinearSystem, i: int) -> FarkasCertificate:
+    """The Farkas certificate of row i with a negative maximum
+    (``row_maxima``), built in ``Fraction``s from the system's forms:
+    multiplier 1 on row i, -max/C on each tiling row sum a_v*x_v = C that
+    it touches (max being the row's largest value over that simplex), and
+    each variable's first sign bound takes up what is left on it."""
+    forms = forms_of(system)
+    bound, tilings = _simplices(forms)
+    row = dict(forms[i][0].coeffs)
     mults = [ZERO] * len(forms)
     mults[i] = ONE
     left = dict(row)
-    for k, (form, rel) in enumerate(forms):
-        tiling = dict(form.coeffs)
-        if rel == EQ and form.const < 0 and all(a > 0 for a in tiling.values()) and row.keys() & tiling:
-            top = -form.const * max(row.get(v, ZERO) / a for v, a in tiling.items())
-            mults[k] = top / form.const  # -max/C
-            for v, a in tiling.items():
-                left[v] = left.get(v, ZERO) + mults[k] * a
+    for k, coeffs, top in _simplex_tops(row, tilings):
+        mults[k] = top / forms[k][0].const  # -max/C
+        for v, a in coeffs.items():
+            left[v] = left.get(v, ZERO) + mults[k] * a
     for v, c in left.items():
         if c:
             k = bound[v]

@@ -95,6 +95,22 @@ def test_edge_ids_holding_equals_signs_round_trip():
     assert emit_instance(parse_instance(text)) == text
 
 
+def test_ids_the_instance_text_cannot_carry_are_rejected():
+    # a vertex, edge or agent id must be one token of the text: an empty
+    # one vanishes, whitespace splits it and "#" starts a comment
+    for bad in ("", "p q", "p#q"):
+        cases = (
+            ([bad, "v"], [("e", bad, "v")], {"a": {"e": 1}}),
+            (["u", "v"], [(bad, "u", "v")], {"a": {bad: 1}}),
+            (["u", "v"], [("e", "u", "v")], {bad: {"e": 1}}),
+        )
+        for vertices, edges, table in cases:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                build_instance(vertices, edges, table, Variant.GC)
+    inst = build_instance(["agent", "v"], [("p=q", "agent", "v")], {"a": {"p=q": 1}}, Variant.GC)
+    assert parse_instance(emit_instance(inst)) == inst
+
+
 def test_parse_instance_errors():
     with pytest.raises(ParseError):
         parse_instance(P3_TEXT.replace("edge e2 v2 v3", "edge e1 v2 v3"))

@@ -1,12 +1,15 @@
-"""The row test inside the two searches, and the envy checks before it.
+"""The int envy filters of the two searches.
 
-``RowTest`` refutes an LP from one envy row against its tiling simplices
-before the simplex.  These tests hold every refutation that the searches
-can meet to ``lp_feasible`` and to an explicit Farkas certificate, check
-that a refuting shared row of an initial branch refutes every LP of that
-branch, and hold the checks that skip a branch, a component assignment
-or a connector combo before any LP is built to the row test and to the
-LPs they skip.
+Each search drops, in ints and before building an LP, what must envy
+whatever the lengths: the few-edges search a branch in which a holder
+must envy another (``_holders_must_envy``) and a placement that puts an
+outsider on an edge worth too little to it (``_placements``); the
+cut-set search a connector combo in which a holder must envy another
+(``_must_envy``) and a floater's cut edge worth less to it than some
+holder's whole edges.  These tests hold each filter to the ``Fraction``
+maximum of each envy row over the LP's tiling simplices (``row_maxima``):
+what a filter drops has a negative row, whose certificate verifies, and
+no LP that gets built has one.
 """
 import random
 from collections import Counter
@@ -15,15 +18,9 @@ from itertools import product
 
 import efgc.component_lp as component_lp
 import efgc.few_edges as few_edges
-from efgc.component_lp import (
-    _maximal_cuts,
-    solve_cycle,
-    solve_tree_gc_bounded_degree,
-    solve_tree_vdgc,
-    solve_with_cut_set,
-)
+from efgc.component_lp import _maximal_cuts, solve_with_cut_set
 from efgc.few_edges import build_lp, enumerate_initial_branches, solve_few_edges
-from efgc.linprog import Feasible, Infeasible, RowTest, lp_feasible, verify_certificate
+from efgc.linprog import Feasible, Infeasible, lp_feasible, verify_certificate
 from efgc.model import Variant, build_instance
 from helpers import (
     GRAPH_SHAPES,
@@ -32,6 +29,7 @@ from helpers import (
     count_branch_skips,
     force_paper_route,
     identical_agents_corpus,
+    negative_row,
     random_cycle_instance,
     random_graph_instance,
     random_path_instance,
@@ -51,58 +49,58 @@ def _few_edges_corpus(rng: random.Random, count: int, most_agents: int):
     return instances
 
 
-def _recording(module, name, built):
-    original = getattr(module, name)
+def _refuted(system, seen, key):
+    """Assert that ``system`` has a row with a negative maximum, that its
+    certificate and the simplex's verify, and count it under ``key``."""
+    row = negative_row(system)
+    assert row is not None and verify_certificate(system, row_certificate(system, row))
+    result = lp_feasible(system)
+    assert isinstance(result, Infeasible) and verify_certificate(system, result.certificate)
+    seen[key] += 1
 
-    def record(*args):
-        system = original(*args)
-        built.append(system)
-        return system
 
-    return record
+def _every_placement(inst, base):
+    """The placements of ``_placements`` with no envy filter: each
+    outsider on an edge it values above 0, n[e] on edge e, in the same
+    order."""
+    edges = inst.graph.edge_ids
+    outsiders = [a for a in inst.agents if a not in base.a_v]
+    options = [[e for e in edges if base.n[e] and inst.ints[a, e] > 0] for a in outsiders]
+    return [
+        dict(zip(outsiders, edge_of))
+        for edge_of in product(*options)
+        if all(edge_of.count(e) == base.n[e] for e in edges)
+    ]
 
 
-def test_row_test_refutes_no_feasible_lp_of_either_search(monkeypatch):
-    """Every LP that the few-edges search (both routes) and the cut-set
-    search build: a refuted one is infeasible, with a certificate."""
+def test_placement_filter_drops_exactly_the_placements_a_row_refutes():
+    """On every initial branch the holder check keeps, ``_placements``
+    yields, in order, exactly the unfiltered placements whose LP has no
+    row with a negative maximum; each one it drops is refuted by a row
+    and infeasible, with verified certificates."""
     rng = random.Random(1616)
-    built = []
-    with monkeypatch.context() as patch:
-        patch.setattr(few_edges, "build_lp", _recording(few_edges, "build_lp", built))
-        patch.setattr(
-            component_lp, "_build_cut_lp", _recording(component_lp, "_build_cut_lp", built)
-        )
-        for inst in _few_edges_corpus(rng, 14, 4):
-            solve_few_edges(inst)
-        with monkeypatch.context() as paper:
-            force_paper_route(paper)
-            for inst in _few_edges_corpus(rng, 10, 3):
-                solve_few_edges(inst)
-        for _ in range(12):
-            n_edges, n_agents = rng.randint(1, 3), rng.randint(2, 4)
-            for variant in ("gc", "vdgc"):
-                tree = random_tree_instance(rng, n_edges, n_agents, variant)
-                (solve_tree_vdgc if variant == "vdgc" else solve_tree_gc_bounded_degree)(tree)
-                solve_cycle(random_cycle_instance(rng, rng.randint(3, 4), n_agents, variant))
-            solve_tree_vdgc(random_path_instance(rng, n_edges, n_agents, "vdgc"))
-    seen = {"refuted": 0, Feasible: 0, Infeasible: 0}
-    for system in built:
-        row = RowTest(system.rows).refuting_row(system.rows)
-        result = lp_feasible(system)
-        if row is not None:
-            assert isinstance(result, Infeasible)
-            assert verify_certificate(system, row_certificate(system, row))
-            seen["refuted"] += 1
-        else:
-            seen[type(result)] += 1
-    assert min(seen.values()) > 50, seen
+    seen = Counter()
+    for inst in _few_edges_corpus(rng, 40, 4) + [inst for inst, _ in identical_agents_corpus()]:
+        for base in enumerate_initial_branches(inst):
+            if few_edges._holders_must_envy(inst.ints, base):
+                continue
+            got = list(few_edges._placements(inst, base))
+            kept = []
+            for placement in _every_placement(inst, base):
+                system = build_lp(inst, replace(base, placement=placement))
+                if negative_row(system) is None:
+                    kept.append(placement)
+                    seen["kept"] += 1
+                else:
+                    _refuted(system, seen, "dropped")
+            assert got == kept, (inst, base)
+    assert min(seen["kept"], seen["dropped"]) > 50, seen
 
 
-def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
+def test_a_refuting_shared_row_refutes_the_whole_branch():
     """On both routes, every guess of an initial branch builds an LP that
-    starts with the same ``shared_rows`` rows, and the row test of those
-    rows has the verdict of the full test on each LP; when one of them
-    refutes, no LP of the branch is feasible."""
+    starts with the same ``shared_rows`` rows; when one of them has a
+    negative maximum, no LP of the branch is feasible."""
     rng = random.Random(2323)
     corpus = _few_edges_corpus(rng, 12, 3)
     skipped = {False: 0, True: 0}
@@ -112,22 +110,17 @@ def test_a_refuting_shared_row_refutes_the_whole_branch(monkeypatch):
                 if paper:
                     guesses = list(few_edges._paper_guesses(inst, base))
                 else:
-                    outsiders = [a for a in inst.agents if a not in base.a_v]
-                    placements = few_edges._placements(inst, outsiders, dict(base.n))
-                    guesses = [replace(base, placement=p) for p in placements]
-                    if not outsiders:  # n = 0 on every edge: two bounds and a
-                        # tiling row per edge, then one row per ordered holder pair
+                    guesses = [replace(base, placement=p) for p in _every_placement(inst, base)]
+                    if len(base.a_v) == len(inst.agents):  # n = 0 on every edge: two
+                        # bounds and a tiling row per edge, then one row per ordered holder pair
                         holders = len(base.a_v)
                         rows = 3 * len(base.n) + holders * (holders - 1)
                         assert len(build_lp(inst, guesses[0]).rows) == rows
                 systems = [build_lp(inst, guess) for guess in guesses]
                 shared = shared_rows(inst, base)
                 assert len({tuple(system.rows[:shared]) for system in systems}) <= 1
-                for system in systems:
-                    test = RowTest(system.rows[:shared])
-                    full = RowTest(system.rows).refuting_row(system.rows)
-                    assert test.refuting_row(system.rows) == full
-                if systems and RowTest(systems[0].rows).refuting_row(systems[0].rows[:shared]) is not None:
+                row = negative_row(systems[0]) if systems else None
+                if row is not None and row < shared:
                     skipped[paper] += 1
                     assert not any(isinstance(lp_feasible(s), Feasible) for s in systems)
     assert min(skipped.values()) > 100, skipped
@@ -140,16 +133,14 @@ def _route_guesses(inst, base):
     """The guesses ``solve_few_edges`` makes for an initial branch, on the
     route its (possibly patched) route rule picks."""
     if few_edges._explicit_is_no_larger(base.n.values(), len(base.a_v)):
-        outsiders = [a for a in inst.agents if a not in base.a_v]
-        placements = few_edges._placements(inst, outsiders, dict(base.n))
-        return (replace(base, placement=p) for p in placements)
+        return (replace(base, placement=p) for p in few_edges._placements(inst, base))
     return few_edges._paper_guesses(inst, base)
 
 
 def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatch):
     """On both routes, the few-edges check skips an initial branch exactly
-    when ``RowTest`` over the branch's first LP (and over its shared rows
-    alone, for a branch with no guess) returns a row below
+    when the first row with a negative maximum of the branch's first LP
+    (and of its shared rows alone, for a branch with no guess) lies below
     ``shared_rows``; that row is always a holder's row against another
     holder, never one against an inside piece.  A search that answers No
     skips exactly those branches."""
@@ -173,8 +164,7 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
                     lps += [first] if first is not None else []
                     skip = few_edges._holders_must_envy(ints, base)
                     for guess in lps:
-                        rows = build_lp(inst, guess).rows
-                        row = RowTest(rows).refuting_row(rows)
+                        row = negative_row(build_lp(inst, guess))
                         assert skip == (row is not None and row < shared), (inst, base)
                     if skip:
                         refuted.append(base)
@@ -201,8 +191,10 @@ def _share_lp_tree(inst, cut):
     """The share LPs of ``solve_with_cut_set`` with no envy check before
     them, grouped by component assignment (with the assignment and
     whether some agent holds no component), then by connector combo, in
-    search order; each holder's connectors from the subset-search
-    reference and its whole-edge values summed afresh from its edges."""
+    search order, each with whether the floaters' edge filter keeps it:
+    no holder's whole edges are worth more to a floater than its edge.
+    Each holder's connectors come from the subset-search reference and
+    its whole-edge values are summed afresh from its edges."""
     graph, ints, cut = inst.graph, inst.ints, frozenset(cut)
     position = {e: i for i, e in enumerate(graph.edge_ids)}
     comps = components_without(graph, cut)
@@ -238,14 +230,18 @@ def _share_lp_tree(inst, cut):
                 insiders = {}
                 for agent, e in zip(floaters, placement):
                     insiders.setdefault(e, []).append(agent)
-                lps.append(component_lp._build_cut_lp(inst, f_prime, end_owners, insiders, whole_value))
+                system = component_lp._build_cut_lp(inst, f_prime, end_owners, insiders, whole_value)
+                kept = all(
+                    ints[a, e] >= value[a] for a, e in zip(floaters, placement) for _, value in combo
+                )
+                lps.append((system, kept))
             combos.append(lps)
         tree.append((comp_assign, bool(floaters), combos))
     return tree
 
 
-def _all_infeasible(systems, seen):
-    for system in systems:
+def _all_infeasible(lps, seen):
+    for system, _ in lps:
         result = lp_feasible(system)
         assert isinstance(result, Infeasible) and verify_certificate(system, result.certificate)
         seen["skipped LPs"] += 1
@@ -256,9 +252,10 @@ def _match(tree, events, seen):
     assignment the walk reaches, ("envy", skipped) per connector combo
     check and ("lp", system) per built LP, along the unpruned tree: every
     LP under an assignment the walk never reaches or under a skip is
-    infeasible, every other LP is built, and the search stops at the first
-    feasible one.  An assignment the walk never reaches was cut at its shortest
-    prefix that no reached one shares."""
+    infeasible, every LP the edge filter drops has a row with a negative
+    maximum, every other LP is built and has none, and the search stops
+    at the first feasible one.  An assignment the walk never reaches was
+    cut at its shortest prefix that no reached one shares."""
     reached = {leaf for kind, leaf in events if kind == "leaf"}
     alive = {leaf[:j] for leaf in reached for j in range(len(leaf) + 1)}
     dead = set()
@@ -269,7 +266,7 @@ def _match(tree, events, seen):
             prefix = next(p for p in prefixes if p not in alive)
             seen["prefix cut"] += prefix not in dead and len(prefix) < len(comp_assign)
             dead.add(prefix)
-            _all_infeasible([system for lps in combos for system in lps], seen)
+            _all_infeasible([lp for lps in combos for lp in lps], seen)
             continue
         assert next(events) == ("leaf", comp_assign)
         for lps in combos:
@@ -280,13 +277,17 @@ def _match(tree, events, seen):
                 seen["combo"] += 1
                 _all_infeasible(lps, seen)
                 continue
-            for system in lps:
+            for system, kept in lps:
+                if not kept:
+                    _refuted(system, seen, "dropped placements")
+                    continue
                 kind, built = next(events)
                 assert kind == "lp" and built.rows == system.rows
-                if RowTest(system.rows).refuting_row(system.rows) is None:
-                    if isinstance(lp_feasible(system), Feasible):
-                        assert next(events, None) is None
-                        return
+                assert negative_row(system) is None
+                seen["built"] += 1
+                if isinstance(lp_feasible(system), Feasible):
+                    assert next(events, None) is None
+                    return
     assert next(events, None) is None
 
 
@@ -304,11 +305,13 @@ def _cut_sets(inst):
 def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
     """On seeded paths, stars, spiders and cycles of both variants with up
     to 4 agents, every share LP of every component assignment that the
-    walk cuts, and of every connector combo skipped before building it, is
-    infeasible, with a verified certificate, and every LP it does not skip
-    is built, in order; the combo check skips more than 50 times, also
-    more than 50 times where some agent holds no component, and the walk
-    cuts more than 50 prefixes short of a whole assignment."""
+    walk cuts, of every connector combo skipped before building it and
+    of every placement the floaters' edge filter drops, is infeasible,
+    with a verified certificate, and every LP it does not skip is built,
+    in order, with no row of negative maximum; the combo check skips
+    more than 50 times, also more than 50 times where some agent holds no
+    component, the walk cuts more than 50 prefixes short of a whole
+    assignment, and the edge filter drops more than 50 placements."""
     rng = random.Random(1818)
     events = []
     real_walk = component_lp._assignments
@@ -346,4 +349,5 @@ def test_cut_set_envy_checks_skip_only_infeasible_lps(monkeypatch):
                     del events[:]  # building the tree recorded its LPs too
                     solve_with_cut_set(inst, cut)
                     _match(tree, events, seen)
-    assert min(seen["combo"], seen["with floaters"], seen["prefix cut"]) > 50, seen
+    gates = ("combo", "with floaters", "prefix cut", "dropped placements", "built")
+    assert min(seen[gate] for gate in gates) > 50, seen

@@ -31,7 +31,6 @@ from efgc.linprog import (
     Infeasible,
     LinearForm,
     Optimal,
-    RowTest,
     lp_feasible,
     lp_max,
     verify_certificate,
@@ -501,10 +500,9 @@ def test_paper_route_agrees_with_oracle_on_mixed_classes(monkeypatch):
 
 def _trace_identical_stars() -> list:
     """Trace the search on stars of three identical agents, and on a
-    two-edge path where some placement or critical guess adds a refuting
-    row, and check that the tracer sees one LP solve per built LP that the
-    row test leaves: every other built LP has a refuting row.  Returns the
-    guesses the LPs were built for."""
+    two-edge path where some placement or critical guess would add a
+    refuting row, and check that the tracer sees one LP solve per built
+    LP, in order.  Returns the guesses the LPs were built for."""
     from perfbench.tracer import BOUNDARIES, Tracer
 
     # every name the benchmark's tracer wraps must still exist
@@ -528,9 +526,8 @@ def _trace_identical_stars() -> list:
         assert not solve_few_edges(uneven).yes
         assert solve_few_edges(placed).yes
     lp_spans = [s for s in tracer.spans if s.kind == "linprog.lp_feasible@few_edges"]
-    assert 0 < len(lp_spans) == len(solved) < len(built)
-    left = [system for system in built if RowTest(system.rows).refuting_row(system.rows) is None]
-    assert [id(system) for system in solved] == [id(system) for system in left]
+    assert 0 < len(lp_spans) == len(solved) == len(built)
+    assert [id(system) for system in solved] == [id(system) for system in built]
     return guesses
 
 
@@ -579,8 +576,11 @@ def test_route_rule_takes_the_smaller_count():
 def test_explicit_lp_matches_the_oracle_lp():
     """On every branch that takes the explicit route, the placements are
     the oracle's (each outsider on an edge it values, n[e] on edge e, in
-    the same order), and each placement's LP has the oracle LP's verdict.
-    Two edges with agents inside need four agents, so on the four-agent
+    the same order) less those where an outsider b's edge e has
+    u_b(e) < n[e] times what some holder's outright edges (both ends its,
+    nobody inside) are worth to b; each dropped placement's oracle LP is
+    infeasible, and each kept one's LP has the oracle LP's verdict.  Two
+    edges with agents inside need four agents, so on the four-agent
     triangles only those branches are checked."""
     rng = random.Random(9090)
     corpus = [
@@ -592,7 +592,7 @@ def test_explicit_lp_matches_the_oracle_lp():
     for variant in ("gc", "vdgc") * 2:
         table = random_utilities(rng, agents, ["e1", "e2", "e3"])
         corpus.append((build_instance(*triangle, table, variant), 2))
-    verdicts = {Feasible: 0, Infeasible: 0}
+    verdicts = {Feasible: 0, Infeasible: 0, "dropped": 0}
     for inst, min_hot in corpus:
         edges = inst.graph.edge_ids
         live = [e for e in edges if any(inst.util(a, e) > 0 for a in inst.agents)]
@@ -607,12 +607,26 @@ def test_explicit_lp_matches_the_oracle_lp():
                 for edge_of in product(*options)
                 if all(edge_of.count(e) == base.n[e] for e in edges)
             ]
-            got = list(few_edges._placements(inst, outsiders, dict(base.n)))
-            assert got == want
-            for placement in got:
-                ours = lp_feasible(build_lp(inst, replace(base, placement=placement)))
-                ep, n = dict(base.endpoint_agent), dict(base.n)
+            ep, n = dict(base.endpoint_agent), dict(base.n)
+            outright = [
+                [e for e in edges if ep[e, 0] == h == ep[e, 1] and not n[e]] for h in base.a_v
+            ]
+
+            def kept(placement):
+                return all(
+                    inst.util(b, e) >= n[e] * sum(inst.util(b, f) for f in whole)
+                    for b, e in placement.items() for whole in outright
+                )
+
+            got = list(few_edges._placements(inst, base))
+            assert got == [placement for placement in want if kept(placement)]
+            for placement in want:
                 ref = lp_feasible(_explicit_lp(inst, ep, placement, n, live))
+                if not kept(placement):
+                    assert isinstance(ref, Infeasible), (inst, base, placement)
+                    verdicts["dropped"] += 1
+                    continue
+                ours = lp_feasible(build_lp(inst, replace(base, placement=placement)))
                 assert type(ours) is type(ref), (inst, base, placement)
                 verdicts[type(ours)] += 1
     assert all(verdicts.values()), verdicts

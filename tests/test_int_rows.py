@@ -3,8 +3,8 @@
 The solvers build their rows straight from each agent's int utilities;
 these tests hold those rows to rows built from the normalized
 ``Fraction`` utilities, check that the certificate check weighs each row
-by its denominator, that the row test reads a row the same however
-it was built, and that a witness's pieces are those of its ``Fraction``
+by its denominator, that a row is stored the same however it was
+built, and that a witness's pieces are those of its ``Fraction``
 lengths tiled over their lcm.
 """
 import random
@@ -31,7 +31,6 @@ from efgc.linprog import (
     Infeasible,
     LinearForm,
     LinearSystem,
-    RowTest,
     lp_feasible,
     verify_certificate,
 )
@@ -115,10 +114,10 @@ def test_a_form_row_and_an_int_row_get_one_row_test_verdict():
 
     forms, ints = built_from_forms(), built_from_ints()
     assert sorted(forms.rows) == sorted(ints.rows)
-    for system, at in ((forms, 0), (ints, 3)):
-        assert RowTest(system.rows).refuting_row(system.rows) == at
+    # (-4x - 3y + 1) / 6 in lowest terms, whichever way it was built
+    assert forms.rows[0] == ints.rows[3] == ((("x", -4), ("y", -3)), 1, 6, GE)
+    for system in (forms, ints):
         assert isinstance(lp_feasible(system), Infeasible)
-    assert forms.rows[0] == ints.rows[3]
 
 
 def _vdgc_whole_value_reference(inst, f_prime, end_owners) -> dict:

@@ -15,7 +15,6 @@ from efgc.linprog import (
     LinearForm,
     LinearSystem,
     Optimal,
-    RowTest,
     Unbounded,
     lp_feasible,
     lp_max,
@@ -23,7 +22,7 @@ from efgc.linprog import (
     verify_certificate,
 )
 from efgc.model import InternalError
-from helpers import as_fractions, forms_of, fraction_solve, fraction_strict_feasible, row_certificate
+from helpers import as_fractions, forms_of, fraction_solve, fraction_strict_feasible
 
 F = Fraction
 ONE = F(1)
@@ -241,147 +240,6 @@ def test_verify_certificate_rejects_bad_combinations():
     # a combination that reads 0 >= 1 or 0 >= 0 proves nothing
     assert not verify_certificate(system((x, GE), (one - x, GE)), cert(1, 1))
     assert not verify_certificate(system((x, GE), (-x, GE)), cert(1, 1))
-
-
-y = LinearForm.var("y")
-xy = LinearForm.make({"x": 1, "y": 1})
-
-
-def _tiling_system(*rows) -> LinearSystem:
-    """x, y >= 0 with x + y = 1, then ``rows``."""
-    return system((x, GE), (y, GE), (xy - one, EQ), *rows)
-
-
-def _refuting(sys_: LinearSystem, start: int = 0):
-    return RowTest(sys_.rows).refuting_row(sys_.rows, start)
-
-
-def test_row_test_finds_the_row_whatever_the_order_and_duplicates():
-    # x + y <= 1 and x + y >= 2, with no tiling row: x + y - 2 has no
-    # maximum over x, y >= 0, so the test declines what the simplex refutes
-    rows = [(x, GE), (y, GE), (one - xy, GE), (xy - LinearForm.constant(2), GE)]
-    for order in (rows + rows[3:], [rows[3], rows[2], rows[0], rows[2], rows[1]]):
-        sys_ = system(*order)
-        assert _refuting(sys_) is None
-        assert isinstance(lp_feasible(sys_), Infeasible)
-    # with x + y = 1, the maximum of x + y - 2 is -1
-    far = (xy - LinearForm.constant(2), GE)
-    rows = [(x, GE), (y, GE), (xy - one, EQ), far]
-    for order in (rows + [far], [far, rows[2], rows[0], far, rows[1]]):
-        sys_ = system(*order)
-        row = _refuting(sys_)
-        assert order[row] == far and far not in order[:row]
-        assert _refuting(sys_, row + 1) == order.index(far, row + 1)  # its repeat
-        assert isinstance(lp_feasible(sys_), Infeasible)
-        assert verify_certificate(sys_, row_certificate(sys_, row))
-    feasible = system(rows[2], rows[0], rows[2], rows[1])
-    assert _refuting(feasible) is None
-    assert isinstance(lp_feasible(feasible), Feasible)
-
-
-def test_row_test_declines_without_a_tiling_row():
-    # x >= 0, 1 - x >= 0, x - 2 >= 0: infeasible, but x - 2 has no maximum
-    # over x >= 0; and a feasible system has no refuting row
-    for rows, outcome in (
-        ([(x, GE), (one - x, GE), (x - LinearForm.constant(2), GE)], Infeasible),
-        ([(x, GE), (one - x, GE)], Feasible),
-    ):
-        for order in (rows, rows[::-1]):
-            sys_ = system(*order)
-            assert _refuting(sys_) is None
-            assert isinstance(lp_feasible(sys_), outcome)
-
-
-def test_row_test_certificate_verifies_and_breaks_with_one_multiplier():
-    # 3x + 2z = 6 and x, y, z >= 0 (x's bound scaled and repeated); the
-    # maximum of 1 - 2x - z - y over it is 1 + 6 * max(-2/3, -1/2) = -2
-    z = LinearForm.var("z")
-    sys_ = system(
-        (x.scale(2), GE), (y, GE), (z, GE), (x, GE),
-        (LinearForm.make({"x": 3, "z": 2}, -6), EQ), (xy - one, GE),
-        (one - x.scale(2) - z - y, GE),
-    )
-    row = _refuting(sys_)
-    assert row == 6
-    cert = row_certificate(sys_, row)
-    assert cert.multipliers[row] == 1 and cert.multipliers[4] == F(1, 2)
-    assert verify_certificate(sys_, cert)
-    for k in range(len(cert.multipliers)):
-        bent = list(cert.multipliers)
-        bent[k] += F(1, 3)
-        assert not verify_certificate(sys_, FarkasCertificate(tuple(bent))), k
-
-
-def test_row_test_declines_when_its_premise_fails():
-    z = LinearForm.var("z")
-    refuted = (-xy, GE)  # at most -1 over x + y = 1
-    assert _refuting(_tiling_system(refuted)) == 3
-    # x in two tiling rows
-    twice = _tiling_system((x.scale(2) - one, EQ), refuted)
-    assert _refuting(twice) is None
-    # z has no sign bound, or a positive coefficient: the row has no maximum
-    for rows in ([(z - xy, GE)], [(z, GE), (z - xy, GE)], [(-z - xy, GE)]):
-        sys_ = _tiling_system(*rows)
-        assert _refuting(sys_) is None
-    bounded = _tiling_system((z, GE), (-z - xy, GE))
-    assert _refuting(bounded) == 4
-    # a strict row anywhere
-    strict = _tiling_system(refuted, (x, GT))
-    assert _refuting(strict) is None
-    # a tiling row over a variable with no sign bound is no simplex
-    loose = system((x, GE), (xy - one, EQ), refuted)
-    assert _refuting(loose) is None
-
-
-def _random_tiling_system(rng: random.Random) -> tuple[LinearSystem, int]:
-    """Sign bounds, disjoint tiling rows over some of the variables, a few
-    free variables, then random >= rows; returns the system and the
-    number of rows before the random ones."""
-    names = [f"v{i}" for i in range(rng.randint(2, 7))]
-    rng.shuffle(names)
-    free = names[: rng.randint(0, 1)]
-    rows = []
-    for v in names[len(free):]:
-        rows += [(LinearForm.make({v: rng.randint(1, 3)}), GE)] * rng.choice([1, 1, 2])
-    rest = names[len(free):]
-    while rest and rng.random() < 0.8:
-        k = rng.randint(1, len(rest))
-        part, rest = rest[:k], rest[k:]
-        coeffs = {v: F(rng.randint(1, 4), rng.randint(1, 3)) for v in part}
-        rows.append((LinearForm.make(coeffs, -F(rng.randint(1, 5), rng.randint(1, 2))), EQ))
-    rng.shuffle(rows)
-    base = len(rows)
-    for _ in range(rng.randint(1, 4)):
-        coeffs = {v: F(rng.randint(-4, 2), rng.randint(1, 3)) for v in names if rng.random() < 0.6}
-        rows.append((LinearForm.make(coeffs, F(rng.randint(-2, 3), rng.randint(1, 2))), GE))
-    return system(*rows), base
-
-
-def test_row_test_refutes_exactly_the_rows_with_a_negative_maximum():
-    """Each row's maximum over the bounds and tiling rows, by ``lp_max``,
-    decides the first refuting row; every refutation is sound and its
-    certificate verifies."""
-    rng = random.Random(3131)
-    refuted = 0
-    for _ in range(200):
-        sys_, base = _random_tiling_system(rng)
-        frame = LinearSystem(sys_.variables)
-        frame.rows = sys_.rows[:base]
-        want = None
-        for i in range(base, len(sys_.rows)):
-            best = lp_max(frame, forms_of(sys_)[i][0])
-            if isinstance(best, Optimal) and best.value < 0:
-                want = i
-                break
-        assert RowTest(sys_.rows[:base]).refuting_row(sys_.rows, base) == want
-        # a random row may bound a free variable, so the whole system may refute more
-        got = _refuting(sys_)
-        assert got is None or got >= base
-        if got is not None:
-            refuted += 1
-            assert isinstance(lp_feasible(sys_), Infeasible)
-            assert verify_certificate(sys_, row_certificate(sys_, got))
-    assert 30 < refuted < 170, refuted
 
 
 def _differential_system(rng: random.Random, kind: str) -> LinearSystem:
