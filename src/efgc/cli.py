@@ -61,7 +61,7 @@ from efgc.model import (
     Piece,
     Variant,
     Verdict,
-    normal_row,
+    normal_instance,
     verify_assignment,
 )
 
@@ -105,12 +105,11 @@ def _ratio(token: str, line_no: int) -> tuple[int, int]:
 
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate an instance file; each agent's int pairs go
-    through ``model.normal_row`` with no ``Fraction``, building one instance."""
+    through ``model.normal_instance`` with no ``Fraction``, building one instance."""
     lines = _content_lines(text, "efgc-instance v1")
     variant = None
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
-    agents: list[str] = []
     utilities: dict[str, dict[str, tuple[int, int]]] = {}
     edge_ids: set[str] = set()
     for line_no, line in lines:
@@ -142,7 +141,6 @@ def parse_instance(text: str) -> Instance:
             name = parts[1]
             if name in utilities:
                 raise ParseError(line_no, f"duplicate agent {name}")
-            agents.append(name)
             row: dict[str, tuple[int, int]] = {}
             for term in parts[2:]:
                 if "=" not in term:
@@ -160,22 +158,17 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(line_no, f"unknown directive {kind!r}")
     if variant is None:
         raise ValidationError("missing variant line")
-    if not agents:
+    if not utilities:
         raise ValidationError("no agents declared")
     try:
         graph = Graph(tuple(vertices), tuple(edges))
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    ints: dict[tuple[str, str], int] = {}
-    dens: dict[str, int] = {}
-    for agent in agents:
-        row = utilities[agent]
-        try:
-            scaled, dens[agent] = normal_row(agent, [row.get(e, (0, 1)) for e in graph.edge_ids])
-        except AllZeroAgentError as exc:
-            raise ValidationError(str(exc)) from None
-        ints.update(zip(((agent, e) for e in graph.edge_ids), scaled))
-    return Instance(graph, tuple(agents), ints, dens, variant)
+    rows = {a: [row.get(e, (0, 1)) for e in graph.edge_ids] for a, row in utilities.items()}
+    try:
+        return normal_instance(graph, rows, variant)
+    except AllZeroAgentError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def emit_instance(instance: Instance) -> str:

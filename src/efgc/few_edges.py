@@ -83,16 +83,16 @@ class BranchGuess:
     """One node of the search tree.
 
     ``endpoint_agent`` maps (edge, end) to the agent holding that end,
-    ``n`` counts the agents placed fully inside each edge, and ``a_v``
-    caches the set of endpoint holders.  On the paper's route the
-    critical-agent maps plus the sample point pin down the envy rows; on
-    the explicit route ``placement`` maps every outsider to its edge.
-    Either way, the agents a guess puts on an edge are pinned there: they
-    take that edge's leftmost inside intervals in agent order.
+    ``n`` counts the agents placed fully inside each edge, and ``holders``
+    lists the agents holding an end, in ``instance.agents`` order.  On the
+    paper's route the critical-agent maps plus the sample point pin down
+    the envy rows; on the explicit route ``placement`` maps every outsider
+    to its edge.  Either way, the agents a guess puts on an edge are pinned
+    there: they take that edge's leftmost inside intervals in agent order.
     """
 
     endpoint_agent: Mapping[tuple[str, int], str]
-    a_v: frozenset[str]
+    holders: tuple[str, ...]
     n: Mapping[str, int]
     pair_critical: Mapping[tuple[str, str], str] = field(default_factory=dict)
     vertex_critical: Mapping[tuple[str, str], str] = field(default_factory=dict)
@@ -158,11 +158,11 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     for combo in orbit_leaders(instance, len(units)):
         owner = dict(zip(units, combo))
         ep = {slot: owner[key] for slot, key in zip(slots, keys)}
-        a_v = frozenset(combo)
+        holders = tuple([a for a in agents if a in combo])
         links = _holder_links(instance, ep, vertex_of)
-        for n in counts_by_sum.get(len(agents) - len(a_v), ()):
+        for n in counts_by_sum.get(len(agents) - len(holders), ()):
             if _linked(instance, links, n):
-                yield BranchGuess(ep, a_v, n)
+                yield BranchGuess(ep, holders, n)
 
 
 def _ratio_ge(instance: Instance, a1: str, a2: str, e: str, f: str) -> bool:
@@ -170,10 +170,6 @@ def _ratio_ge(instance: Instance, a1: str, a2: str, e: str, f: str) -> bool:
     ints: each side carries both agents' denominators once."""
     ints = instance.ints
     return ints[a1, e] * ints[a2, f] >= ints[a1, f] * ints[a2, e]
-
-
-def _holder_order(instance: Instance, a_v: frozenset[str]) -> list[str]:
-    return [a for a in instance.agents if a in a_v]
 
 
 def _hot_edges(instance: Instance, n) -> list[str]:
@@ -203,7 +199,7 @@ def _placements(instance: Instance, base: BranchGuess) -> Iterator[dict]:
     b's, and the holders' rows against each other are
     ``_holders_must_envy``'s."""
     ints, ep, n = instance.ints, base.endpoint_agent, base.n
-    outsiders = [a for a in instance.agents if a not in base.a_v]
+    outsiders = [a for a in instance.agents if a not in base.holders]
     outright: dict[str, list[str]] = {}
     for e, k in n.items():
         if not k and ep[e, 0] == ep[e, 1]:
@@ -272,7 +268,7 @@ def enumerate_pair_critical(instance: Instance, guess: BranchGuess) -> Iterator[
     if not pairs:
         yield {}
         return
-    outsiders = [a for a in instance.agents if a not in guess.a_v]
+    outsiders = [a for a in instance.agents if a not in guess.holders]
     for combo in product(outsiders, repeat=len(pairs)):
         pc = dict(zip(pairs, combo))
         if _placed_inside(instance, guess.n, pc) is not None:
@@ -285,17 +281,16 @@ def enumerate_vertex_critical(
     """Guesses of the inside agent per (edge, holder) pair that envies
     the holder the most, judged at the sample point."""
     hot = _hot_edges(instance, guess.n)
-    holders = _holder_order(instance, guess.a_v)
-    slots = [(e, a) for e in hot for a in holders]
+    slots = [(e, a) for e in hot for a in guess.holders]
     if not slots:
         yield {}
         return
     pieces = guessed_pieces(guess.endpoint_agent)
-    outsiders = [a for a in instance.agents if a not in guess.a_v]
+    outsiders = [a for a in instance.agents if a not in guess.holders]
     values = {
         (agent, holder): holdings_value_form(instance, agent, pieces[holder]).evaluate(sample)
         for agent in outsiders
-        for holder in holders
+        for holder in guess.holders
     }
     for combo in product(outsiders, repeat=len(slots)):
         vc = dict(zip(slots, combo))
@@ -336,7 +331,7 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     hot = _hot_edges(instance, guess.n)
     system = LinearSystem()  # the bound rows declare the variables, edge by edge
     pieces = guessed_pieces(guess.endpoint_agent)
-    holders = _holder_order(instance, guess.a_v)
+    holders = guess.holders
     values: dict[tuple[str, str], list[tuple[str, int]]] = {}
 
     def value(valuer: str, holder: str) -> list[tuple[str, int]]:
@@ -380,7 +375,7 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
         envy(agent, (delta_var(e), ints[agent, e]), (delta_var(f), -ints[agent, f]))
-    outsiders = [a for a in instance.agents if a not in guess.a_v]
+    outsiders = [a for a in instance.agents if a not in guess.holders]
     for e in hot:
         for holder in holders:
             alpha = guess.vertex_critical[(e, holder)]
@@ -396,12 +391,14 @@ def _holders_must_envy(ints, base: BranchGuess) -> bool:
     """Does a holder a value the edges where it holds an end below those a
     holder b owns outright (both ends, nobody inside)?  That is the maximum
     of a's envy row against b over the tiling simplices in every LP of the
-    branch, so a's row is negative whatever the lengths."""
+    branch, so a's row is negative whatever the lengths.  The envied b is
+    the outer loop: the endpoint maps give the first ends to the earliest
+    agents, so those most often own an edge outright."""
     ep, n = base.endpoint_agent, base.n
     return any(
         sum(ints[a, e] for e in n if a in (ep[e, 0], ep[e, 1]))
         < sum(ints[a, e] for e in n if ep[e, 0] == b == ep[e, 1] and not n[e])
-        for a in base.a_v for b in base.a_v if a != b
+        for b in base.holders for a in base.holders if a != b
     )
 
 
@@ -455,7 +452,7 @@ def _holder_blocks(instance: Instance, guess: BranchGuess):
     blocks = []
     if not hot:
         return blocks
-    for holder in _holder_order(instance, guess.a_v):
+    for holder in guess.holders:
         held = pieces[holder]  # sorted by edge, then end
         region = LinearSystem()
         for e, i in held:
@@ -491,7 +488,7 @@ def _complete_with_matching(
         for a in instance.agents
     }
     for agent, piece in partial.items():  # everyone there but the holders is pinned
-        if agent not in guess.a_v and piece_utility(agent, piece, instance) < best[agent]:
+        if agent not in guess.holders and piece_utility(agent, piece, instance) < best[agent]:
             return None  # a pinned agent would envy; reject the branch
     unassigned = [a for a in instance.agents if a not in partial]
     graph = compatibility_graph(instance, full_partition, unassigned, leftovers)
@@ -526,7 +523,7 @@ def solve_few_edges(instance: Instance) -> Verdict:
     for base in enumerate_initial_branches(instance):
         if _holders_must_envy(instance.ints, base):
             continue
-        if _explicit_is_no_larger(base.n.values(), len(base.a_v)):
+        if _explicit_is_no_larger(base.n.values(), len(base.holders)):
             guesses = (replace(base, placement=p) for p in _placements(instance, base))
         else:
             guesses = _paper_guesses(instance, base)

@@ -1,6 +1,9 @@
 """Exact rational linear feasibility and optimization.
 
-A small dense simplex: two phases, Bland's anti-cycling pivot rule.
+A small dense two-phase simplex (Chvátal 1983), Bland's anti-cycling
+pivot rule.  ``lp_feasible`` stops when phase one ends and reads its
+witness off that basis; only ``lp_max`` pivots the artificials out, cuts
+their columns and runs phase two on the real columns.
 A constraint is stored as ints over one positive denominator, in lowest
 terms: the tableau row as it stands, and a witness as ints over their
 least common denominator.  Certificates are ``fractions.Fraction``; the
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from efgc.model import InternalError, as_rational
 
@@ -220,8 +223,9 @@ class _Tableau:
 
     Columns, in order: one per variable (its value if sign-restricted,
     its positive part p if free), the negative part q of each free
-    variable, one slack per >= row, one artificial per row; the last
-    entry of a row is its rhs.
+    variable, one slack per >= row (these are the ``n_real`` real
+    columns), then one artificial per row until ``cut_artificials``;
+    the last entry of a row is its rhs.
 
     Every entry is a Python int.  A row stands for itself divided by its
     basic entry, which is kept positive; the objective row for itself
@@ -271,14 +275,14 @@ class _Tableau:
             *self.obj, self.den = _primitive(new + [self.den * p])
         self.basis[pr] = pc
 
-    def run(self, allowed: Sequence[bool]) -> str:
+    def run(self) -> str:
         """Bland's rule until optimal or unbounded; returns the outcome."""
         n = self.n_cols
         rows = self.rows
         basis = self.basis
         while True:
             obj = self.obj
-            pc = next((j for j in range(n) if allowed[j] and obj[j] > 0), -1)
+            pc = next((j for j in range(n) if obj[j] > 0), -1)
             if pc < 0:
                 return "optimal"
             pr, best_r, best_a = -1, 1, 0  # 1/0: no row bounds the step yet
@@ -292,6 +296,23 @@ class _Tableau:
                 return "unbounded"
             self.pivot(pr, pc)
 
+    def cut_artificials(self):
+        """At a phase-one basis of value zero, pivot each basic artificial
+        out on its row's first nonzero real entry (degenerate pivots; a row
+        with none is redundant and goes), then cut the artificial columns."""
+        n_real = self.n_real
+        for i, prow in enumerate(self.rows):
+            if self.basis[i] >= n_real:
+                pc = next((j for j in range(n_real) if prow[j]), -1)
+                if pc >= 0:  # else the row is redundant, and dropped below
+                    if prow[pc] < 0:  # its rhs is 0, so the negated row is the same row
+                        self.rows[i] = [-a for a in prow]
+                    self.pivot(i, pc)
+        kept = [i for i, b in enumerate(self.basis) if b < n_real]
+        self.rows = [_primitive(self.rows[i][:n_real] + self.rows[i][-1:]) for i in kept]
+        self.basis = [self.basis[i] for i in kept]
+        self.n_cols = n_real
+
     def value(self) -> Fraction:
         return Fraction(-self.obj[self.n_cols], self.den)
 
@@ -303,19 +324,22 @@ class _Tableau:
         return den, z
 
 
-def _prepare(system: LinearSystem):
-    """Lay the system out as a tableau with nonnegative columns and rhs.
+def _phase_one(system: LinearSystem) -> Infeasible | tuple[_Tableau, dict[int, int]]:
+    """Lay the system out as a tableau with nonnegative columns and rhs,
+    and maximize minus the sum of the artificials.
 
     A row ``c*x >= 0`` (one variable, c > 0, zero constant) is a sign
     bound: it leaves the tableau and x keeps one column.  Repeated
     bounds on x leave as well.  Only variables without a bound are free
     and split as x = p - q.  Each kept row is negated where its rhs
     would be negative; its int data is the tableau row, and its
-    denominator is its artificial (basic) entry.  Returns
-    the tableau, the sign flip and source constraint of each tableau
-    row, the bound row of each restricted column and the q column of
-    each free one.
+    denominator is its artificial (basic) entry.  Returns an
+    ``Infeasible`` with its certificate, or the tableau at a feasible
+    basis (an artificial still basic is at zero) with the q column of
+    each free variable.
     """
+    if system.has_strict():
+        raise ValueError("strict constraints require strict_feasible")
     variables = system.variables
     col = {v: j for j, v in enumerate(variables)}
     bound: dict[int, int] = {}
@@ -347,7 +371,13 @@ def _prepare(system: LinearSystem):
         row[n_cols] = -flip * const
         rows.append(row)
         flips.append(flip)
-    return _Tableau(rows, n_real), flips, kept, bound, neg
+    tab = _Tableau(rows, n_real)
+    tab.set_objective([0] * n_real + [-1] * len(rows))
+    if tab.run() != "optimal":  # objective bounded above by zero
+        raise InternalError("phase one of the simplex came out unbounded")
+    if tab.value() < 0:
+        return Infeasible(_farkas_from_phase1(tab, system, flips, kept, bound))
+    return tab, neg
 
 
 def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound) -> FarkasCertificate:
@@ -373,71 +403,41 @@ def _farkas_from_phase1(tab: _Tableau, system: LinearSystem, flips, kept, bound)
     return cert
 
 
-def _solve(system: LinearSystem, objective: LinearForm | None):
-    """Shared core: returns Feasible/Infeasible for objective None, else
-    Optimal/Unbounded/Infeasible."""
-    if system.has_strict():
-        raise ValueError("strict constraints require strict_feasible")
-    tab, flips, kept, bound, neg = _prepare(system)
-    m = len(tab.rows)
-    n_real = tab.n_real
+def _witness(system: LinearSystem, tab: _Tableau, neg: dict[int, int]) -> tuple[int, dict[str, int]]:
+    """The basic solution's variables, p - q where split, in ints over
+    their least denominator, re-checked against every row."""
     variables = system.variables
-
-    # phase one: maximize minus the sum of artificials
-    tab.set_objective([0] * n_real + [-1] * m)
-    if tab.run([True] * tab.n_cols) != "optimal":  # objective bounded above by zero
-        raise InternalError("phase one of the simplex came out unbounded")
-    if tab.value() < 0:
-        return Infeasible(_farkas_from_phase1(tab, system, flips, kept, bound))
-
-    # drive any leftover zero-valued artificials out of the basis
-    drop: list[int] = []
-    for i in range(m):
-        if tab.basis[i] >= n_real:
-            prow = tab.rows[i]
-            pc = next((j for j in range(n_real) if prow[j]), -1)
-            if pc < 0:
-                drop.append(i)  # redundant row
-                continue
-            if prow[pc] < 0:  # its rhs is 0, so the negated row is the same row
-                tab.rows[i] = [-a for a in prow]
-            tab.pivot(i, pc)
-    for i in reversed(drop):
-        del tab.rows[i]
-        del tab.basis[i]
-
-    def witness() -> tuple[int, dict[str, int]]:
-        den, z = tab.basic_solution()
-        values = [z[j] - z[neg[j]] if j in neg else z[j] for j in range(len(variables))]
-        *values, den = _primitive(values + [den])
-        point = dict(zip(variables, values))
-        if not system.check(den, point):
-            raise InternalError("LP witness failed re-evaluation")
-        return den, point
-
-    if objective is None:
-        return Feasible(*witness())
-
-    costs2: list = [0] * tab.n_cols
-    for v, c in objective.coeffs:
-        j = variables.index(v)
-        costs2[j] = c
-        if j in neg:
-            costs2[neg[j]] = -c
-    tab.set_objective(costs2)
-    if tab.run([j < n_real for j in range(tab.n_cols)]) == "unbounded":
-        return Unbounded()
-    return Optimal(tab.value() + objective.const, *witness())
+    den, z = tab.basic_solution()
+    values = [z[j] - z[neg[j]] if j in neg else z[j] for j in range(len(variables))]
+    *values, den = _primitive(values + [den])
+    point = dict(zip(variables, values))
+    if not system.check(den, point):
+        raise InternalError("LP witness failed re-evaluation")
+    return den, point
 
 
 def lp_feasible(system: LinearSystem) -> Feasible | Infeasible:
-    """Decide feasibility of a system of = and >= constraints."""
-    return _solve(system, None)
+    """Decide feasibility of a system of = and >= constraints: phase one
+    alone, the witness read off its feasible basis."""
+    start = _phase_one(system)
+    return start if isinstance(start, Infeasible) else Feasible(*_witness(system, *start))
 
 
 def lp_max(system: LinearSystem, objective: LinearForm) -> Optimal | Unbounded | Infeasible:
-    """Maximize an affine objective over = and >= constraints."""
-    return _solve(system, objective)
+    """Maximize an affine objective over = and >= constraints: phase one,
+    the artificial columns cut, then phase two on the real columns."""
+    start = _phase_one(system)
+    if isinstance(start, Infeasible):
+        return start
+    tab, neg = start
+    tab.cut_artificials()
+    coef = dict(objective.coeffs)
+    costs = [coef.get(v, 0) for v in system.variables]
+    costs += [-costs[j] for j in neg] + [0] * (tab.n_cols - len(costs) - len(neg))
+    tab.set_objective(costs)
+    if tab.run() == "unbounded":
+        return Unbounded()
+    return Optimal(tab.value() + objective.const, *_witness(system, tab, neg))
 
 
 _SLACK = "__slack"

@@ -8,7 +8,7 @@ vertex, and VDGC, where every vertex may belong to at most one piece.
 
 All arithmetic is exact.  An instance stores each agent's utilities once,
 as ints over one denominator per agent that they sum to (``Instance.ints``
-and ``Instance.dens``), set where the instance is built (``normal_row``);
+and ``Instance.dens``), set where the instance is built (``normal_instance``);
 ``Instance.util`` reads one as a ``fractions.Fraction``.
 Cut points are Fractions on an ``EdgePiece`` and ints over one
 denominator in a ``Piece``'s ``spans``, which is what the solvers build
@@ -266,18 +266,25 @@ class Instance:
         return {a: b for a, b in prior.items() if b is not None}
 
 
-def normal_row(agent: str, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """An agent's utilities, given as (numerator, denominator) pairs, as
-    ints over the denominator they sum to, in lowest terms: over the lcm
-    of the denominators the row is ints s with total t, and with g their
-    gcd it becomes s // g over t // g (t = 0 raises ``AllZeroAgentError``)."""
-    den = lcm(*(d for _, d in pairs))
-    scaled = [n * (den // d) for n, d in pairs]
-    total = sum(scaled)
-    if not total:
-        raise AllZeroAgentError(f"agent {agent} values every edge at zero")
-    g = gcd(*scaled)
-    return [u // g for u in scaled], total // g
+def normal_instance(
+    graph: Graph, rows: Mapping[str, Sequence[tuple[int, int]]], variant: Variant
+) -> Instance:
+    """The instance in which agent a has the (numerator, denominator) pairs
+    ``rows[a]``, one per edge in edge order, each row put in the normal
+    form in ints: over the lcm of its denominators it is ints s with total
+    t, and with g their gcd it becomes s // g over t // g (t = 0 raises
+    ``AllZeroAgentError``)."""
+    ints: dict[tuple[str, str], int] = {}
+    dens: dict[str, int] = {}
+    for agent, pairs in rows.items():
+        den = lcm(*(d for _, d in pairs))
+        scaled = [n * (den // d) for n, d in pairs]
+        if not (total := sum(scaled)):
+            raise AllZeroAgentError(f"agent {agent} values every edge at zero")
+        g = gcd(*scaled)
+        dens[agent] = total // g
+        ints.update(zip(((agent, e) for e in graph.edge_ids), [u // g for u in scaled]))
+    return Instance(graph, tuple(rows), ints, dens, variant)
 
 
 def build_instance(
@@ -287,20 +294,16 @@ def build_instance(
     variant: Variant | str = Variant.GC,
 ) -> Instance:
     """Convenience constructor; missing utilities default to zero.  Each
-    agent's values are scaled to sum to one (``normal_row``); a utility on
-    an edge the graph lacks raises ``UnknownEdgeError``."""
+    agent's values are scaled to sum to one (``normal_instance``); a
+    utility on an edge the graph lacks raises ``UnknownEdgeError``."""
     graph = Graph(tuple(vertices), tuple(edges))
-    if isinstance(variant, str):
-        variant = Variant(variant)
-    ints: dict[tuple[str, str], int] = {}
-    dens: dict[str, int] = {}
+    rows: dict[str, list[tuple[int, int]]] = {}
     for agent, per_edge in utilities.items():
         if unknown := set(per_edge).difference(graph.edge_position):
             raise UnknownEdgeError(f"unknown edge {min(unknown)!r} in the utilities of {agent}")
-        row = [as_rational(per_edge.get(e, 0)) for e in graph.edge_ids]
-        scaled, dens[agent] = normal_row(agent, [(u.numerator, u.denominator) for u in row])
-        ints.update(zip(((agent, e) for e in graph.edge_ids), scaled))
-    return Instance(graph, tuple(utilities), ints, dens, variant)
+        values = [as_rational(per_edge.get(e, 0)) for e in graph.edge_ids]
+        rows[agent] = [(u.numerator, u.denominator) for u in values]
+    return normal_instance(graph, rows, Variant(variant))
 
 
 def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:

@@ -652,7 +652,7 @@ def initial_branches_reference(instance: Instance) -> list[BranchGuess]:
                 continue
             n = dict(zip(edges, counts))
             if check_connected_guesses(instance, ep, n):
-                out.append(BranchGuess(ep, frozenset(ep.values()), n))
+                out.append(BranchGuess(ep, tuple(a for a in agents if a in ep.values()), n))
     return out
 
 

@@ -443,21 +443,27 @@ def test_fresh_process_roundtrip(tmp_path):
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # the cut sets are tried in first-seen order, never in set order
-    for name, text in (("spider", SPIDER_TEXT), ("cycle4", CYCLE4_TEXT)):
+    # the cut sets are tried in first-seen order, never in set order, and
+    # the few-edges search tries holders in agent order, never in set order
+    for name, text, mode, code in (
+        ("spider", SPIDER_TEXT, "auto", 0),
+        ("cycle4", CYCLE4_TEXT, "auto", 0),
+        ("star3-identical", STAR3_TEXT, "few-edges", 1),
+        ("spider-few-edges", SPIDER_TEXT, "few-edges", 0),
+    ):
         inst_file = tmp_path / f"{name}.efgc"
         inst_file.write_text(text)
         outputs = []
         for hash_seed in ("0", "1"):
             solve = subprocess.run(
-                [sys.executable, "-m", "efgc", "solve", "--in", str(inst_file)],
+                [sys.executable, "-m", "efgc", "solve", "--in", str(inst_file), "--mode", mode],
                 env=_child_env(PYTHONHASHSEED=hash_seed),
                 capture_output=True,
             )
-            assert solve.returncode == 0, solve.stderr
+            assert solve.returncode == code, solve.stderr
             outputs.append(solve.stdout)
         assert outputs[0] == outputs[1], name
-        assert outputs[0].startswith(b"Yes\nefgc-assignment v1\n")
+        assert outputs[0].startswith(b"Yes\nefgc-assignment v1\n" if code == 0 else b"No\n"), name
 
 
 @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ def _every_placement(inst, base):
     outsider on an edge it values above 0, n[e] on edge e, in the same
     order."""
     edges = inst.graph.edge_ids
-    outsiders = [a for a in inst.agents if a not in base.a_v]
+    outsiders = [a for a in inst.agents if a not in base.holders]
     options = [[e for e in edges if base.n[e] and inst.ints[a, e] > 0] for a in outsiders]
     return [
         dict(zip(outsiders, edge_of))
@@ -111,9 +111,9 @@ def test_a_refuting_shared_row_refutes_the_whole_branch():
                     guesses = list(few_edges._paper_guesses(inst, base))
                 else:
                     guesses = [replace(base, placement=p) for p in _every_placement(inst, base)]
-                    if len(base.a_v) == len(inst.agents):  # n = 0 on every edge: two
+                    if len(base.holders) == len(inst.agents):  # n = 0 on every edge: two
                         # bounds and a tiling row per edge, then one row per ordered holder pair
-                        holders = len(base.a_v)
+                        holders = len(base.holders)
                         rows = 3 * len(base.n) + holders * (holders - 1)
                         assert len(build_lp(inst, guesses[0]).rows) == rows
                 systems = [build_lp(inst, guess) for guess in guesses]
@@ -132,7 +132,7 @@ AGENTS3, EDGES4 = ["a1", "a2", "a3"], [e for e, _, _ in GRAPH_SHAPES[4][-1][1]]
 def _route_guesses(inst, base):
     """The guesses ``solve_few_edges`` makes for an initial branch, on the
     route its (possibly patched) route rule picks."""
-    if few_edges._explicit_is_no_larger(base.n.values(), len(base.a_v)):
+    if few_edges._explicit_is_no_larger(base.n.values(), len(base.holders)):
         return (replace(base, placement=p) for p in few_edges._placements(inst, base))
     return few_edges._paper_guesses(inst, base)
 
@@ -171,13 +171,13 @@ def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatc
                         # bounds and tiling, then per holder: its H - 1
                         # rows against holders and h against inside pieces
                         hot = sum(map(bool, base.n.values()))
-                        block = len(base.a_v) - 1 + hot
-                        assert (row - 3 * len(base.n) - hot) % block < len(base.a_v) - 1
+                        block = len(base.holders) - 1 + hot
+                        assert (row - 3 * len(base.n) - hot) % block < len(base.holders) - 1
                     seen[paper, skip, first is not None] += 1
                     ep = base.endpoint_agent
                     seen[paper, "hot edge held whole"] += any(
                         base.n[e] and ep[e, 0] == ep[e, 1] for e in base.n
-                    ) and len(base.a_v) > 1
+                    ) and len(base.holders) > 1
                 del skips[:]
                 if not solve_few_edges(inst).yes:
                     assert skips == refuted

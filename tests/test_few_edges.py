@@ -17,7 +17,6 @@ from efgc.component_lp import solve_cycle, solve_tree_vdgc
 from efgc.few_edges import (
     BranchGuess,
     _holder_blocks,
-    _holder_order,
     build_lp,
     delta_var,
     enumerate_initial_branches,
@@ -228,7 +227,7 @@ def test_inside_length_rows_left_out_are_implied(monkeypatch):
         for e in inst.graph.edge_ids:
             d = delta_var(e)
             rows = [LinearForm.var(d)]
-            for a in _holder_order(inst, guess.a_v):
+            for a in guess.holders:
                 own = holdings_value_form(inst, a, pieces[a]).coeffs
                 rows.append(LinearForm.make(own + ((d, -inst.util(a, e)),)))
             for form in rows:
@@ -256,7 +255,7 @@ def test_sample_region_matches_written_out_bounds(monkeypatch):
             continue
         seen.add(key)
         pieces = guessed_pieces(guess.endpoint_agent)
-        holders = _holder_order(inst, guess.a_v)
+        holders = guess.holders
         for (forms, region), holder in zip(_holder_blocks(inst, guess), holders):
             reference = holder_region_reference(pieces[holder])
             for form, _ in forms_of(reference):
@@ -599,8 +598,8 @@ def test_explicit_lp_matches_the_oracle_lp():
         for base in enumerate_initial_branches(inst):
             if sum(1 for e in edges if base.n[e]) < min_hot:
                 continue
-            assert few_edges._explicit_is_no_larger(list(base.n.values()), len(base.a_v))
-            outsiders = [a for a in inst.agents if a not in base.a_v]
+            assert few_edges._explicit_is_no_larger(list(base.n.values()), len(base.holders))
+            outsiders = [a for a in inst.agents if a not in base.holders]
             options = [[e for e in edges if inst.util(a, e) > 0] for a in outsiders]
             want = [
                 dict(zip(outsiders, edge_of))
@@ -609,7 +608,7 @@ def test_explicit_lp_matches_the_oracle_lp():
             ]
             ep, n = dict(base.endpoint_agent), dict(base.n)
             outright = [
-                [e for e in edges if ep[e, 0] == h == ep[e, 1] and not n[e]] for h in base.a_v
+                [e for e in edges if ep[e, 0] == h == ep[e, 1] and not n[e]] for h in base.holders
             ]
 
             def kept(placement):

@@ -22,7 +22,7 @@ from efgc.component_lp import (
     solve_tree_gc_bounded_degree,
     solve_tree_vdgc,
 )
-from efgc.few_edges import _holder_order, _hot_edges, build_lp, delta_var, solve_few_edges
+from efgc.few_edges import _hot_edges, build_lp, delta_var, solve_few_edges
 from efgc.linprog import (
     EQ,
     GE,
@@ -210,7 +210,7 @@ def _build_lp_reference(inst, guess) -> LinearSystem:
     util = inst.util
     hot = _hot_edges(inst, guess.n)
     pieces = guessed_pieces(guess.endpoint_agent)
-    holders = _holder_order(inst, guess.a_v)
+    holders = guess.holders
     system = LinearSystem()
 
     def value(valuer, holder) -> LinearForm:
@@ -246,7 +246,7 @@ def _build_lp_reference(inst, guess) -> LinearSystem:
             alpha = guess.vertex_critical[(e, holder)]
             s_alpha = value(alpha, holder).evaluate(sample)
             for b in inst.agents:
-                if b not in guess.a_v and util(b, e) * s_alpha >= util(
+                if b not in guess.holders and util(b, e) * s_alpha >= util(
                     alpha, e
                 ) * value(b, holder).evaluate(sample):
                     system.add(d(e, util(b, e)) - value(b, holder), GE)

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from efgc import linprog
 from efgc.linprog import (
     EQ,
     GE,
@@ -293,9 +294,17 @@ def _differential_system(rng: random.Random, kind: str) -> LinearSystem:
     return sys_
 
 
+def _artificial_left(sys_: LinearSystem) -> bool:
+    """Does phase one end feasible with an artificial still basic (at zero)?"""
+    start = linprog._phase_one(sys_)
+    return not isinstance(start, Infeasible) and any(b >= start[0].n_real for b in start[0].basis)
+
+
 def test_integer_tableau_matches_fraction_reference():
     """The int tableau makes the Fraction tableau's pivots: the same
-    verdicts, witnesses, optima and certificate multipliers."""
+    verdicts, witnesses, optima and certificate multipliers.  Where
+    phase one ends with an artificial basic at zero, ``lp_feasible``
+    stops there and the reference drives it out: the same point."""
     rng = random.Random(19680)
     kinds = ("big", "ties", "redundant", "strict")
     seen: Counter[str] = Counter()
@@ -310,9 +319,37 @@ def test_integer_tableau_matches_fraction_reference():
                 (lp_feasible(sys_), fraction_solve(sys_, None)),
                 (lp_max(sys_, objective), fraction_solve(sys_, objective)),
             ]
+            seen["artificial left"] += _artificial_left(sys_)
         for new, ref in pairs:
             assert new == ref, (kind, k)
             seen[f"{kind}/{type(new).__name__}"] += 1
     for outcome in ("big/Infeasible", "big/Optimal", "ties/Optimal", "ties/Unbounded",
-                    "redundant/Optimal", "strict/Feasible", "strict/Infeasible"):
+                    "redundant/Optimal", "strict/Feasible", "strict/Infeasible", "artificial left"):
         assert seen[outcome] >= 5, seen
+
+
+def test_lp_feasible_stops_at_phase_one(monkeypatch):
+    """x + y = 1 with x - y >= 0 and y - x >= 0: phase one ends with the
+    artificial of a zero-constant envy row basic at zero.  ``lp_feasible``
+    makes no pivot after that run and returns the reference's point, which
+    the reference's degenerate drive-out pivots do not move."""
+    y = LinearForm.var("y")
+    sys_ = system((x, GE), (y, GE), (x + y - one, EQ), (x - y, GE), (y - x, GE))
+    events = []
+    run, pivot = linprog._Tableau.run, linprog._Tableau.pivot
+
+    def logged_run(tab, *args):
+        outcome = run(tab, *args)
+        events.append(("run", any(b >= tab.n_real for b in tab.basis)))
+        return outcome
+
+    def logged_pivot(tab, *args):
+        events.append(("pivot", None))
+        pivot(tab, *args)
+
+    monkeypatch.setattr(linprog._Tableau, "run", logged_run)
+    monkeypatch.setattr(linprog._Tableau, "pivot", logged_pivot)
+    res = lp_feasible(sys_)
+    assert events[-1] == ("run", True), events
+    assert res == fraction_solve(sys_, None)
+    assert as_fractions(res) == {"x": F(1, 2), "y": F(1, 2)}
