@@ -10,7 +10,7 @@ solve an exact LP for the share lengths on the remaining cut edges.
 
 What does not depend on F is worked out once per instance and cached on
 it and its graph: the tree-or-cycle check with the subtree masks, edge
-positions, end bits and edge bits, and the classes of identical agents.
+positions, end bits and subtree bits, and the classes of identical agents.
 Per cut set, the components of G - F are read off the subtree masks
 (``_components``), each with one value per agent, and a held set, the
 components one agent holds, has its options worked out once, on first
@@ -260,9 +260,9 @@ def _assignments(
     values = [sum([v[a] << s for a, s in shift]) for v in comp_value]
     tree = graph.subtree_bits
     if tree:
-        bits = graph.edge_bits
-        comp_bits = [sum([bits[e] for e in edges]) for edges in comp_edges]
-        cut_value = {bits[e]: sum([ints[a, e] << s for a, s in shift]) for e in cut}
+        position = graph.edge_position
+        comp_bits = [sum([1 << position[e] for e in edges]) for edges in comp_edges]
+        cut_value = {1 << position[e]: sum([ints[a, e] << s for a, s in shift]) for e in cut}
     # per agent: the vertices it holds, its subtree's edges and its lb
     held, subtree, lb = [0] * n, [0] * n, [0] * n
     union, top, cap = 0, 0, sum([instance.dens[a] << s for a, s in shift])

@@ -11,10 +11,10 @@ along one of two routes and lets an exact LP fill in the lengths:
   ordered agent pair, and tile the first feasible placement;
 * the paper's route: guess envy-critical agents -- per ordered edge
   pair, the inside agent closest to envying the other edge, and per
-  (edge, holder) pair, the one closest to envying the holder at a sample
-  point taken from one cell of the arrangement of envy-comparison
-  forms -- solve the LP, pin the guessed agents and match the rest to
-  the leftover intervals via the compatibility graph.
+  (edge, holder) pair, the one that envies the holder most at a sample
+  point of one cell of the envy-comparison arrangement, by the int test
+  the LP's rows read too (``_envies_no_more``) -- solve the LP, pin them
+  and match the rest to leftover intervals worth their best piece.
 
 With m outsiders, h hot edges (n[e] > 0) and H holders, a branch has
 m!/prod n[e]! placements and at most max(1, m)^(h(h-1) + hH) critical
@@ -53,7 +53,6 @@ from efgc.cells import (
     endpoint_var,
     enumerate_sign_conditions,
     guessed_pieces,
-    holdings_value_form,
     ordering_forms,
 )
 from efgc.linprog import EQ, GE, Feasible, LinearSystem, lp_feasible
@@ -70,8 +69,6 @@ from efgc.model import (
     tile_spans,
     verify_assignment,
 )
-
-ZERO = Fraction(0)
 
 
 def delta_var(edge: str) -> str:
@@ -275,31 +272,42 @@ def enumerate_pair_critical(instance: Instance, guess: BranchGuess) -> Iterator[
             yield pc
 
 
+def _sample_values(instance: Instance, guess: BranchGuess, sample: Mapping) -> dict:
+    """Each outsider b's value of each holder's ends at the sample point,
+    times dens[b]: b's ints over the ends' lengths, keyed (b, holder)."""
+    ints, pieces = instance.ints, guessed_pieces(guess.endpoint_agent)
+    return {
+        (b, holder): sum([ints[b, e] * sample.get(endpoint_var(e, i), 0) for e, i in pieces[holder]])
+        for b in instance.agents if b not in guess.holders
+        for holder in guess.holders
+    }
+
+
+def _envies_no_more(ints, at_sample, b: str, alpha: str, e: str, holder: str) -> bool:
+    """Does b, inside e, envy ``holder`` no more than alpha does at the
+    sample?  u_b(e) * s_alpha >= u_alpha(e) * s_b over ``_sample_values``,
+    both sides times dens[b] * dens[alpha]."""
+    return ints[b, e] * at_sample[alpha, holder] >= ints[alpha, e] * at_sample[b, holder]
+
+
 def enumerate_vertex_critical(
     instance: Instance, guess: BranchGuess, pair_critical: Mapping, sample: Mapping
 ) -> Iterator[dict]:
     """Guesses of the inside agent per (edge, holder) pair that envies
-    the holder the most, judged at the sample point."""
+    the holder the most, judged at the sample point: every other agent
+    guessed inside e envies the holder no more (``_envies_no_more``)."""
     hot = _hot_edges(instance, guess.n)
     slots = [(e, a) for e in hot for a in guess.holders]
     if not slots:
         yield {}
         return
-    pieces = guessed_pieces(guess.endpoint_agent)
+    ints, at_sample = instance.ints, _sample_values(instance, guess, sample)
     outsiders = [a for a in instance.agents if a not in guess.holders]
-    values = {
-        (agent, holder): holdings_value_form(instance, agent, pieces[holder]).evaluate(sample)
-        for agent in outsiders
-        for holder in guess.holders
-    }
     for combo in product(outsiders, repeat=len(slots)):
         vc = dict(zip(slots, combo))
         inside = _placed_inside(instance, guess.n, pair_critical, vc)
-        # alpha must envy the holder at least as much as any other agent
-        # guessed inside e, at the sample point
         if inside is not None and all(
-            instance.util(other, e) * values[(alpha, holder)]
-            >= instance.util(alpha, e) * values[(other, holder)]
+            _envies_no_more(ints, at_sample, other, alpha, e, holder)
             for (e, holder), alpha in vc.items()
             for other in inside[e]
         ):
@@ -317,8 +325,8 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     Explicit route: each placed outsider against the other hot edges and
     every holder, so every ordered agent pair has its envy row.  Paper's
     route: the guessed pair-critical agents against their target edges
-    and, for every agent whose envy ratio at the sample point does not
-    exceed the vertex-critical agent's, that agent against the holder.
+    and, for every agent who envies the holder at the sample point no
+    more than the vertex-critical agent does, that agent against the holder.
     On an edge with nobody inside, d_e would appear only in d_e >= 0 and
     in "holder >= u * d_e", all satisfied by d_e = 0 because holder
     values are non-negative, so the variable and its rows are left out.
@@ -340,9 +348,6 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
                 (endpoint_var(e, i), c) for e, i in pieces[holder] if (c := ints[valuer, e])
             )
         return values[valuer, holder]
-
-    def at_sample(valuer: str, holder: str) -> Fraction:  # valuer's value times dens[valuer]
-        return sum((c * guess.sample_point.get(v, ZERO) for v, c in value(valuer, holder)), ZERO)
 
     def envy(valuer: str, *terms: tuple[str, int]):
         system.add_row(tuple(sorted(t for t in terms if t[1])), 0, dens[valuer], GE)
@@ -375,14 +380,13 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     for (e, f) in sorted(guess.pair_critical):
         agent = guess.pair_critical[(e, f)]
         envy(agent, (delta_var(e), ints[agent, e]), (delta_var(f), -ints[agent, f]))
-    outsiders = [a for a in instance.agents if a not in guess.holders]
+    outsiders = [a for a in instance.agents if a not in holders]
+    at_sample = _sample_values(instance, guess, guess.sample_point)
     for e in hot:
         for holder in holders:
             alpha = guess.vertex_critical[(e, holder)]
-            s_alpha = at_sample(alpha, holder)
             for b in outsiders:
-                # u_b(e) * s_alpha >= u_alpha(e) * s_b, both sides times dens[b] * dens[alpha]
-                if ints[b, e] * s_alpha >= ints[alpha, e] * at_sample(b, holder):
+                if _envies_no_more(ints, at_sample, b, alpha, e, holder):
                     envy(b, (delta_var(e), ints[b, e]), *((v, -c) for v, c in value(b, holder)))
     return system
 
@@ -491,7 +495,7 @@ def _complete_with_matching(
         if agent not in guess.holders and piece_utility(agent, piece, instance) < best[agent]:
             return None  # a pinned agent would envy; reject the branch
     unassigned = [a for a in instance.agents if a not in partial]
-    graph = compatibility_graph(instance, full_partition, unassigned, leftovers)
+    graph = compatibility_graph(instance, best, unassigned, leftovers)
     matching = max_bipartite_matching(graph)
     if not is_perfect(graph, matching):
         return None

@@ -29,6 +29,7 @@ from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
 from efgc.few_edges import check_connected_guesses, delta_var
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, lp_feasible
 from efgc.model import (
+    AllZeroAgentError,
     Assignment,
     EfgcError,
     Instance,
@@ -44,10 +45,6 @@ from efgc.model import (
 
 class EmptyInputError(EfgcError):
     """The value multiset is empty."""
-
-
-class ZeroSumError(EfgcError):
-    """The value multiset sums to zero, so no agent's row can sum to one."""
 
 
 class ScaleExceededWarning(UserWarning):
@@ -77,7 +74,7 @@ def _check_values(values: Sequence[int], positive: bool):
     if any(v < 0 for v in values):
         raise ValueError("values must be non-negative integers")
     if sum(values) == 0:
-        raise ZeroSumError("values sum to zero")
+        raise AllZeroAgentError("values sum to zero")
 
 
 def gen_star_from_numpart(values: Sequence[int]) -> Instance:

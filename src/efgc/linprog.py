@@ -47,7 +47,7 @@ class LinearForm:
     """An affine form: a sparse coefficient vector plus a constant.
 
     Stored canonically (sorted variables, zero coefficients dropped) so
-    forms compare and hash structurally.
+    forms compare and hash structurally; ``make`` builds that form, also for + and -.
     """
 
     coeffs: tuple[tuple[str, Fraction], ...]
@@ -79,17 +79,11 @@ class LinearForm:
             return LinearForm((), ZERO)
         return LinearForm(tuple((v, c * factor) for v, c in self.coeffs), self.const * factor)
 
-    def _merge(self, terms: Iterable[tuple[str, Fraction]], const: Fraction) -> "LinearForm":
-        acc = dict(self.coeffs)
-        for v, c in terms:
-            acc[v] = acc.get(v, ZERO) + c
-        return LinearForm(tuple(sorted(item for item in acc.items() if item[1])), self.const + const)
-
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        return self._merge(other.coeffs, other.const)
+        return LinearForm.make(self.coeffs + other.coeffs, self.const + other.const)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self._merge(((v, -c) for v, c in other.coeffs), -other.const)
+        return self + -other
 
     def __neg__(self) -> "LinearForm":
         return LinearForm(tuple((v, -c) for v, c in self.coeffs), -self.const)
@@ -103,14 +97,14 @@ class LinearSystem:
     as (terms, const, den, relation) for (sum c*v + const) / den, in lowest
     terms with den > 0.
 
-    Variables referenced by any constraint are declared automatically in
-    first-appearance order; the declaration order fixes the simplex
-    column order and therefore the pivot sequence.
+    ``variables`` maps each variable to its simplex column.  Variables
+    referenced by any constraint are declared automatically in
+    first-appearance order; the declaration order fixes the column order
+    and therefore the pivot sequence.
     """
 
     def __init__(self, variables: Iterable[str] = ()):
-        self.variables: list[str] = []
-        self._known: set[str] = set()
+        self.variables: dict[str, int] = {}
         self.rows: list[tuple] = []
         for v in variables:
             self.declare(v)
@@ -121,9 +115,8 @@ class LinearSystem:
         return self.rows
 
     def declare(self, var: str):
-        if var not in self._known:
-            self._known.add(var)
-            self.variables.append(var)
+        if var not in self.variables:
+            self.variables[var] = len(self.variables)
 
     def add(self, form: LinearForm, rel: str):
         if rel not in _RELATIONS:
@@ -340,8 +333,7 @@ def _phase_one(system: LinearSystem) -> Infeasible | tuple[_Tableau, dict[int, i
     """
     if system.has_strict():
         raise ValueError("strict constraints require strict_feasible")
-    variables = system.variables
-    col = {v: j for j, v in enumerate(variables)}
+    col = system.variables
     bound: dict[int, int] = {}
     kept: list[int] = []
     for i, (terms, const, _, rel) in enumerate(system.rows):
@@ -349,9 +341,9 @@ def _phase_one(system: LinearSystem) -> Infeasible | tuple[_Tableau, dict[int, i
             bound.setdefault(col[terms[0][0]], i)
         else:
             kept.append(i)
-    free = [j for j in range(len(variables)) if j not in bound]
-    neg = {j: len(variables) + k for k, j in enumerate(free)}
-    slack = len(variables) + len(free)
+    free = [j for j in range(len(col)) if j not in bound]
+    neg = {j: len(col) + k for k, j in enumerate(free)}
+    slack = len(col) + len(free)
     n_real = slack + sum(system.rows[i][3] == GE for i in kept)
     n_cols = n_real + len(kept)
     rows, flips = [], []

@@ -2,9 +2,9 @@
 
 The final solver step: after the guessed agents take their pieces, the
 remaining agents must be paired with the remaining single-interval
-pieces.  An agent is compatible with a piece when taking it leaves the
-agent envying nobody, which only depends on the fixed partition, so a
-perfect matching in the compatibility graph completes the assignment.
+pieces.  An agent is compatible with a piece worth at least its best
+piece of the fixed partition (the caller's ``best`` table): taking it
+envies nobody, so a perfect matching completes the assignment.
 
 Sizes are bounded by the number of agents, so a plain augmenting-path
 search with deterministic scan order is used.
@@ -12,7 +12,8 @@ search with deterministic scan order is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 from efgc.model import Instance, Piece, piece_utility
 
@@ -26,18 +27,16 @@ class Bigraph:
 
 def compatibility_graph(
     instance: Instance,
-    full_partition: Sequence[Piece],
+    best: Mapping[str, Fraction],
     unassigned_agents: Sequence[str],
     leftover_pieces: Sequence[Piece],
 ) -> Bigraph:
-    """Join agent a to piece p iff a values p at least as much as every
-    piece of the partition (so assigning a to p causes no envy)."""
+    """Join agent a to piece p iff a values p at least at ``best[a]``, the
+    most a values any piece of the partition (so taking p envies nobody)."""
     edges = set()
     for li, agent in enumerate(unassigned_agents):
-        values = [piece_utility(agent, q, instance) for q in full_partition]
-        best = max(values) if values else None
         for ri, piece in enumerate(leftover_pieces):
-            if best is None or piece_utility(agent, piece, instance) >= best:
+            if piece_utility(agent, piece, instance) >= best[agent]:
                 edges.add((li, ri))
     return Bigraph(
         tuple(unassigned_agents), tuple(range(len(leftover_pieces))), frozenset(edges)

@@ -144,7 +144,7 @@ class Graph:
 
     @cached_property
     def edge_position(self) -> dict[str, int]:
-        """Each edge's index in ``edges``."""
+        """Each edge's index in ``edges``; its bit in an edge mask is 1 << index."""
         return {e: i for i, e in enumerate(self.edge_ids)}
 
     @cached_property
@@ -183,18 +183,13 @@ class Graph:
         return tables
 
     @cached_property
-    def edge_bits(self) -> dict[str, int]:
-        """Each edge's bit, 1 << its index in ``edges``."""
-        return {e: 1 << i for i, e in enumerate(self.edge_ids)}
-
-    @cached_property
     def subtree_bits(self) -> tuple[tuple[int, int], ...]:
         """On a tree, each edge's ``subtree_masks`` mask paired with its
-        bit (``edge_bits``); empty for any other graph."""
+        bit, 1 << its ``edge_position``; empty for any other graph."""
         if not self.is_tree():
             return ()
         below = self.subtree_masks[None]
-        return tuple((below[e], bit) for e, bit in self.edge_bits.items())
+        return tuple((below[e], 1 << i) for e, i in self.edge_position.items())
 
     def coord_vertex(self, edge: str, coord: int) -> str:
         """The vertex sitting at coordinate ``coord`` (0 or 1) of ``edge``."""

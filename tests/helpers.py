@@ -949,7 +949,7 @@ def fraction_solve(system: LinearSystem, objective: LinearForm | None):
 
     costs2 = [ZERO] * tab.n_cols
     for v, c in objective.coeffs:
-        j = variables.index(v)
+        j = list(variables).index(v)
         costs2[j] = Fraction(c)
         if j in neg:
             costs2[neg[j]] = -costs2[j]

@@ -495,6 +495,20 @@ def test_gc_tree_cuts_from_vertex_closures_alone_keep_list_and_order():
             )
 
 
+def test_gc_trees_need_vertex_closures():
+    # edges alone (k = |A|) would not do for the gc family: the uniform
+    # six-leaf star is Yes, yet every cut of two single edges leaves one
+    # component worth 4/6 to both agents, and a three-edge cut is needed
+    inst = gen_star_from_numpart([1] * 6)
+    verdict = solve_tree_gc_bounded_degree(inst)
+    assert verdict.yes and verify_assignment(inst, verdict.assignment).valid
+    edges = inst.graph.edge_ids
+    pairs = list(combinations(edges, 2))
+    assert len(inst.agents) == 2 and len(pairs) == 15
+    assert not any(solve_with_cut_set(inst, cut).yes for cut in pairs)
+    assert any(solve_with_cut_set(inst, cut).yes for cut in combinations(edges, 3))
+
+
 def _components_by_mask(graph, cut):
     """``_components`` as reference ``Component``s, with each cut edge's
     end components."""

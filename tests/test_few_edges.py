@@ -1,8 +1,9 @@
 import importlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -495,6 +496,36 @@ def test_paper_route_agrees_with_oracle_on_mixed_classes(monkeypatch):
     opened = force_paper_route(monkeypatch)
     _agree_on_mixed_classes()
     assert opened
+
+
+def test_sample_envy_order_is_the_ordering_form_sign(monkeypatch):
+    # the one int comparison both vertex-critical guessing and build_lp
+    # read agrees, at every sample the route evaluates, with the sign of
+    # the comparison form built as cells.ordering_forms builds its forms
+    force_paper_route(monkeypatch)
+    seen = {}
+    vertex_critical = few_edges.enumerate_vertex_critical
+
+    def recording(instance, guess, pair_critical, sample):
+        seen[id(instance), repr(guess), repr(sample)] = instance, guess, sample
+        return vertex_critical(instance, guess, pair_critical, sample)
+
+    monkeypatch.setattr(few_edges, "enumerate_vertex_critical", recording)
+    _agree_on_mixed_classes()
+    answers = Counter()
+    for inst, guess, sample in seen.values():
+        at_sample = few_edges._sample_values(inst, guess, sample)
+        pieces = guessed_pieces(guess.endpoint_agent)
+        outsiders = [a for a in inst.agents if a not in guess.holders]
+        for holder in guess.holders:
+            value = {a: holdings_value_form(inst, a, pieces[holder]) for a in outsiders}
+            for e in [e for e in inst.graph.edge_ids if guess.n[e]]:
+                for b, alpha in permutations(outsiders, 2):
+                    form = value[alpha].scale(inst.util(b, e)) - value[b].scale(inst.util(alpha, e))
+                    got = few_edges._envies_no_more(inst.ints, at_sample, b, alpha, e, holder)
+                    assert got == (form.evaluate(sample) >= 0), (inst.graph.edges, guess, b, alpha)
+                    answers[got] += 1
+    assert sum(answers.values()) > 50 and answers[True] and answers[False]
 
 
 def _trace_identical_stars() -> list:

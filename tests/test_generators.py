@@ -11,7 +11,6 @@ from efgc.few_edges import solve_few_edges
 from efgc.generators import (
     EmptyInputError,
     ScaleExceededWarning,
-    ZeroSumError,
     blowup_gc_to_vdgc,
     gen_ladder_tw2,
     gen_matching_plus_two,
@@ -19,7 +18,7 @@ from efgc.generators import (
     numpart_dp,
     solve_explicit_oracle,
 )
-from efgc.model import Variant, verify_assignment
+from efgc.model import AllZeroAgentError, Variant, verify_assignment
 from helpers import (
     dominant,
     numpart_family_solvable,
@@ -67,7 +66,7 @@ def test_star_generator_structure():
 
 @pytest.mark.parametrize(
     "generate, zero_sum_error",
-    [(gen_star_from_numpart, ZeroSumError), (gen_matching_plus_two, ValueError), (gen_ladder_tw2, ValueError)],
+    [(gen_star_from_numpart, AllZeroAgentError), (gen_matching_plus_two, ValueError), (gen_ladder_tw2, ValueError)],
     ids=["star", "matching2", "ladder"],
 )
 def test_generator_guards(generate, zero_sum_error):

@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 from efgc.matching import Bigraph, compatibility_graph, is_perfect, max_bipartite_matching
-from efgc.model import EdgePiece, Piece
+from efgc.model import EdgePiece, Piece, piece_utility
 from helpers import single_edge
 
 F = Fraction
+
+
+def best_of(inst, partition) -> dict:
+    """Each agent's value of its best piece of ``partition``."""
+    return {a: max(piece_utility(a, q, inst) for q in partition) for a in inst.agents}
 
 
 def graph_of(n_left, n_right, edges) -> Bigraph:
@@ -70,7 +75,7 @@ def test_compatibility_equal_halves():
         Piece([EdgePiece("e1", 0, F(1, 2))]),
         Piece([EdgePiece("e1", F(1, 2), 1, False, True)]),
     ]
-    g = compatibility_graph(inst, halves, ["a", "b"], halves)
+    g = compatibility_graph(inst, best_of(inst, halves), ["a", "b"], halves)
     assert g.edges == frozenset([(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
@@ -78,7 +83,7 @@ def test_compatibility_rejects_dominated_piece():
     inst = single_edge({"a": 1})
     small = Piece([EdgePiece("e1", 0, F(1, 4))])
     large = Piece([EdgePiece("e1", F(1, 4), 1, False, True)])
-    g = compatibility_graph(inst, [small, large], ["a"], [small])
+    g = compatibility_graph(inst, best_of(inst, [small, large]), ["a"], [small])
     assert g.edges == frozenset()
 
 
@@ -89,7 +94,7 @@ def test_compatibility_uniform_leftovers_all_or_nothing():
         Piece([EdgePiece("e1", F(1, 3), F(2, 3), False, True)]),
         Piece([EdgePiece("e1", F(2, 3), 1, False, True)]),
     ]
-    g = compatibility_graph(inst, thirds, ["a", "b"], thirds)
+    g = compatibility_graph(inst, best_of(inst, thirds), ["a", "b"], thirds)
     for li in range(2):
         degree = sum(1 for l, _ in g.edges if l == li)
         assert degree in (0, 3)
