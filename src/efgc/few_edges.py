@@ -1,10 +1,9 @@
 """Decision procedure for arbitrary connected graphs with few edges.
 
 The search first guesses, for both ends of every edge, the agent whose
-piece contains that end (one map per orbit of identical agents, see
-``orbit_leaders``), plus the number n[e] of agents placed fully inside
-each edge (an initial branch).  It finishes each initial branch
-along one of two routes and lets an exact LP fill in the lengths:
+piece contains that end, plus the number n[e] of agents placed fully
+inside each edge (an initial branch).  It finishes each branch along one
+of two routes and lets an exact LP fill in the lengths:
 
 * explicit placements: put every outsider (an agent holding no end) on
   an edge it values, n[e] on edge e, solve one LP with an envy row per
@@ -31,11 +30,14 @@ vertex), and each LP states each constraint once, as ``build_lp`` and
 Sample points are enumerated per holder: holders' length variables are
 disjoint, so the joint cells are the product of the per-holder ones.
 
-An initial branch in which some holder must envy another whatever the
-lengths is skipped before any LP (``_holders_must_envy``), and so is a
-placement that makes an outsider envy a holder whatever the lengths
-(``_placements``); both tests are in ints, and every LP built goes
-straight to the simplex.
+The endpoint maps are walked depth first, one per orbit of identical
+agents, in the order of trying every map: the first feasible branch
+gives the witness.  A prefix is cut when a holder's ends cannot be linked
+or when every agent holds an end and one must envy another whatever the
+lengths (``enumerate_initial_branches``); with outsiders such a branch is
+skipped before any LP (``_holders_must_envy``), as is a placement that
+makes an outsider envy a holder whatever the lengths (``_placements``).
+These tests are in ints, and every LP built goes straight to the simplex.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
@@ -45,8 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, combinations, product
 from math import factorial, prod
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from efgc.cells import (
@@ -64,7 +67,6 @@ from efgc.model import (
     Piece,
     Variant,
     Verdict,
-    orbit_leaders,
     piece_utility,
     tile_spans,
     verify_assignment,
@@ -97,68 +99,102 @@ class BranchGuess:
     placement: Mapping[str, str] | None = None
 
 
-def _holder_links(instance: Instance, endpoint_agent, vertex_of) -> list[tuple[set[str], list[str]]]:
-    """Per holder whose ends sit at two or more vertices: those vertices,
-    and the edges whose two ends are both guessed for the holder;
-    ``vertex_of`` maps each edge end to its vertex."""
-    graph = instance.graph
-    ends: dict[str, set[str]] = {}
-    for slot, agent in endpoint_agent.items():
-        ends.setdefault(agent, set()).add(vertex_of[slot])
-    return [
-        (vertices, [e for e in graph.edge_ids if endpoint_agent[e, 0] == a == endpoint_agent[e, 1]])
-        for a, vertices in ends.items() if len(vertices) > 1
-    ]
-
-
-def _linked(instance: Instance, links, n) -> bool:
-    """Can each holder of ``links`` link its vertices through the edges
-    it owns outright: its two-end edges with nobody inside?"""
-    for vertices, both in links:
-        root = instance.graph.roots([e for e in both if not n.get(e, 0)])
-        if len({root[v] for v in vertices}) > 1:
+def _joined(vertices: int, usable: int, links: Sequence[tuple[int, int]]) -> bool:
+    """Do the edges in mask ``usable`` join every vertex in mask
+    ``vertices``?  ``links`` pairs each edge's bit with its ends' mask."""
+    reach = vertices & -vertices
+    while vertices & ~reach:
+        before = reach
+        for bit, ends in links:
+            if usable & bit and reach & ends:
+                reach |= ends
+        if reach == before:
             return False
     return True
 
 
-def check_connected_guesses(instance: Instance, endpoint_agent, n) -> bool:
-    """Each holder's guessed ends must be linkable through edges that the
-    holder owns outright (both ends guessed for it, nobody inside)."""
-    vertex_of = {(e, i): instance.graph.coord_vertex(e, i) for e, i in endpoint_agent}
-    return _linked(instance, _holder_links(instance, endpoint_agent, vertex_of), n)
+def _endpoint_maps(instance: Instance, links) -> Iterator[tuple[dict, tuple[str, ...], list]]:
+    """The endpoint maps no dead prefix cuts, with their holders and, per
+    holder of 2+ vertices, the masks of those and of its two-end edges."""
+    graph, agents, n_agents = instance.graph, instance.agents, len(instance.agents)
+    slots = [(e, i) for e in graph.edge_ids for i in (0, 1)]
+    ends = [bit for e in graph.edge_ids for bit in graph.end_bits[e]]  # per slot: its vertex's bit
+    keys = ends if instance.variant is Variant.VDGC else slots  # per slot: its unit
+    index = {key: k for k, key in enumerate(dict.fromkeys(keys))}  # units in first-appearance order
+    unit_of, last = [index[key] for key in keys], len(index)
+    vertex, touch = [0] * last, [0] * last  # per unit: its vertex's bit, its edges' bits
+    for s, k in enumerate(unit_of):
+        vertex[k], touch[k] = ends[s], touch[k] | 1 << (s >> 1)
+    open_at = [*accumulate(touch[::-1], or_)][::-1] + [0]  # per depth: edges with an end left
+    rows = [[(1 << j, instance.ints[a, e]) for j, e in enumerate(graph.edge_ids)] for a in agents]
+    twin = [agents.index(instance.prior_twin.get(a, a)) for a in agents]  # x itself if none
+    # per agent: its vertices, the edges it holds an end of, both ends of; per unit: its agent
+    verts, held, whole, assign = [0] * n_agents, [0] * n_agents, [0] * n_agents, [0] * last
+
+    def walk(k: int, blocked: list[int], holding: int) -> Iterator:
+        # units k on; blocked[c]: the edges another agent holds an end of
+        bits, edges, after = vertex[k], touch[k], open_at[k + 1]
+        for x in range(n_agents):
+            v0, h0, w0 = verts[x], held[x], whole[x]
+            if twin[x] != x and not verts[twin[x]]:
+                continue  # the orbit rule
+            verts[x], held[x], whole[x], assign[k] = v0 | bits, h0 | edges, w0 | edges & h0, x
+            fenced = [b if c == x else b | edges for c, b in enumerate(blocked)]
+            now = holding + (not v0)
+            dead = any(  # link: a holder whose vertices or usable edges changed
+                v & (v - 1) and (v != v0 if c == x else edges & ~blocked[c])
+                and not _joined(v, ~fenced[c], links)
+                for c, v in enumerate(verts)
+            ) or now == n_agents and (now > holding or after != open_at[k]) and any(
+                sum([u for bit, u in rows[a] if bit & (held[a] | after)])
+                < sum([u for bit, u in rows[a] if bit & whole[b]])  # envy
+                for b in range(n_agents) if whole[b] for a in range(n_agents) if a != b
+            )
+            if not dead and k + 1 < last:
+                yield from walk(k + 1, fenced, now)
+            elif not dead:
+                ep = dict(zip(slots, [agents[assign[u]] for u in unit_of]))
+                yield ep, tuple([a for a, v in zip(agents, verts) if v]), [
+                    (v, w) for v, w in zip(verts, whole) if v & (v - 1)]
+            verts[x], held[x], whole[x] = v0, h0, w0
+
+    return walk(0, [0] * n_agents, 0)
 
 
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     """One endpoint-holder map per orbit of identical agents, crossed with
     every inside-count map placing exactly the agents that hold no end,
-    minus the guesses whose holders' ends cannot be linked; in lexicographic
-    order of the edge ends (edge by edge, end 0 first), then of the counts.
+    less the guesses whose holders' ends cannot be linked and, with every
+    agent holding an end, those that ``_holders_must_envy`` skips; in
+    lexicographic order of the edge ends, then of the counts.
 
-    Under VDGC all ends at one vertex belong to one agent, so one owner
-    is guessed per vertex, the vertices taken in the order they first
-    appear among the edge ends.  Two consistent maps first differ at the
-    first appearance of some vertex, so this yields the same maps in the
-    same order as filtering all maps of the ends; the order is kept
-    because the first feasible branch gives the witness.
+    ``_endpoint_maps`` walks units depth first: edge ends under GC, and
+    under VDGC, where the ends at a vertex have one owner, vertices in
+    order of first appearance.  An agent may take a unit once the one
+    before it in its class (``prior_twin``) holds one, so the walk meets
+    the least map of each orbit.  Each cut stays true as the prefix grows.
+    Link: a holder's vertices are not joined by the edges with no end of
+    another agent (at a leaf, its two-end edges).  Envy: every agent holds
+    an end (so n = 0), and a holder a values the edges it holds an end of
+    or with an end left (a shrinking set) below those whose two ends b
+    holds (a growing one); at a leaf this is ``_holders_must_envy``.  A
+    node tests the holders whose vertices or usable edges it changed; a
+    leaf, those with a hot two-end edge.  Count maps for m outsiders, the
+    compositions of m into |E| parts, are made once per m.
     """
-    graph = instance.graph
-    agents = instance.agents
-    edges = graph.edge_ids
-    slots = [(e, i) for e in edges for i in (0, 1)]
-    vertex_of = {(e, i): graph.coord_vertex(e, i) for e, i in slots}
-    # each slot's owner is that of its unit: its vertex under VDGC, else itself
-    keys = list(vertex_of.values()) if instance.variant is Variant.VDGC else slots
-    units = list(dict.fromkeys(keys))
-    counts_by_sum: dict[int, list[dict[str, int]]] = {}
-    for counts in product(range(len(agents) + 1), repeat=len(edges)):
-        counts_by_sum.setdefault(sum(counts), []).append(dict(zip(edges, counts)))
-    for combo in orbit_leaders(instance, len(units)):
-        owner = dict(zip(units, combo))
-        ep = {slot: owner[key] for slot, key in zip(slots, keys)}
-        holders = tuple([a for a in agents if a in combo])
-        links = _holder_links(instance, ep, vertex_of)
-        for n in counts_by_sum.get(len(agents) - len(holders), ()):
-            if _linked(instance, links, n):
+    edges, size = instance.graph.edge_ids, len(instance.graph.edge_ids)
+    links = [(1 << j, sum(instance.graph.end_bits[e])) for j, e in enumerate(edges)]
+    counts: dict[int, list[tuple[dict[str, int], int]]] = {}  # per m: each map and its hot edges
+    for ep, holders, multi in _endpoint_maps(instance, links):
+        m = len(instance.agents) - len(holders)
+        if m not in counts:
+            counts[m] = [  # the parts between bars placed in lexicographic order
+                (dict(zip(edges, c)), sum([1 << j for j, p in enumerate(c) if p]))
+                for bars in combinations(range(m + size - 1), size - 1)
+                for c in [[b - a - 1 for a, b in zip((-1, *bars), (*bars, m + size - 1))]]
+            ]
+        for n, hot in counts[m]:
+            if all(not w & hot or _joined(v, w & ~hot, links) for v, w in multi):
                 yield BranchGuess(ep, holders, n)
 
 

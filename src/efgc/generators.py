@@ -26,7 +26,7 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from efgc.cells import endpoint_var, guessed_pieces, holdings_value_form
-from efgc.few_edges import check_connected_guesses, delta_var
+from efgc.few_edges import delta_var
 from efgc.linprog import EQ, GE, Feasible, LinearForm, LinearSystem, lp_feasible
 from efgc.model import (
     AllZeroAgentError,
@@ -185,6 +185,18 @@ def _endpoint_functions(inst: Instance) -> Iterator[dict]:
     else:
         for combo in product(inst.agents, repeat=len(slots)):
             yield dict(zip(slots, combo))
+
+
+def check_connected_guesses(instance: Instance, ep, n) -> bool:
+    """Each holder's guessed ends (``ep``: edge end -> holder) must be
+    linkable through the edges it owns outright (both ends, nobody inside)."""
+    graph = instance.graph
+    for holder in set(ep.values()):
+        outright = [e for e in graph.edge_ids if ep[e, 0] == holder == ep[e, 1] and not n[e]]
+        root = graph.roots(outright)
+        if len({root[graph.coord_vertex(e, i)] for (e, i), a in ep.items() if a == holder}) > 1:
+            return False
+    return True
 
 
 def _explicit_lp(inst: Instance, ep: dict, inside: dict, n: dict, live: list[str]) -> LinearSystem:

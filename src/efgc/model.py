@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -299,39 +298,6 @@ def build_instance(
         values = [as_rational(per_edge.get(e, 0)) for e in graph.edge_ids]
         rows[agent] = [(u.numerator, u.denominator) for u in values]
     return normal_instance(graph, rows, Variant(variant))
-
-
-def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
-    """The sequences of ``length`` agents least, in ``instance.agents``
-    order, among their renamings of identical agents (``prior_twin``), in
-    lexicographic order: an agent may come once the one before it in its
-    class has (``product`` when no two are identical).  Renaming identical
-    agents maps feasible branches to feasible ones, so the first feasible
-    branch in lexicographic order is among these.  The walk is depth
-    first with one list as the prefix, so each sequence is yielded once,
-    straight from the loop."""
-    agents, prior = instance.agents, instance.prior_twin
-    if not prior:
-        return product(agents, repeat=length)
-
-    def walk() -> Iterator[tuple[str, ...]]:
-        prefix: list[str] = []
-        tried = [0]  # tried[j]: the agents tried so far at position j
-        while tried:
-            if len(prefix) == length:
-                yield tuple(prefix)
-            elif tried[-1] < len(agents):
-                a = agents[tried[-1]]
-                tried[-1] += 1
-                if a not in prior or prior[a] in prefix:
-                    prefix.append(a)
-                    tried.append(0)
-                continue
-            tried.pop()
-            if prefix:
-                prefix.pop()
-
-    return walk()
 
 
 @dataclass(frozen=True)

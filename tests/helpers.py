@@ -7,12 +7,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import efgc.few_edges as few_edges
 from efgc.cells import endpoint_var, guessed_pieces
-from efgc.few_edges import BranchGuess, check_connected_guesses
-from efgc.generators import numpart_dp, solve_explicit_oracle
+from efgc.few_edges import BranchGuess
+from efgc.generators import check_connected_guesses, numpart_dp, solve_explicit_oracle
 from efgc.linprog import (
     EQ,
     GE,
@@ -366,6 +366,23 @@ def mixed_classes_corpus() -> tuple[tuple[Instance, bool], ...]:
     return tuple(corpus)
 
 
+@lru_cache(maxsize=None)
+def four_agent_triangles() -> tuple[tuple[Instance, bool], ...]:
+    """A triangle with four agents of seeded random rows, both variants,
+    each with the oracle's verdict.  On a cycle, two holders can hold the
+    two ends of an edge that has nobody inside while two outsiders sit
+    inside another edge: on a tree each holder's ends must be linked by
+    its outright edges, so with two holders the only edge they share is
+    the hot one, and three agents leave no room for two outsiders."""
+    rng = random.Random(0)
+    table = random_utilities(rng, ["a1", "a2", "a3", "a4"], ["e1", "e2", "e3"], max_num=3)
+    corpus = []
+    for variant in ("gc", "vdgc"):
+        inst = build_instance(*GRAPH_SHAPES[3][2], table, variant)
+        corpus.append((inst, solve_explicit_oracle(inst).yes))
+    return tuple(corpus)
+
+
 def renamings(classes: Sequence[Sequence[str]]) -> list[dict[str, str]]:
     """Every renaming of the agents that permutes each class within
     itself, as a map from each agent to its new name."""
@@ -382,6 +399,37 @@ def least_in_orbit(classes: Sequence[Sequence[str]], agents: Sequence[str], seq)
     rank = {a: i for i, a in enumerate(agents)}
     key = [rank[a] for a in seq]
     return all([rank[rename[a]] for a in seq] >= key for rename in renamings(classes))
+
+
+def orbit_leaders(instance: Instance, length: int) -> Iterator[tuple[str, ...]]:
+    """The sequences of ``length`` agents least, in ``instance.agents``
+    order, among their renamings of identical agents (``prior_twin``), in
+    lexicographic order: an agent may come once the one before it in its
+    class has (``product`` when no two are identical).  Kept as the
+    reference for the two searches' depth-first walks, which enforce
+    this rule themselves and cut dead prefixes."""
+    agents, prior = instance.agents, instance.prior_twin
+    if not prior:
+        return product(agents, repeat=length)
+
+    def walk() -> Iterator[tuple[str, ...]]:
+        prefix: list[str] = []
+        tried = [0]  # tried[j]: the agents tried so far at position j
+        while tried:
+            if len(prefix) == length:
+                yield tuple(prefix)
+            elif tried[-1] < len(agents):
+                a = agents[tried[-1]]
+                tried[-1] += 1
+                if a not in prior or prior[a] in prefix:
+                    prefix.append(a)
+                    tried.append(0)
+                continue
+            tried.pop()
+            if prefix:
+                prefix.pop()
+
+    return walk()
 
 
 def criterion_4_instances() -> list[Instance]:
@@ -654,6 +702,76 @@ def initial_branches_reference(instance: Instance) -> list[BranchGuess]:
             if check_connected_guesses(instance, ep, n):
                 out.append(BranchGuess(ep, tuple(a for a in agents if a in ep.values()), n))
     return out
+
+
+def endpoint_units(instance: Instance) -> tuple[list[tuple[str, int]], list]:
+    """The edge ends in the search's order, and each end's unit: its
+    vertex under VDGC, the end itself under GC."""
+    graph = instance.graph
+    slots = [(e, i) for e in graph.edge_ids for i in (0, 1)]
+    if instance.variant is Variant.VDGC:
+        return slots, [graph.coord_vertex(e, i) for e, i in slots]
+    return slots, slots
+
+
+def orbit_maps_reference(instance: Instance) -> list[dict]:
+    """One endpoint map per ``orbit_leaders`` sequence of the units, in
+    its order, as the few-edges search built them before it walked its
+    maps depth first."""
+    slots, keys = endpoint_units(instance)
+    units = list(dict.fromkeys(keys))
+    maps = []
+    for combo in orbit_leaders(instance, len(units)):
+        owner = dict(zip(units, combo))
+        maps.append({slot: owner[key] for slot, key in zip(slots, keys)})
+    return maps
+
+
+def branches_of_map(instance: Instance, ep: Mapping) -> list[BranchGuess]:
+    """The initial branches of one endpoint map: every inside-count vector
+    in lexicographic order that sums to the number of agents holding no
+    end and passes the oracle's link test (``check_connected_guesses``)."""
+    agents, edges = instance.agents, instance.graph.edge_ids
+    holders = tuple(a for a in agents if a in ep.values())
+    out = []
+    for counts in product(range(len(agents) + 1), repeat=len(edges)):
+        n = dict(zip(edges, counts))
+        if sum(counts) == len(agents) - len(holders) and check_connected_guesses(instance, ep, n):
+            out.append(BranchGuess(dict(ep), holders, n))
+    return out
+
+
+def orbit_branches_reference(instance: Instance) -> list[BranchGuess]:
+    """The initial branches of every ``orbit_maps_reference`` map, in order,
+    with no cut of a dead prefix: each branch the search meets, and those
+    its walk drops because every agent holds an end and one holder must
+    envy another."""
+    return [b for ep in orbit_maps_reference(instance) for b in branches_of_map(instance, ep)]
+
+
+def endpoint_prefix_dead(instance: Instance, prefix: Mapping) -> bool:
+    """Is a partial endpoint map (some edge ends to their agents) dead, the
+    slow way?  It is when some holder's vertices are not linked by the
+    edges with no end given to another agent, or when every agent holds
+    an end and, for two holders a and b, a's value of the edges it holds
+    an end of or that have an end not given out is below its value of
+    the edges whose two ends b holds.  Kept as the reference for the
+    prefix cuts of ``efgc.few_edges._endpoint_maps``."""
+    graph, ints, edges = instance.graph, instance.ints, instance.graph.edge_ids
+    holders = set(prefix.values())
+    for a in holders:
+        usable = [e for e in edges if all(prefix.get((e, i), a) == a for i in (0, 1))]
+        root = graph.roots(usable)
+        if len({root[graph.coord_vertex(e, i)] for (e, i), b in prefix.items() if b == a}) > 1:
+            return True
+    if len(holders) < len(instance.agents):
+        return False
+    ends = {e: [prefix.get((e, i)) for i in (0, 1)] for e in edges}
+    return any(
+        sum(ints[a, e] for e in edges if a in ends[e] or None in ends[e])
+        < sum(ints[a, e] for e in edges if ends[e] == [b, b])
+        for a in holders for b in holders if a != b
+    )
 
 
 def holder_region_reference(held: Sequence[tuple[str, int]]) -> LinearSystem:

@@ -35,7 +35,6 @@ from efgc.model import (
     Variant,
     Verdict,
     build_instance,
-    orbit_leaders,
     piece_utility,
     verify_assignment,
 )
@@ -48,6 +47,7 @@ from helpers import (
     dead_prefix_reference,
     identical_agents_corpus,
     mixed_classes_corpus,
+    orbit_leaders,
     path,
     piece_of,
     random_cycle_instance,

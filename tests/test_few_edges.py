@@ -1,5 +1,8 @@
 import importlib
+import io
 import random
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +17,7 @@ from efgc.cells import (
     guessed_pieces,
     holdings_value_form,
 )
+from efgc.cli import emit_instance, parse_assignment, run
 from efgc.component_lp import solve_cycle, solve_tree_vdgc
 from efgc.few_edges import (
     BranchGuess,
@@ -24,7 +28,12 @@ from efgc.few_edges import (
     extract_assignment,
     solve_few_edges,
 )
-from efgc.generators import _explicit_lp, solve_explicit_oracle
+from efgc.generators import (
+    _explicit_lp,
+    gen_ladder_tw2,
+    gen_matching_plus_two,
+    solve_explicit_oracle,
+)
 from efgc.linprog import (
     GE,
     Feasible,
@@ -39,11 +48,15 @@ from efgc.model import build_instance, verify_assignment
 from helpers import (
     GRAPH_SHAPES,
     as_fractions,
+    branches_of_map,
     count_branch_skips,
     criterion_4_instances,
     cycle,
+    endpoint_prefix_dead,
+    endpoint_units,
     extract_assignment_reference,
     force_paper_route,
+    four_agent_triangles,
     forms_of,
     holder_region_reference,
     identical_agents_corpus,
@@ -51,6 +64,8 @@ from helpers import (
     least_in_orbit,
     lowest_terms,
     mixed_classes_corpus,
+    numpart_family_solvable,
+    orbit_maps_reference,
     path,
     random_cycle_instance,
     random_graph_instance,
@@ -102,7 +117,20 @@ OUT_OF_ORDER_PATH = (["v1", "v2", "v3"], [("e1", "v2", "v3"), ("e2", "v1", "v2")
 def test_initial_branches_match_reference():
     """With identical agents, the reference's branches whose endpoint map
     is least among its renamings (edge ends in reference order), in the
-    reference's order; with distinct agents, every reference branch."""
+    reference's order; with distinct agents, every reference branch.
+    Either way less the branches in which every agent holds an end and
+    ``_holders_must_envy`` holds, which the walk's envy cut drops, and
+    which occur on this corpus."""
+    dropped = Counter()
+
+    def live(inst, reference):
+        kept = [
+            b for b in reference
+            if len(b.holders) < len(inst.agents) or not few_edges._holders_must_envy(inst.ints, b)
+        ]
+        dropped[bool(inst.prior_twin)] += len(reference) - len(kept)
+        return kept
+
     shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]]
     for vertices, edges in shapes + [OUT_OF_ORDER_PATH]:
         slots = [(e[0], i) for e in edges for i in (0, 1)]
@@ -115,14 +143,83 @@ def test_initial_branches_match_reference():
                     b for b in initial_branches_reference(inst)
                     if least_in_orbit([agents], agents, [b.endpoint_agent[s] for s in slots])
                 ]
-                assert branches(inst) == want, (edges, n_agents, variant)
+                assert branches(inst) == live(inst, want), (edges, n_agents, variant)
                 if len(edges) > 1:  # a_i values the j-th edge, from 0, at (i + 1)^j
                     table = {a: {e[0]: (i + 2) ** j for j, e in enumerate(edges)}
                              for i, a in enumerate(agents)}
                     inst = build_instance(vertices, edges, table, variant)
-                    assert branches(inst) == initial_branches_reference(inst), (
+                    assert branches(inst) == live(inst, initial_branches_reference(inst)), (
                         edges, n_agents, variant,
                     )
+    assert min(dropped[True], dropped[False]) > 50, dropped
+
+
+def _walked_maps(monkeypatch, inst):
+    """The branches of the search's walk, and the endpoint maps it reaches."""
+    reached = []
+    walk = few_edges._endpoint_maps
+
+    def recording(*args):
+        for leaf in walk(*args):
+            reached.append(leaf[0])
+            yield leaf
+
+    with monkeypatch.context() as patch:
+        patch.setattr(few_edges, "_endpoint_maps", recording)
+        return branches(inst), reached
+
+
+def test_walk_reaches_every_orbit_leader_that_has_a_live_branch(monkeypatch):
+    # every shape of at most 3 edges (4 with two agents), with its ends in
+    # a second order as well, 2-3 agents, both variants, distinct and
+    # identical agents: the walk reaches the orbit leaders' endpoint maps
+    # with no dead prefix (by the reference, one unit at a time), in
+    # order; every map it drops has no branch that passes the oracle's
+    # link test and that ``_holders_must_envy`` does not skip with every
+    # agent holding an end; and its branches are the reference's less
+    # those skips
+    rng = random.Random(3131)
+    seen = Counter()
+    shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]] + [OUT_OF_ORDER_PATH]
+    for vertices, edges in shapes:
+        for n_agents in (2, 3) if len(edges) < 4 else (2,):
+            agents = [f"a{i}" for i in range(1, n_agents + 1)]
+            for variant in ("gc", "vdgc"):
+                for identical in (False, True):
+                    rows = [random_utilities(rng, agents[:1], [e for e, _, _ in edges])["a1"]]
+                    while not identical and len(rows) < n_agents:
+                        rows += random_utilities(rng, agents[:1], [e for e, _, _ in edges]).values()
+                    table = {a: rows[i % len(rows)] for i, a in enumerate(agents)}
+                    inst = build_instance(vertices, edges, table, variant)
+                    got, reached = _walked_maps(monkeypatch, inst)
+                    slots, keys = endpoint_units(inst)
+                    units = list(dict.fromkeys(keys))
+                    rank = [units.index(key) for key in keys]  # each slot's unit
+                    every = orbit_maps_reference(inst)
+
+                    def dead(ep):
+                        return any(
+                            endpoint_prefix_dead(inst, {s: ep[s] for s, r in zip(slots, rank) if r < j})
+                            for j in range(1, len(units) + 1)
+                        )
+
+                    assert reached == [ep for ep in every if not dead(ep)], (table, edges, variant)
+                    want, walked = [], 0
+                    for ep in every:
+                        live = [
+                            b for b in branches_of_map(inst, ep)
+                            if len(b.holders) < n_agents
+                            or not few_edges._holders_must_envy(inst.ints, b)
+                        ]
+                        want += live
+                        if reached[walked:walked + 1] == [ep]:
+                            walked += 1
+                            seen[identical, "reached"] += 1
+                            continue
+                        assert not live, (table, edges, variant, ep)
+                        seen[identical, "envy" if branches_of_map(inst, ep) else "link"] += 1
+                    assert got == want, (table, edges, variant)
+    assert min(seen.values()) > 50, seen
 
 
 def test_build_lp_single_edge_forces_halves():
@@ -478,8 +575,8 @@ def test_identical_agents_agree_with_oracle(monkeypatch):
     assert skips  # some branches were skipped before any LP
 
 
-def _agree_on_mixed_classes():
-    for inst, expected in mixed_classes_corpus():
+def _agree(corpus):
+    for inst, expected in corpus:
         verdict = solve_few_edges(inst)
         assert verdict.yes == expected, (inst.graph.edges, inst.variant)
         if verdict.yes:
@@ -489,19 +586,21 @@ def _agree_on_mixed_classes():
 def test_mixed_classes_agree_with_oracle():
     # a3's raw row is twice a1's, so the built instance makes them
     # identical; a2 sits between them
-    _agree_on_mixed_classes()
+    _agree(mixed_classes_corpus())
 
 
 def test_paper_route_agrees_with_oracle_on_mixed_classes(monkeypatch):
     opened = force_paper_route(monkeypatch)
-    _agree_on_mixed_classes()
+    _agree(mixed_classes_corpus())
     assert opened
 
 
-def test_sample_envy_order_is_the_ordering_form_sign(monkeypatch):
-    # the one int comparison both vertex-critical guessing and build_lp
-    # read agrees, at every sample the route evaluates, with the sign of
-    # the comparison form built as cells.ordering_forms builds its forms
+def _sample_orders(monkeypatch, corpus) -> tuple[Counter, list[BranchGuess]]:
+    """Solve ``corpus`` along the paper's route, as ``_agree`` checks, and
+    assert that the one int comparison both vertex-critical guessing and
+    build_lp read agrees, at every sample the route evaluates, with the
+    sign of the comparison form built as cells.ordering_forms builds its
+    forms.  Returns the answers counted and the guesses evaluated."""
     force_paper_route(monkeypatch)
     seen = {}
     vertex_critical = few_edges.enumerate_vertex_critical
@@ -511,7 +610,7 @@ def test_sample_envy_order_is_the_ordering_form_sign(monkeypatch):
         return vertex_critical(instance, guess, pair_critical, sample)
 
     monkeypatch.setattr(few_edges, "enumerate_vertex_critical", recording)
-    _agree_on_mixed_classes()
+    _agree(corpus)
     answers = Counter()
     for inst, guess, sample in seen.values():
         at_sample = few_edges._sample_values(inst, guess, sample)
@@ -525,7 +624,25 @@ def test_sample_envy_order_is_the_ordering_form_sign(monkeypatch):
                     got = few_edges._envies_no_more(inst.ints, at_sample, b, alpha, e, holder)
                     assert got == (form.evaluate(sample) >= 0), (inst.graph.edges, guess, b, alpha)
                     answers[got] += 1
+    return answers, [guess for _, guess, _ in seen.values()]
+
+
+def test_sample_envy_order_is_the_ordering_form_sign(monkeypatch):
+    answers, _ = _sample_orders(monkeypatch, mixed_classes_corpus())
     assert sum(answers.values()) > 50 and answers[True] and answers[False]
+
+
+def test_paper_route_tells_the_two_ends_of_an_edge_apart(monkeypatch):
+    # two holders hold the two ends of an edge with nobody inside, and two
+    # outsiders sit inside another edge: each holder's value at the sample
+    # must read the length of its own end, not the other holder's
+    answers, guesses = _sample_orders(monkeypatch, four_agent_triangles())
+    split = [
+        g for g in guesses
+        if len(g.holders) == 2
+        and any(not g.n[e] and g.endpoint_agent[e, 0] != g.endpoint_agent[e, 1] for e in g.n)
+    ]
+    assert split and sum(answers.values()) > 50 and answers[True] and answers[False]
 
 
 def _trace_identical_stars() -> list:
@@ -667,3 +784,41 @@ def test_path2_eight_identical_agents_is_yes():
     verdict = solve_few_edges(inst)
     assert verdict.yes
     assert verify_assignment(inst, verdict.assignment).valid
+
+
+HARDNESS_FAMILIES = (
+    ("matching", gen_matching_plus_two, (4, 5, 6)),
+    ("vdgc ladder", lambda values: gen_ladder_tw2(values, "vdgc"), (4, 5, 6)),
+    # a 6-value gc ladder (28 edges) that says No walks for seconds
+    ("gc ladder", lambda values: gen_ladder_tw2(values, "gc"), (4, 5)),
+)
+
+
+def test_hardness_families_get_the_planted_verdict_in_bounded_time(monkeypatch, capsys):
+    # the paper's two-agent number-partitioning reductions at 12-23 edges
+    # (28 on vdgc): neither graph is a tree or a cycle, so ``efgc solve
+    # --mode auto`` runs the few-edges search; each verdict is the planted
+    # one and each Yes witness verifies, within a bound per request that a
+    # table of every inside-count vector, (|A| + 1)^|E| of them, misses
+    rng = random.Random(3131)
+    requests = [
+        (name, values, make(values))
+        for size in (4, 5, 6)
+        for name, make, sizes in HARDNESS_FAMILIES if size in sizes
+        for values in ([rng.randint(1, 9) for _ in range(size)] for _ in range(3))
+    ]
+    answers = Counter()
+    for name, values, inst in requests:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(emit_instance(inst)))
+        start = time.perf_counter()
+        code = run(["solve", "--in", "-", "--mode", "auto"])
+        elapsed = time.perf_counter() - start
+        head, _, witness = capsys.readouterr().out.partition("\n")
+        assert elapsed < 5, (name, values, elapsed)
+        assert (code, head) == ((0, "Yes") if numpart_family_solvable(values) else (1, "No")), (
+            name, values,
+        )
+        if code == 0:
+            assert verify_assignment(inst, parse_assignment(witness)).valid, (name, values)
+        answers[name, code] += 1
+    assert len(answers) == 2 * len(HARDNESS_FAMILIES), answers

@@ -18,7 +18,6 @@ from efgc.model import (
     Variant,
     build_instance,
     is_connected_piece,
-    orbit_leaders,
     piece_utility,
     verify_assignment,
 )
@@ -29,6 +28,7 @@ from helpers import (
     fraction_normalize,
     is_connected_piece_reference,
     least_in_orbit,
+    orbit_leaders,
     path,
     random_cycle_instance,
     random_graph_instance,
