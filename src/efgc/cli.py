@@ -272,8 +272,12 @@ def _solve_command(args) -> int:
     if not verdict.yes:
         print("No")
         return 1
+    witness = emit_assignment(verdict.assignment)
+    if args.out:  # the file before the verdict: a failed write prints no Yes
+        _write(args.out, witness)
+        witness = ""
     print("Yes")
-    _write(args.out, emit_assignment(verdict.assignment))
+    sys.stdout.write(witness)
     return 0
 
 
@@ -336,7 +340,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 def run(argv) -> int:
     """Entry point returning the process exit code (0 yes/valid, 1 no/
-    invalid, 2 usage or input error or a failed self-check)."""
+    invalid, 2 usage or input error, a failed self-check or any crash)."""
     parser, commands = _parser()
     if argv and argv[0] in commands:  # the command's parser alone
         parser, argv = commands[argv[0]], argv[1:]
@@ -346,7 +350,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (EfgcError, OSError, ValueError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -407,13 +407,11 @@ def solve_with_cut_set(instance: Instance, cut: Sequence[str]) -> Verdict:
 def _maximal_cuts(closures: Sequence[frozenset[str]], k: int) -> list[frozenset[str]]:
     """The unions of every choice of exactly min(k, n) of the n
     ``closures`` that no other such union strictly contains, in
-    first-seen order.  Those of n distinct single edges (vdgc trees and
-    cycles) are distinct sets of min(k, n) edges, so none is filtered."""
+    first-seen order.  None strictly contains one of the largest size."""
     chosen = combinations(closures, min(k, len(closures)))
-    if all(len(c) == 1 for c in closures) and len(set(closures)) == len(closures):
-        return [frozenset().union(*c) for c in chosen]
     unions = dict.fromkeys(frozenset().union(*c) for c in chosen)
-    return [cut for cut in unions if not any(cut < other for other in unions)]
+    top = max(map(len, unions))
+    return [cut for cut in unions if len(cut) == top or not any(cut < other for other in unions)]
 
 
 def _first_yes(instance: Instance, closures: Sequence[frozenset[str]], k: int) -> Verdict:

@@ -34,10 +34,12 @@ The endpoint maps are walked depth first, one per orbit of identical
 agents, in the order of trying every map: the first feasible branch
 gives the witness.  A prefix is cut when a holder's ends cannot be linked
 or when every agent holds an end and one must envy another whatever the
-lengths (``enumerate_initial_branches``); with outsiders such a branch is
-skipped before any LP (``_holders_must_envy``), as is a placement that
-makes an outsider envy a holder whatever the lengths (``_placements``).
-These tests are in ints, and every LP built goes straight to the simplex.
+lengths; per inside-count map, the same two tests drop the rest, so the
+search yields live branches only (``enumerate_initial_branches``; the
+envy rule is ``_holders_must_envy``, on edge masks, for both).  A
+placement that makes an outsider envy a holder whatever the lengths is
+dropped too (``_placements``).  These tests are in ints, and every LP
+built goes straight to the simplex.
 
 The witness of a feasible LP fixes every length, and its non-negativity
 and tiling rows hold, so ``extract_assignment`` tiles it straight into
@@ -113,9 +115,26 @@ def _joined(vertices: int, usable: int, links: Sequence[tuple[int, int]]) -> boo
     return True
 
 
-def _endpoint_maps(instance: Instance, links) -> Iterator[tuple[dict, tuple[str, ...], list]]:
-    """The endpoint maps no dead prefix cuts, with their holders and, per
-    holder of 2+ vertices, the masks of those and of its two-end edges."""
+def _holders_must_envy(rows, held, whole, after: int, hot: int) -> bool:
+    """Does a holder a value the edges it holds an end of (``held[a]``) or
+    that still have an end left (``after``) below the edges whose two ends
+    a holder b holds (``whole[b]``) and that have nobody inside (not in
+    ``hot``)?  ``rows[a]`` pairs each edge's bit with a's int.  On a branch (``after``
+    = 0) that is the maximum of a's envy row against b over the tiling
+    simplices in all its LPs, so the row is negative whatever the lengths.
+    The envied b is the outer loop: the walk gives the first ends to the
+    earliest agents, so those most often own an edge outright."""
+    return any(
+        sum([u for bit, u in rows[a] if bit & (held[a] | after)])
+        < sum([u for bit, u in rows[a] if bit & whole[b] & ~hot])
+        for b in range(len(whole)) if whole[b] & ~hot
+        for a in range(len(held)) if held[a] and a != b
+    )
+
+
+def _endpoint_maps(instance: Instance, links, rows) -> Iterator[tuple[dict, list, list, list]]:
+    """The endpoint maps no dead prefix cuts, each with the masks, per agent,
+    of its vertices and of the edges it holds an end of and both ends of."""
     graph, agents, n_agents = instance.graph, instance.agents, len(instance.agents)
     slots = [(e, i) for e in graph.edge_ids for i in (0, 1)]
     ends = [bit for e in graph.edge_ids for bit in graph.end_bits[e]]  # per slot: its vertex's bit
@@ -126,7 +145,6 @@ def _endpoint_maps(instance: Instance, links) -> Iterator[tuple[dict, tuple[str,
     for s, k in enumerate(unit_of):
         vertex[k], touch[k] = ends[s], touch[k] | 1 << (s >> 1)
     open_at = [*accumulate(touch[::-1], or_)][::-1] + [0]  # per depth: edges with an end left
-    rows = [[(1 << j, instance.ints[a, e]) for j, e in enumerate(graph.edge_ids)] for a in agents]
     twin = [agents.index(instance.prior_twin.get(a, a)) for a in agents]  # x itself if none
     # per agent: its vertices, the edges it holds an end of, both ends of; per unit: its agent
     verts, held, whole, assign = [0] * n_agents, [0] * n_agents, [0] * n_agents, [0] * last
@@ -145,17 +163,14 @@ def _endpoint_maps(instance: Instance, links) -> Iterator[tuple[dict, tuple[str,
                 v & (v - 1) and (v != v0 if c == x else edges & ~blocked[c])
                 and not _joined(v, ~fenced[c], links)
                 for c, v in enumerate(verts)
-            ) or now == n_agents and (now > holding or after != open_at[k]) and any(
-                sum([u for bit, u in rows[a] if bit & (held[a] | after)])
-                < sum([u for bit, u in rows[a] if bit & whole[b]])  # envy
-                for b in range(n_agents) if whole[b] for a in range(n_agents) if a != b
+            ) or now == n_agents and (now > holding or after != open_at[k]) and _holders_must_envy(
+                rows, held, whole, after, 0
             )
             if not dead and k + 1 < last:
                 yield from walk(k + 1, fenced, now)
             elif not dead:
                 ep = dict(zip(slots, [agents[assign[u]] for u in unit_of]))
-                yield ep, tuple([a for a, v in zip(agents, verts) if v]), [
-                    (v, w) for v, w in zip(verts, whole) if v & (v - 1)]
+                yield ep, verts[:], held[:], whole[:]
             verts[x], held[x], whole[x] = v0, h0, w0
 
     return walk(0, [0] * n_agents, 0)
@@ -163,10 +178,10 @@ def _endpoint_maps(instance: Instance, links) -> Iterator[tuple[dict, tuple[str,
 
 def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     """One endpoint-holder map per orbit of identical agents, crossed with
-    every inside-count map placing exactly the agents that hold no end,
-    less the guesses whose holders' ends cannot be linked and, with every
-    agent holding an end, those that ``_holders_must_envy`` skips; in
-    lexicographic order of the edge ends, then of the counts.
+    every inside-count map placing exactly the agents that hold no end, in
+    lexicographic order of the edge ends, then of the counts: the live
+    branches only, whose holders' ends can be linked and in which no
+    holder must envy another (``_holders_must_envy``).
 
     ``_endpoint_maps`` walks units depth first: edge ends under GC, and
     under VDGC, where the ends at a vertex have one owner, vertices in
@@ -174,19 +189,22 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
     before it in its class (``prior_twin``) holds one, so the walk meets
     the least map of each orbit.  Each cut stays true as the prefix grows.
     Link: a holder's vertices are not joined by the edges with no end of
-    another agent (at a leaf, its two-end edges).  Envy: every agent holds
-    an end (so n = 0), and a holder a values the edges it holds an end of
-    or with an end left (a shrinking set) below those whose two ends b
-    holds (a growing one); at a leaf this is ``_holders_must_envy``.  A
-    node tests the holders whose vertices or usable edges it changed; a
-    leaf, those with a hot two-end edge.  Count maps for m outsiders, the
-    compositions of m into |E| parts, are made once per m.
+    another agent.  Envy: every agent holds an end (so n = 0), and the
+    rule holds with ``after`` the edges with an end left: a's side only
+    shrinks as the prefix grows, b's only grows.  A node tests the holders
+    whose vertices or usable edges it changed.  Per count map at a leaf,
+    with ``hot`` its edges with agents inside, the link test is rerun on
+    each holder's two-end edges less ``hot``, and the rule with ``hot``.
+    Count maps for m outsiders, the compositions of m into |E| parts, are
+    made once per m.
     """
-    edges, size = instance.graph.edge_ids, len(instance.graph.edge_ids)
+    agents, edges, size = instance.agents, instance.graph.edge_ids, len(instance.graph.edge_ids)
     links = [(1 << j, sum(instance.graph.end_bits[e])) for j, e in enumerate(edges)]
+    rows = [[(1 << j, instance.ints[a, e]) for j, e in enumerate(edges)] for a in agents]
     counts: dict[int, list[tuple[dict[str, int], int]]] = {}  # per m: each map and its hot edges
-    for ep, holders, multi in _endpoint_maps(instance, links):
-        m = len(instance.agents) - len(holders)
+    for ep, verts, held, whole in _endpoint_maps(instance, links, rows):
+        holders = tuple([a for a, v in zip(agents, verts) if v])
+        m = len(agents) - len(holders)
         if m not in counts:
             counts[m] = [  # the parts between bars placed in lexicographic order
                 (dict(zip(edges, c)), sum([1 << j for j, p in enumerate(c) if p]))
@@ -194,7 +212,8 @@ def enumerate_initial_branches(instance: Instance) -> Iterator[BranchGuess]:
                 for c in [[b - a - 1 for a, b in zip((-1, *bars), (*bars, m + size - 1))]]
             ]
         for n, hot in counts[m]:
-            if all(not w & hot or _joined(v, w & ~hot, links) for v, w in multi):
+            linked = all(not w & hot or _joined(v, w & ~hot, links) for v, w in zip(verts, whole))
+            if linked and not _holders_must_envy(rows, held, whole, 0, hot):
                 yield BranchGuess(ep, holders, n)
 
 
@@ -376,14 +395,9 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
     system = LinearSystem()  # the bound rows declare the variables, edge by edge
     pieces = guessed_pieces(guess.endpoint_agent)
     holders = guess.holders
-    values: dict[tuple[str, str], list[tuple[str, int]]] = {}
 
     def value(valuer: str, holder: str) -> list[tuple[str, int]]:
-        if (valuer, holder) not in values:
-            values[valuer, holder] = sorted(
-                (endpoint_var(e, i), c) for e, i in pieces[holder] if (c := ints[valuer, e])
-            )
-        return values[valuer, holder]
+        return sorted((endpoint_var(e, i), c) for e, i in pieces[holder] if (c := ints[valuer, e]))
 
     def envy(valuer: str, *terms: tuple[str, int]):
         system.add_row(tuple(sorted(t for t in terms if t[1])), 0, dens[valuer], GE)
@@ -425,21 +439,6 @@ def build_lp(instance: Instance, guess: BranchGuess) -> LinearSystem:
                 if _envies_no_more(ints, at_sample, b, alpha, e, holder):
                     envy(b, (delta_var(e), ints[b, e]), *((v, -c) for v, c in value(b, holder)))
     return system
-
-
-def _holders_must_envy(ints, base: BranchGuess) -> bool:
-    """Does a holder a value the edges where it holds an end below those a
-    holder b owns outright (both ends, nobody inside)?  That is the maximum
-    of a's envy row against b over the tiling simplices in every LP of the
-    branch, so a's row is negative whatever the lengths.  The envied b is
-    the outer loop: the endpoint maps give the first ends to the earliest
-    agents, so those most often own an edge outright."""
-    ep, n = base.endpoint_agent, base.n
-    return any(
-        sum(ints[a, e] for e in n if a in (ep[e, 0], ep[e, 1]))
-        < sum(ints[a, e] for e in n if ep[e, 0] == b == ep[e, 1] and not n[e])
-        for b in base.holders for a in base.holders if a != b
-    )
 
 
 def extract_assignment(
@@ -561,8 +560,6 @@ def solve_few_edges(instance: Instance) -> Verdict:
     the witness.  The verdict is deterministic.
     """
     for base in enumerate_initial_branches(instance):
-        if _holders_must_envy(instance.ints, base):
-            continue
         if _explicit_is_no_larger(base.n.values(), len(base.holders)):
             guesses = (replace(base, placement=p) for p in _placements(instance, base))
         else:

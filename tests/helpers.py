@@ -460,20 +460,36 @@ def force_paper_route(monkeypatch) -> list[BranchGuess]:
     return opened
 
 
+def holders_must_envy(ints, base: BranchGuess) -> bool:
+    """Does a holder a value the edges where it holds an end below those a
+    holder b owns outright (both ends, nobody inside)?  Then a's envy row
+    against b is negative whatever the lengths.  A scan of the branch's
+    dicts, kept as the reference for the mask form
+    ``efgc.few_edges._holders_must_envy`` that the search runs."""
+    ep, n = base.endpoint_agent, base.n
+    return any(
+        sum(ints[a, e] for e in n if a in (ep[e, 0], ep[e, 1]))
+        < sum(ints[a, e] for e in n if ep[e, 0] == b == ep[e, 1] and not n[e])
+        for b in base.holders for a in base.holders if a != b
+    )
+
+
 def count_branch_skips(monkeypatch) -> list[BranchGuess]:
-    """Record, for the rest of the test, each initial branch that
-    ``solve_few_edges`` skips before building any LP, because one holder
-    must envy another (``few_edges._holders_must_envy``)."""
+    """Record, for the rest of the test, each initial branch that the
+    few-edges search drops before building any LP because one holder
+    must envy another: the branches (``branches_of_map``) of each
+    endpoint map its walk reaches that ``holders_must_envy`` refutes."""
     skips: list[BranchGuess] = []
-    must_envy = few_edges._holders_must_envy
+    walk = few_edges._endpoint_maps
 
-    def recording(ints, base):
-        if must_envy(ints, base):
-            skips.append(base)
-            return True
-        return False
+    def recording(instance, *args):
+        for leaf in walk(instance, *args):
+            skips.extend(
+                b for b in branches_of_map(instance, leaf[0]) if holders_must_envy(instance.ints, b)
+            )
+            yield leaf
 
-    monkeypatch.setattr(few_edges, "_holders_must_envy", recording)
+    monkeypatch.setattr(few_edges, "_endpoint_maps", recording)
     return skips
 
 
@@ -743,9 +759,8 @@ def branches_of_map(instance: Instance, ep: Mapping) -> list[BranchGuess]:
 
 def orbit_branches_reference(instance: Instance) -> list[BranchGuess]:
     """The initial branches of every ``orbit_maps_reference`` map, in order,
-    with no cut of a dead prefix: each branch the search meets, and those
-    its walk drops because every agent holds an end and one holder must
-    envy another."""
+    with no cut of a dead prefix: each branch the search yields, and those
+    it drops because one holder must envy another (``holders_must_envy``)."""
     return [b for ep in orbit_maps_reference(instance) for b in branches_of_map(instance, ep)]
 
 

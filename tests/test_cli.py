@@ -326,6 +326,35 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_failed_witness_write_prints_no_verdict(tmp_path, capsys):
+    # the witness file is written before the verdict, so an --out that
+    # cannot be written leaves no Yes on stdout; without --out the
+    # verdict and the witness go to stdout, in that order
+    inst_file = tmp_path / "p3.efgc"
+    inst_file.write_text(P3_TEXT)
+    assert run(["solve", "--in", str(inst_file), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert run(["solve", "--in", str(inst_file)]) == 0
+    assert capsys.readouterr().out.startswith("Yes\nefgc-assignment v1\npiece ")
+
+
+def test_a_crash_in_a_solver_exits_two(tmp_path, capsys):
+    # the few-edges walk recurses once per edge end, so a 600-edge path
+    # exceeds the interpreter's recursion limit: that must not read as
+    # No (exit 1) but as an error (exit 2), with nothing on stdout
+    vertices = " ".join(f"v{i}" for i in range(601))
+    edges = "".join(f"edge e{i} v{i - 1} v{i}\n" for i in range(1, 601))
+    row = " ".join(f"e{i}=1" for i in range(1, 601))
+    inst_file = tmp_path / "path600.efgc"
+    inst_file.write_text(
+        f"efgc-instance v1\nvariant gc\nvertices {vertices}\n{edges}agent a1 {row}\nagent a2 {row}\n"
+    )
+    assert run(["solve", "--in", str(inst_file), "--mode", "few-edges"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 SELF_CHECK_SCRIPT = """\
 import sys
 

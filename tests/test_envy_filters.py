@@ -2,7 +2,8 @@
 
 Each search drops, in ints and before building an LP, what must envy
 whatever the lengths: the few-edges search a branch in which a holder
-must envy another (``_holders_must_envy``) and a placement that puts an
+must envy another (``_holders_must_envy``, whose dict-scan reference is
+``helpers.holders_must_envy``) and a placement that puts an
 outsider on an edge worth too little to it (``_placements``); the
 cut-set search a connector combo in which a holder must envy another
 (``_must_envy``) and a floater's cut edge worth less to it than some
@@ -26,8 +27,8 @@ from helpers import (
     GRAPH_SHAPES,
     components_without,
     connector_choices_reference,
-    count_branch_skips,
     force_paper_route,
+    holders_must_envy,
     identical_agents_corpus,
     negative_row,
     orbit_branches_reference,
@@ -75,16 +76,15 @@ def _every_placement(inst, base):
 
 
 def test_placement_filter_drops_exactly_the_placements_a_row_refutes():
-    """On every initial branch the holder check keeps, ``_placements``
-    yields, in order, exactly the unfiltered placements whose LP has no
-    row with a negative maximum; each one it drops is refuted by a row
-    and infeasible, with verified certificates."""
+    """On every initial branch the search yields, all of which the holder
+    check keeps, ``_placements`` yields, in order, exactly the unfiltered
+    placements whose LP has no row with a negative maximum; each one it
+    drops is refuted by a row and infeasible, with verified certificates."""
     rng = random.Random(1616)
     seen = Counter()
     for inst in _few_edges_corpus(rng, 40, 4) + [inst for inst, _ in identical_agents_corpus()]:
         for base in enumerate_initial_branches(inst):
-            if few_edges._holders_must_envy(inst.ints, base):
-                continue
+            assert not holders_must_envy(inst.ints, base), (inst, base)
             got = list(few_edges._placements(inst, base))
             kept = []
             for placement in _every_placement(inst, base):
@@ -141,49 +141,61 @@ def _route_guesses(inst, base):
 
 
 def test_holder_check_skips_exactly_the_branches_a_shared_row_refutes(monkeypatch):
-    """On both routes, the few-edges check skips an initial branch exactly
-    when the first row with a negative maximum of the branch's first LP
-    (and of its shared rows alone, for a branch with no guess) lies below
+    """On both routes, over the reference's initial branches (no dead
+    prefix cut), ``holders_must_envy`` refutes a branch exactly when the
+    first row with a negative maximum of the branch's first LP (and of its
+    shared rows alone, for a branch with no guess) lies below
     ``shared_rows``; that row is always a holder's row against another
-    holder, never one against an inside piece.  A search that answers No
-    skips exactly those branches."""
+    holder, never one against an inside piece.  The search yields the
+    reference's branches less exactly those it refutes, and a search that
+    answers No opens each of those, in order."""
     rng = random.Random(1717)
     seen = Counter()
     for paper in (False, True):
         with monkeypatch.context() as patch:
             if paper:
                 force_paper_route(patch)
-            skips = count_branch_skips(patch)
+            opened = []
+            search = few_edges.enumerate_initial_branches
+
+            def recording(inst):
+                for base in search(inst):
+                    opened.append(base)
+                    yield base
+
+            patch.setattr(few_edges, "enumerate_initial_branches", recording)
             nos = [inst for inst, yes in identical_agents_corpus() if not yes]
             paws = [  # a holder can own a hot edge outright on no smaller shape
                 build_instance(*GRAPH_SHAPES[4][-1], random_utilities(rng, AGENTS3, EDGES4), variant)
                 for variant in ("gc", "vdgc") for _ in range(2)
             ]
             for inst in _few_edges_corpus(rng, 16, 3 if paper else 4) + nos + paws:
-                ints, refuted = inst.ints, []
-                for base in enumerate_initial_branches(inst):
+                ints, live = inst.ints, []
+                for base in orbit_branches_reference(inst):
                     shared, lps = shared_rows(inst, base), [replace(base, placement={})]
                     first = next(_route_guesses(inst, base), None)
                     lps += [first] if first is not None else []
-                    skip = few_edges._holders_must_envy(ints, base)
+                    skip = holders_must_envy(ints, base)
                     for guess in lps:
                         row = negative_row(build_lp(inst, guess))
                         assert skip == (row is not None and row < shared), (inst, base)
                     if skip:
-                        refuted.append(base)
                         # bounds and tiling, then per holder: its H - 1
                         # rows against holders and h against inside pieces
                         hot = sum(map(bool, base.n.values()))
                         block = len(base.holders) - 1 + hot
                         assert (row - 3 * len(base.n) - hot) % block < len(base.holders) - 1
+                    else:
+                        live.append(base)
                     seen[paper, skip, first is not None] += 1
                     ep = base.endpoint_agent
                     seen[paper, "hot edge held whole"] += any(
                         base.n[e] and ep[e, 0] == ep[e, 1] for e in base.n
                     ) and len(base.holders) > 1
-                del skips[:]
+                assert list(search(inst)) == live, inst
+                del opened[:]
                 if not solve_few_edges(inst).yes:
-                    assert skips == refuted
+                    assert opened == live
                     seen[paper, "no"] += 1
     assert min(seen[paper, skip, True] for paper in (False, True) for skip in (False, True)) > 50
     for key in ("no", "hot edge held whole"):

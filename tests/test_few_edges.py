@@ -59,6 +59,7 @@ from helpers import (
     four_agent_triangles,
     forms_of,
     holder_region_reference,
+    holders_must_envy,
     identical_agents_corpus,
     initial_branches_reference,
     least_in_orbit,
@@ -118,17 +119,25 @@ def test_initial_branches_match_reference():
     """With identical agents, the reference's branches whose endpoint map
     is least among its renamings (edge ends in reference order), in the
     reference's order; with distinct agents, every reference branch.
-    Either way less the branches in which every agent holds an end and
-    ``_holders_must_envy`` holds, which the walk's envy cut drops, and
-    which occur on this corpus."""
+    Either way less every branch that ``holders_must_envy`` refutes: with
+    every agent holding an end, which the walk's envy cut drops, and with
+    outsiders, which the count vectors' envy test drops.  Both occur on
+    this corpus, as do live branches in which a holder owns a hot edge
+    (both ends, agents inside), some of which the rule would refute if it
+    counted that edge as the holder's (on seeded paws: no smaller shape
+    has one)."""
     dropped = Counter()
 
     def live(inst, reference):
-        kept = [
-            b for b in reference
-            if len(b.holders) < len(inst.agents) or not few_edges._holders_must_envy(inst.ints, b)
-        ]
-        dropped[bool(inst.prior_twin)] += len(reference) - len(kept)
+        kept, refuted = [], []
+        for b in reference:
+            (refuted if holders_must_envy(inst.ints, b) else kept).append(b)
+        dropped[bool(inst.prior_twin)] += len(refuted)
+        dropped["outsiders"] += sum(len(b.holders) < len(inst.agents) for b in refuted)
+        dropped["hot edge held whole"] += sum(map(_holds_a_hot_edge, kept))
+        dropped["hot edge decides"] += sum(
+            holders_must_envy(inst.ints, replace(b, n=dict.fromkeys(b.n, 0))) for b in kept
+        )
         return kept
 
     shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]]
@@ -151,7 +160,20 @@ def test_initial_branches_match_reference():
                     assert branches(inst) == live(inst, initial_branches_reference(inst)), (
                         edges, n_agents, variant,
                     )
-    assert min(dropped[True], dropped[False]) > 50, dropped
+    rng = random.Random(3232)
+    paw = GRAPH_SHAPES[4][-1]
+    for _ in range(4):
+        for variant in ("gc", "vdgc"):
+            table = random_utilities(rng, ["a1", "a2", "a3"], [e for e, _, _ in paw[1]])
+            inst = build_instance(*paw, table, variant)
+            assert branches(inst) == live(inst, initial_branches_reference(inst)), (table, variant)
+    assert dropped.pop("hot edge decides") > 10, dropped
+    assert min(dropped.values()) > 50, dropped
+
+
+def _holds_a_hot_edge(base):
+    ep = base.endpoint_agent
+    return any(base.n[e] and ep[e, 0] == ep[e, 1] for e in base.n)
 
 
 def _walked_maps(monkeypatch, inst):
@@ -175,9 +197,8 @@ def test_walk_reaches_every_orbit_leader_that_has_a_live_branch(monkeypatch):
     # identical agents: the walk reaches the orbit leaders' endpoint maps
     # with no dead prefix (by the reference, one unit at a time), in
     # order; every map it drops has no branch that passes the oracle's
-    # link test and that ``_holders_must_envy`` does not skip with every
-    # agent holding an end; and its branches are the reference's less
-    # those skips
+    # link test and that ``holders_must_envy`` does not refute; and its
+    # branches are the reference's less those refuted
     rng = random.Random(3131)
     seen = Counter()
     shapes = [shape for n in (1, 2, 3, 4) for shape in GRAPH_SHAPES[n]] + [OUT_OF_ORDER_PATH]
@@ -208,8 +229,7 @@ def test_walk_reaches_every_orbit_leader_that_has_a_live_branch(monkeypatch):
                     for ep in every:
                         live = [
                             b for b in branches_of_map(inst, ep)
-                            if len(b.holders) < n_agents
-                            or not few_edges._holders_must_envy(inst.ints, b)
+                            if not holders_must_envy(inst.ints, b)
                         ]
                         want += live
                         if reached[walked:walked + 1] == [ep]:
